@@ -219,27 +219,8 @@ func BenchmarkLinearTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkSimStep measures one world tick of the standard 4-DC scenario
-// through the map-shaped World adapter.
-func BenchmarkSimStep(b *testing.B) {
-	sc, err := scenario.Build(scenario.Spec{
-		Name: "bench", Seed: benchSeed,
-		DCs: 4, PMsPerDC: 2, VMs: 5, LoadScale: 1.5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.World.Step()
-	}
-}
-
-// BenchmarkEngineTick measures the allocation-free engine tick directly,
-// on a small (paper-sized) and a large (production-sized) fleet, plus the
+// BenchmarkEngineTick measures the allocation-free World.Step tick on a
+// small (paper-sized) and a large (production-sized) fleet, plus the
 // hyperscale preset (20000 VMs over 5100 PMs in six DCs), whose tick runs
 // the per-DC resolution shards in parallel (TickWorkers 4) — the sharded
 // path pays a handful of goroutine-spawn allocations per tick, unlike the
@@ -264,7 +245,7 @@ func BenchmarkEngineTick(b *testing.B) {
 			if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 				b.Fatal(err)
 			}
-			eng := sc.World.Engine
+			eng := sc.World
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -280,7 +261,7 @@ func BenchmarkEngineTick(b *testing.B) {
 		if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 			b.Fatal(err)
 		}
-		eng := sc.World.Engine
+		eng := sc.World
 		// Warm-up ticks: monitor/report buffers grow lazily over the first
 		// few ticks, and allocs/op must reflect the steady state benchgate
 		// compares against (the remaining per-tick allocations are the
@@ -489,7 +470,7 @@ func BenchmarkChurn(b *testing.B) {
 	if err := mgr.Run(130, nil); err != nil {
 		b.Fatal(err)
 	}
-	eng := sc.World.Engine
+	eng := sc.World
 	b.Run("Step", func(b *testing.B) {
 		b.ReportMetric(float64(eng.NumActiveVMs()), "liveVMs")
 		b.ReportAllocs()

@@ -288,7 +288,7 @@ func runScenario(name string, seed uint64, ticks int, admitAll bool) error {
 	}
 	fmt.Println("tick  SLA    min    watts    PMs  VMs  migs  profit€")
 	var sumSLA, sumW float64
-	err = mgr.Run(ticks, func(st sim.TickStats) {
+	err = mgr.Run(ticks, func(st sim.TickSummary) {
 		sumSLA += st.AvgSLA
 		sumW += st.FacilityWatts
 		if st.Tick%60 == 0 {

@@ -21,9 +21,8 @@
 // The simulation substrate stands in for the paper's
 // Atom/VirtualBox/OpenNebula testbed:
 //
-//   - internal/sim — the flat-state Engine (structure-of-arrays truth,
-//     zero-alloc ticks, per-DC sharded resolution) and the map-shaped
-//     World adapter.
+//   - internal/sim — the flat-state World (structure-of-arrays truth,
+//     zero-alloc ticks, per-DC sharded resolution).
 //   - internal/cluster — inventory, placement state, fOccupation.
 //   - internal/trace — Li-BCN-like workload synthesis and CSV replay.
 //   - internal/network — the Table II topology, client latencies and

@@ -43,7 +43,7 @@ func main() {
 
 	fmt.Println("48 hours, one line per 2 simulated hours:")
 	fmt.Println("UTC-h  hosting DC  dominant clients  colocated")
-	err = mgr.Run(2*model.TicksPerDay, func(st sim.TickStats) {
+	err = mgr.Run(2*model.TicksPerDay, func(st sim.TickSummary) {
 		if st.Tick%(2*model.TicksPerHour) != 0 {
 			return
 		}

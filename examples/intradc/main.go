@@ -51,7 +51,7 @@ func main() {
 		}
 		var sumSLA, sumW, sumPMs float64
 		n := model.TicksPerDay
-		if err := mgr.Run(n, func(st sim.TickStats) {
+		if err := mgr.Run(n, func(st sim.TickSummary) {
 			sumSLA += st.AvgSLA
 			sumW += st.FacilityWatts
 			sumPMs += float64(st.ActivePMs)

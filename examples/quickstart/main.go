@@ -64,7 +64,7 @@ func main() {
 
 	// 4. Run eighteen hours and watch the fleet consolidate and spread.
 	fmt.Println("\ntick  SLA    watts  PMs  placement of vm0")
-	err = manager.Run(18*model.TicksPerHour, func(st sim.TickStats) {
+	err = manager.Run(18*model.TicksPerHour, func(st sim.TickSummary) {
 		if st.Tick%60 != 0 {
 			return
 		}

@@ -150,9 +150,6 @@ func NewState(inv *Inventory) *State {
 // Inventory returns the static fleet description.
 func (s *State) Inventory() *Inventory { return s.inv }
 
-// Placement returns a copy of the current VM -> PM map.
-func (s *State) Placement() model.Placement { return s.placement.Clone() }
-
 // HostOf returns the PM hosting a VM (NoPM if unplaced).
 func (s *State) HostOf(vm model.VMID) model.PMID {
 	pm, ok := s.placement[vm]

@@ -308,8 +308,8 @@ func TestDynamicVMs(t *testing.T) {
 			t.Fatal("removed VM still a guest")
 		}
 	}
-	if _, ok := s.Placement()[900]; ok {
-		t.Fatal("removed VM still in the placement map")
+	if got := s.HostOf(900); got != model.NoPM {
+		t.Fatalf("removed VM still placed on %v", got)
 	}
 	if err := s.Place(900, pm); err == nil {
 		t.Fatal("removed VM still placeable")

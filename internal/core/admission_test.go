@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/lifecycle"
+	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
@@ -59,9 +60,17 @@ func TestManagedChurnRun(t *testing.T) {
 	if st.Placed == 0 {
 		t.Fatal("no admitted VM ever reached a host")
 	}
-	// Departed VMs must be fully gone: placement state carries no trace.
-	if n := len(sc.World.State().Placement()); n != wantLive {
-		t.Fatalf("placement holds %d VMs, want %d", n, wantLive)
+	// Departed VMs must be fully gone: no retired slot's last tenant is
+	// still known to, or hosted by, the placement state.
+	ps := sc.World.State()
+	for i := 0; i < sc.World.NumVMs(); i++ {
+		if sc.World.ActiveVM(i) {
+			continue
+		}
+		id := sc.World.VMSpecAt(i).ID
+		if _, known := ps.DynamicVM(id); known || ps.HostOf(id) != model.NoPM {
+			t.Fatalf("departed VM %v still in the placement state", id)
+		}
 	}
 }
 

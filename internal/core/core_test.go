@@ -53,7 +53,7 @@ func TestManagerRunsRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	ticks := 0
-	if err := m.Run(35, func(sim.TickStats) { ticks++ }); err != nil {
+	if err := m.Run(35, func(sim.TickSummary) { ticks++ }); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 35 {
@@ -222,7 +222,7 @@ func TestManagedRunBeatsUnmanagedOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	sumU, n := 0.0, 6*60
-	scU.World.Run(n, func(st sim.TickStats) { sumU += st.AvgSLA })
+	scU.World.Run(n, func(st sim.TickSummary) { sumU += st.AvgSLA })
 	// Managed.
 	scM, pileM := build()
 	if err := scM.World.PlaceInitial(pileM); err != nil {
@@ -236,7 +236,7 @@ func TestManagedRunBeatsUnmanagedOverload(t *testing.T) {
 		Scheduler: sched.NewBestFit(costFor(scM), sched.NewOverbooked()),
 	})
 	sumM := 0.0
-	if err := m.Run(n, func(st sim.TickStats) { sumM += st.AvgSLA }); err != nil {
+	if err := m.Run(n, func(st sim.TickSummary) { sumM += st.AvgSLA }); err != nil {
 		t.Fatal(err)
 	}
 	if sumM <= sumU {

@@ -225,22 +225,22 @@ func (m *Manager) BuildProblem() *sched.Problem {
 // admission-gated arrivals), then degraded-mode shedding, then a
 // scheduling round whenever the tick index is a round boundary, then the
 // fault runner observes re-home outcomes, then the world ticks.
-func (m *Manager) Step() (sim.TickStats, error) {
+func (m *Manager) Step() (sim.TickSummary, error) {
 	w := m.cfg.World
 	t := w.Tick()
 	if m.cfg.Faults != nil {
 		if err := m.stepFaults(t); err != nil {
-			return sim.TickStats{}, err
+			return sim.TickSummary{}, err
 		}
 	}
 	if m.cfg.Lifecycle != nil {
 		if err := m.stepLifecycle(t); err != nil {
-			return sim.TickStats{}, err
+			return sim.TickSummary{}, err
 		}
 	}
 	if m.cfg.Faults != nil && m.degraded && m.cfg.Degraded.ShedAfterTicks > 0 {
 		if err := m.stepShedding(t); err != nil {
-			return sim.TickStats{}, err
+			return sim.TickSummary{}, err
 		}
 	}
 	// A round with zero candidates (total capacity loss) is skipped, not an
@@ -256,14 +256,14 @@ func (m *Manager) Step() (sim.TickStats, error) {
 				clear(m.placement)
 			}
 			if err := is.ScheduleInto(problem, m.placement); err != nil {
-				return sim.TickStats{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
+				return sim.TickSummary{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
 			}
 			placement = m.placement
 		} else {
 			var err error
 			placement, err = m.cfg.Scheduler.Schedule(problem)
 			if err != nil {
-				return sim.TickStats{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
+				return sim.TickSummary{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
 			}
 		}
 		if w.NumFailedPMs() > 0 || w.NumDrainingPMs() > 0 {
@@ -273,7 +273,7 @@ func (m *Manager) Step() (sim.TickStats, error) {
 			m.sanitizePlacement(placement)
 		}
 		if err := w.ApplySchedule(placement); err != nil {
-			return sim.TickStats{}, fmt.Errorf("core: applying schedule: %w", err)
+			return sim.TickSummary{}, fmt.Errorf("core: applying schedule: %w", err)
 		}
 		m.rounds++
 		if m.cfg.Lifecycle != nil {
@@ -551,7 +551,7 @@ func (m *Manager) prunePendingCommits() model.Resources {
 }
 
 // Run advances n ticks, invoking cb after each.
-func (m *Manager) Run(n int, cb func(sim.TickStats)) error {
+func (m *Manager) Run(n int, cb func(sim.TickSummary)) error {
 	for i := 0; i < n; i++ {
 		st, err := m.Step()
 		if err != nil {

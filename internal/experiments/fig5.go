@@ -38,7 +38,7 @@ func Figure5(seed uint64) (*Result, error) {
 	ticks := 2 * model.TicksPerDay
 	var placementSeries, dominantSeries []float64
 	colocated, moves, prevDC := 0, 0, model.DCID(0)
-	err = mgr.Run(ticks, func(st sim.TickStats) {
+	err = mgr.Run(ticks, func(st sim.TickSummary) {
 		dc := sc.World.State().DCOfVM(0)
 		truth, _ := sc.World.VMTruthAt(0)
 		dom, _ := truth.Load.DominantSource()

@@ -45,7 +45,7 @@ func GreenEnergy(seed uint64) (*Result, error) {
 		// Count ticks where vm0's host enjoys solar-discounted power.
 		sunlit := 0
 		pr, err := sweep.RunSpecOpts(spec, pol, bundle, ticks, sweep.RunOpts{
-			OnTick: func(sc *scenario.Scenario, st sim.TickStats) {
+			OnTick: func(sc *scenario.Scenario, st sim.TickSummary) {
 				if dc := sc.World.State().DCOfVM(0); dc >= 0 &&
 					sc.Topology.EnergyPriceAt(dc, st.Tick) < base[dc]*0.7 {
 					sunlit++

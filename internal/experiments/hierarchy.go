@@ -103,7 +103,7 @@ func runHierarchyPolicy(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle, 
 	}
 	const ticks = 360 // 6 hours
 	var sumSLA, sumW float64
-	if err := mgr.Run(ticks, func(st sim.TickStats) {
+	if err := mgr.Run(ticks, func(st sim.TickSummary) {
 		sumSLA += st.AvgSLA
 		sumW += st.FacilityWatts
 	}); err != nil {

@@ -72,7 +72,7 @@ func OnlineLearning(seed uint64) (*Result, error) {
 		} else {
 			pr.Policy = "frozen-models"
 		}
-		err = mgr.Run(ticks, func(st sim.TickStats) {
+		err = mgr.Run(ticks, func(st sim.TickSummary) {
 			if st.Tick == shiftTick {
 				world.SetParams(shifted)
 			}

@@ -15,10 +15,11 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,6 +212,14 @@ type loop struct {
 	lines   []string
 
 	calScratch predict.Scratch
+	// placeBuf is appendLog's reusable round-tick placement listing.
+	placeBuf []placeEntry
+}
+
+// placeEntry is one VM's host on a round-tick log line.
+type placeEntry struct {
+	id   model.VMID
+	host model.PMID
 }
 
 // newLoop builds the whole service stack (scenario, manager, learner,
@@ -620,7 +629,7 @@ func (l *loop) recordCalibration() {
 			continue
 		}
 		spec := l.world.VMSpecAt(i)
-		truth, ok := l.world.VMTruthAt(spec.ID)
+		truth, ok := l.world.VMTruthByIndex(i)
 		if !ok || truth.Host == model.NoPM || truth.Migrating {
 			continue
 		}
@@ -671,7 +680,7 @@ func (l *loop) refreshVMs() {
 // are byte-identical, so everything on the line must be a pure function
 // of the event stream — admission decisions in resolve order, and on
 // round ticks the full placement sorted by VM ID.
-func (l *loop) appendLog(tick int, st *sim.TickStats) {
+func (l *loop) appendLog(tick int, st *sim.TickSummary) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%d act=%d unp=%d rounds=%d deg=%t sla=%.6f profit=%.6f",
 		tick, l.world.NumActiveVMs(), st.UnplacedVMs, l.mgr.Rounds(), l.mgr.Degraded(),
@@ -690,17 +699,26 @@ func (l *loop) appendLog(tick int, st *sim.TickStats) {
 	}
 	if l.mgr.Rounds() > l.prevRounds {
 		l.prevRounds = l.mgr.Rounds()
-		ids := make([]int, 0, len(st.Placement))
-		for id := range st.Placement {
-			ids = append(ids, int(id))
+		// Walk the live slots, then sort by VM ID: slot order is not ID
+		// order once a retired slot is reused.
+		l.placeBuf = l.placeBuf[:0]
+		for i := 0; i < l.world.NumVMs(); i++ {
+			if !l.world.ActiveVM(i) {
+				continue
+			}
+			e := placeEntry{id: l.world.VMSpecAt(i).ID, host: model.NoPM}
+			if j := l.world.HostIndexOf(i); j >= 0 {
+				e.host = l.world.PMSpecAt(j).ID
+			}
+			l.placeBuf = append(l.placeBuf, e)
 		}
-		sort.Ints(ids)
+		slices.SortFunc(l.placeBuf, func(a, b placeEntry) int { return cmp.Compare(a.id, b.id) })
 		b.WriteString(" place=[")
-		for i, id := range ids {
+		for i, e := range l.placeBuf {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
-			fmt.Fprintf(&b, "%d:%d", id, int(st.Placement[model.VMID(id)]))
+			fmt.Fprintf(&b, "%d:%d", int(e.id), int(e.host))
 		}
 		b.WriteByte(']')
 	}
@@ -732,7 +750,7 @@ func (l *loop) logLen() int {
 	return len(l.lines)
 }
 
-// tickEcon is the TickStats-derived slice of the snapshot, retained so
+// tickEcon is the TickSummary-derived slice of the snapshot, retained so
 // snapshots published between ticks (checkpoint, drain) keep reporting
 // the latest tick's economics instead of zeros.
 type tickEcon struct {
@@ -741,7 +759,7 @@ type tickEcon struct {
 }
 
 // publishTick publishes the post-tick snapshot.
-func (l *loop) publishTick(st *sim.TickStats) {
+func (l *loop) publishTick(st *sim.TickSummary) {
 	l.econ = tickEcon{
 		unplaced: st.UnplacedVMs,
 		avgSLA:   st.AvgSLA,
@@ -757,7 +775,7 @@ func (l *loop) publishTick(st *sim.TickStats) {
 func (l *loop) publish() { l.snap.Store(l.baseSnapshot()) }
 
 // baseSnapshot assembles the snapshot fields that do not come from
-// TickStats. The returned value is immutable once stored.
+// TickSummary. The returned value is immutable once stored.
 func (l *loop) baseSnapshot() *Snapshot {
 	s := &Snapshot{
 		Tick:             l.world.Tick(),

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/predict"
 )
 
@@ -115,6 +117,65 @@ func TestReplayThroughCheckpointRestore(t *testing.T) {
 	}
 	if joinLog(log) != joinLog(full) {
 		t.Fatal("restored run diverged from the uninterrupted run")
+	}
+}
+
+// TestServeLogSortedUnderSlotReuse pins the round-tick place=[...] order
+// once a departed VM's engine slot is reused by a later, higher-ID offer:
+// slot order then disagrees with VM ID order, and the log must still list
+// the placement strictly ascending by VM ID.
+func TestServeLogSortedUnderSlotReuse(t *testing.T) {
+	short := offerEv(1, "short", 0)
+	short.Offer.LifetimeTicks = 3
+	rs := &ReplayScript{
+		Ticks: 21,
+		Steps: []ReplayStep{
+			{Tick: 0, Events: []Event{short, offerEv(2, "long", 1)}},
+			{Tick: 12, Events: []Event{offerEv(3, "late", 2)}},
+		},
+	}
+	s, c := newTestServer(t, Config{Seed: 7})
+	log, err := c.Replay(rs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Snapshot()
+	if st := snap.VMs["short"].Status; st != StatusDeparted {
+		t.Fatalf("short-lived VM is %q, want departed", st)
+	}
+	longID, lateID := snap.VMs["long"].ID, snap.VMs["late"].ID
+	if err := c.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	<-s.loop.done // the loop has exited: its world is safe to read
+	longSlot, _ := s.loop.world.VMIndex(model.VMID(longID))
+	lateSlot, ok := s.loop.world.VMIndex(model.VMID(lateID))
+	if !ok || lateID <= longID || lateSlot >= longSlot {
+		t.Fatalf("no slot reuse: long id %d slot %d, late id %d slot %d", longID, longSlot, lateID, lateSlot)
+	}
+
+	// The round at tick 20 is the first after "late" arrived.
+	line := log[20]
+	i := strings.Index(line, " place=[")
+	if i < 0 || !strings.HasSuffix(line, "]") {
+		t.Fatalf("tick 20 line has no placement: %q", line)
+	}
+	prev, seen := -1, 0
+	for _, e := range strings.Fields(line[i+len(" place=[") : len(line)-1]) {
+		id, err := strconv.Atoi(e[:strings.IndexByte(e, ':')])
+		if err != nil {
+			t.Fatalf("bad placement entry %q: %v", e, err)
+		}
+		if id <= prev {
+			t.Fatalf("placement IDs not strictly ascending at %d after %d: %q", id, prev, line)
+		}
+		if id == longID || id == lateID {
+			seen++
+		}
+		prev = id
+	}
+	if seen != 2 {
+		t.Fatalf("tick 20 placement lacks the live offers: %q", line)
 	}
 }
 

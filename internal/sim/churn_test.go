@@ -31,7 +31,7 @@ func (s *stubLoad) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
 
 // churnEngine builds a tiny single-DC world with slot headroom and the
 // stub workload: one Atom host, one static VM, two extra slots.
-func churnEngine(t *testing.T, stub *stubLoad) *sim.Engine {
+func churnEngine(t *testing.T, stub *stubLoad) *sim.World {
 	t.Helper()
 	pms := []model.PMSpec{{ID: 0, DC: 0, Capacity: model.Resources{CPUPct: 400, MemMB: 4096, BWMbps: 1000}, Cores: 4}}
 	vms := []model.VMSpec{{
@@ -42,7 +42,7 @@ func churnEngine(t *testing.T, stub *stubLoad) *sim.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := sim.NewEngine(sim.Config{
+	eng, err := sim.NewWorld(sim.Config{
 		Inventory:    inv,
 		Topology:     network.PaperTopology(),
 		Generator:    stub,
@@ -217,7 +217,7 @@ func TestEngineStepZeroAllocWithChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sc.World.Engine
+	eng := sc.World
 	if eng.VMSlotCap() <= eng.NumVMs() {
 		t.Fatalf("churn preset reserved no extra slots: cap %d, static %d", eng.VMSlotCap(), eng.NumVMs())
 	}
@@ -249,7 +249,7 @@ func TestEngineStepZeroAllocWithChurn(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(100, func() { eng.Step() })
 	if avg != 0 {
-		t.Fatalf("churn-enabled Engine.Step allocates %.1f times per tick, want 0", avg)
+		t.Fatalf("churn-enabled World.Step allocates %.1f times per tick, want 0", avg)
 	}
 }
 
@@ -258,7 +258,7 @@ func TestEngineStepZeroAllocWithChurn(t *testing.T) {
 // events) is bit-identical — every tick summary and the final ledger — to
 // one built without, across placement changes.
 func TestFixedPopulationSlotParity(t *testing.T) {
-	build := func(extra int) *sim.Engine {
+	build := func(extra int) *sim.World {
 		sc, err := scenario.Build(scenario.Spec{
 			Name: "slot-parity", Seed: 4242,
 			DCs: 3, PMsPerDC: 2, VMs: 5,
@@ -267,7 +267,7 @@ func TestFixedPopulationSlotParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := sim.NewEngine(sim.Config{
+		eng, err := sim.NewWorld(sim.Config{
 			Inventory:    sc.Inventory,
 			Topology:     sc.Topology,
 			Generator:    sc.Generator,

@@ -139,7 +139,7 @@ func TestEngineStepAllocFreeWithFaults(t *testing.T) {
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 		t.Fatal(err)
 	}
-	eng := sc.World.Engine
+	eng := sc.World
 	if err := eng.FailPM(0); err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestEngineStepAllocFreeWithFaults(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(100, func() { eng.Step() })
 	if avg != 0 {
-		t.Fatalf("faulted Engine.Step allocates %.1f times per tick, want 0", avg)
+		t.Fatalf("faulted World.Step allocates %.1f times per tick, want 0", avg)
 	}
 }
 

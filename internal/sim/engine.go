@@ -17,19 +17,20 @@ import (
 	"repro/internal/sla"
 )
 
-// Engine is the flat-state simulation core. It assigns dense int indices
-// to every VM and PM at construction (their positions in the inventory)
-// and keeps all per-tick truth in preallocated slices reused across ticks,
-// so the tick hot path — workload fill, occupation, queueing, SLA, power,
-// money — performs no per-tick map or slice allocations.
+// World is the running simulation: a flat-state engine that assigns dense
+// int indices to every VM and PM at construction (their positions in the
+// inventory) and keeps all per-tick truth in preallocated slices reused
+// across ticks, so the tick hot path — workload fill, occupation,
+// queueing, SLA, power, money — performs no per-tick map or slice
+// allocations.
 //
-// The Engine exposes the index-based view directly (HostIndexOf,
-// VMTruthByIndex, PerDCWatts); World wraps it with the historical map-
-// shaped API. Truth accessors return views into the Engine's reusable
-// buffers: they are valid until the next Step and must not be mutated.
+// Truth and placement are exposed by dense index (HostIndexOf,
+// VMTruthByIndex, PerDCWatts) and by ID (VMTruthAt, PMTruthAt). Truth
+// accessors return views into the World's reusable buffers: they are valid
+// until the next Step and must not be mutated.
 //
-// An Engine is not safe for concurrent use.
-type Engine struct {
+// A World is not safe for concurrent use.
+type World struct {
 	cfg   Config
 	state *cluster.State
 	obs   *monitor.Observer
@@ -122,9 +123,8 @@ type Engine struct {
 	met *EngineMetrics
 }
 
-// TickSummary is the allocation-free per-tick report of the Engine. The
-// per-DC power split lives in Engine.PerDCWatts (a reused slice); World
-// folds both into the map-shaped TickStats.
+// TickSummary is the allocation-free per-tick report of Step. The per-DC
+// power split lives in World.PerDCWatts (a reused slice).
 type TickSummary struct {
 	Tick          int
 	AvgSLA        float64 // request-weighted over VMs
@@ -144,9 +144,9 @@ type TickSummary struct {
 	DrainingPMs int
 }
 
-// NewEngine validates the configuration and builds a fresh engine at tick
+// NewWorld validates the configuration and builds a fresh world at tick
 // zero with every VM unplaced.
-func NewEngine(cfg Config) (*Engine, error) {
+func NewWorld(cfg Config) (*World, error) {
 	if cfg.Inventory == nil || cfg.Topology == nil || cfg.Generator == nil {
 		return nil, fmt.Errorf("sim: inventory, topology and generator are required")
 	}
@@ -171,7 +171,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	inv := cfg.Inventory
 	nVM, nPM, nLoc := inv.NumVMs(), inv.NumPMs(), cfg.Topology.NumDCs()
 	capVM := nVM + cfg.ExtraVMSlots
-	e := &Engine{
+	e := &World{
 		cfg:   cfg,
 		state: cluster.NewState(inv),
 		obs:   monitor.NewObserver(cfg.Noise, 10, rng.NewNamed(cfg.Seed, "sim/monitor")),
@@ -256,7 +256,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 // SetTickWorkers sets the worker count for the per-DC parallel resolution
 // phase of Step. n <= 1 runs the tick serially (the zero-alloc path);
 // results are byte-identical at any worker count.
-func (e *Engine) SetTickWorkers(n int) {
+func (e *World) SetTickWorkers(n int) {
 	if n < 1 {
 		n = 1
 	}
@@ -264,7 +264,7 @@ func (e *Engine) SetTickWorkers(n int) {
 }
 
 // TickWorkers returns the current tick worker count.
-func (e *Engine) TickWorkers() int { return e.workers }
+func (e *World) TickWorkers() int { return e.workers }
 
 // --- static views -----------------------------------------------------------
 
@@ -272,19 +272,19 @@ func (e *Engine) TickWorkers() int { return e.workers }
 // Treat it as read-only: placement mutations must go through
 // PlaceInitial/ApplySchedule/FailPM, which keep the engine's dense
 // mirrors in sync — mutating the State directly desynchronises them.
-func (e *Engine) State() *cluster.State { return e.state }
+func (e *World) State() *cluster.State { return e.state }
 
 // Observer exposes the monitored view of the world.
-func (e *Engine) Observer() *monitor.Observer { return e.obs }
+func (e *World) Observer() *monitor.Observer { return e.obs }
 
 // Topology exposes the network substrate.
-func (e *Engine) Topology() *network.Topology { return e.cfg.Topology }
+func (e *World) Topology() *network.Topology { return e.cfg.Topology }
 
 // Inventory exposes the fleet description.
-func (e *Engine) Inventory() *cluster.Inventory { return e.cfg.Inventory }
+func (e *World) Inventory() *cluster.Inventory { return e.cfg.Inventory }
 
 // Params exposes the ground-truth constants.
-func (e *Engine) Params() Params { return e.cfg.Params }
+func (e *World) Params() Params { return e.cfg.Params }
 
 // SetParams swaps the ground-truth behavioural constants mid-run — the
 // injection point for "hardware or middleware changes" (Section IV-B):
@@ -292,65 +292,65 @@ func (e *Engine) Params() Params { return e.cfg.Params }
 // changing its overhead. Learned models trained before the change are
 // silently wrong after it; the online-learning extension detects and
 // repairs this.
-func (e *Engine) SetParams(p Params) { e.cfg.Params = p }
+func (e *World) SetParams(p Params) { e.cfg.Params = p }
 
 // Tick returns the current simulation tick.
-func (e *Engine) Tick() int { return e.tick }
+func (e *World) Tick() int { return e.tick }
 
 // Ledger returns a copy of the money accounting so far.
-func (e *Engine) Ledger() sla.Ledger { return e.ledger }
+func (e *World) Ledger() sla.Ledger { return e.ledger }
 
 // TotalMigrations returns the number of migrations started since t=0.
-func (e *Engine) TotalMigrations() int { return e.migrated }
+func (e *World) TotalMigrations() int { return e.migrated }
 
 // AvgFacilityWatts returns the mean facility draw per tick so far.
-func (e *Engine) AvgFacilityWatts() float64 { return e.energy.AvgWatts(TickHours) }
+func (e *World) AvgFacilityWatts() float64 { return e.energy.AvgWatts(TickHours) }
 
 // NumVMs returns the dense VM index space size (the slot high-water
 // mark). Under workload churn some slots in [0, NumVMs()) are inactive —
 // iterate with ActiveVM, or use NumActiveVMs for the live count.
-func (e *Engine) NumVMs() int { return e.nVM }
+func (e *World) NumVMs() int { return e.nVM }
 
 // NumPMs returns the dense PM index space size.
-func (e *Engine) NumPMs() int { return e.nPM }
+func (e *World) NumPMs() int { return e.nPM }
 
 // NumLocations returns the number of client locations (topology DCs).
-func (e *Engine) NumLocations() int { return e.nLoc }
+func (e *World) NumLocations() int { return e.nLoc }
 
 // VMSpecAt returns the VM spec at a dense index.
-func (e *Engine) VMSpecAt(i int) model.VMSpec { return e.vmSpecs[i] }
+func (e *World) VMSpecAt(i int) model.VMSpec { return e.vmSpecs[i] }
 
 // PMSpecAt returns the PM spec at a dense index.
-func (e *Engine) PMSpecAt(j int) model.PMSpec { return e.pmSpecs[j] }
+func (e *World) PMSpecAt(j int) model.PMSpec { return e.pmSpecs[j] }
 
 // VMIndex resolves a VM ID — static or dynamically admitted — to its
 // dense slot index. Retired VMs do not resolve.
-func (e *Engine) VMIndex(id model.VMID) (int, bool) {
+func (e *World) VMIndex(id model.VMID) (int, bool) {
 	i, ok := e.vmByID[id]
 	return i, ok
 }
 
 // PMIndex resolves a PM ID to its dense index.
-func (e *Engine) PMIndex(id model.PMID) (int, bool) { return e.cfg.Inventory.PMIndex(id) }
+func (e *World) PMIndex(id model.PMID) (int, bool) { return e.cfg.Inventory.PMIndex(id) }
 
 // HostIndexOf returns the dense PM index hosting VM index i, or -1.
-func (e *Engine) HostIndexOf(i int) int { return int(e.hostOf[i]) }
+func (e *World) HostIndexOf(i int) int { return int(e.hostOf[i]) }
 
 // PerDCWatts returns this tick's facility draw per DC index. The slice is
 // reused across ticks; copy it to retain.
-func (e *Engine) PerDCWatts() []float64 { return e.perDCWatts }
+func (e *World) PerDCWatts() []float64 { return e.perDCWatts }
 
 // PerDCActive returns this tick's active host count per DC index. The
 // slice is reused across ticks; copy it to retain.
-func (e *Engine) PerDCActive() []int { return e.perDCActive }
+func (e *World) PerDCActive() []int { return e.perDCActive }
 
 // rtRow returns the per-source response-time row of VM index i.
-func (e *Engine) rtRow(i int) []float64 { return e.rtBySrc[i*e.nLoc : (i+1)*e.nLoc] }
+func (e *World) rtRow(i int) []float64 { return e.rtBySrc[i*e.nLoc : (i+1)*e.nLoc] }
 
 // VMTruthByIndex assembles the hidden state of VM index i from the last
-// Step. Load and RTBySource alias the Engine's reusable buffers: valid
+// Step. Load and RTBySource alias the World's reusable buffers: valid
 // until the next Step, not to be mutated.
-func (e *Engine) VMTruthByIndex(i int) (VMTruth, bool) {
+func (e *World) VMTruthByIndex(i int) (VMTruth, bool) {
 	if !e.stepped || i < 0 || i >= e.nVM || !e.activeVM[i] {
 		return VMTruth{}, false
 	}
@@ -375,7 +375,7 @@ func (e *Engine) VMTruthByIndex(i int) (VMTruth, bool) {
 
 // PMTruthByIndex assembles the hidden state of PM index j from the last
 // Step.
-func (e *Engine) PMTruthByIndex(j int) (PMTruth, bool) {
+func (e *World) PMTruthByIndex(j int) (PMTruth, bool) {
 	if !e.stepped || j < 0 || j >= e.nPM {
 		return PMTruth{}, false
 	}
@@ -389,7 +389,7 @@ func (e *Engine) PMTruthByIndex(j int) (PMTruth, bool) {
 }
 
 // VMTruthAt returns the hidden state of a VM from the last Step.
-func (e *Engine) VMTruthAt(vm model.VMID) (VMTruth, bool) {
+func (e *World) VMTruthAt(vm model.VMID) (VMTruth, bool) {
 	i, ok := e.VMIndex(vm)
 	if !ok {
 		return VMTruth{}, false
@@ -398,7 +398,7 @@ func (e *Engine) VMTruthAt(vm model.VMID) (VMTruth, bool) {
 }
 
 // PMTruthAt returns the hidden state of a PM from the last Step.
-func (e *Engine) PMTruthAt(pm model.PMID) (PMTruth, bool) {
+func (e *World) PMTruthAt(pm model.PMID) (PMTruth, bool) {
 	j, ok := e.PMIndex(pm)
 	if !ok {
 		return PMTruth{}, false
@@ -412,7 +412,7 @@ func (e *Engine) PMTruthAt(pm model.PMID) (PMTruth, bool) {
 // Guest lists are kept sorted by VMID, matching State.GuestsOf order. The
 // per-PM backing arrays are reused, so repeated syncs settle to zero
 // allocations; syncs only happen at placement changes, never per tick.
-func (e *Engine) syncPlacement() {
+func (e *World) syncPlacement() {
 	for j := range e.guests {
 		e.guests[j] = e.guests[j][:0]
 	}
@@ -444,7 +444,7 @@ func (e *Engine) syncPlacement() {
 
 // PlaceInitial installs a placement with no migration cost, valid only at
 // tick zero (before any Step).
-func (e *Engine) PlaceInitial(p model.Placement) error {
+func (e *World) PlaceInitial(p model.Placement) error {
 	if e.tick != 0 {
 		return fmt.Errorf("sim: PlaceInitial after tick %d", e.tick)
 	}
@@ -455,11 +455,10 @@ func (e *Engine) PlaceInitial(p model.Placement) error {
 
 // ApplySchedule installs a new placement, starting a migration (with its
 // SLA blackout) for every VM whose host changes.
-func (e *Engine) ApplySchedule(p model.Placement) error {
+func (e *World) ApplySchedule(p model.Placement) error {
 	if err := e.validatePlacementTargets(p); err != nil {
 		return err
 	}
-	old := e.state.Placement()
 	moved, err := e.state.Apply(p)
 	if err != nil {
 		e.syncPlacement() // state may have partially changed
@@ -474,12 +473,14 @@ func (e *Engine) ApplySchedule(p model.Placement) error {
 			continue
 		}
 		spec := e.vmSpecs[i]
-		oldPM, hadOld := old[vm]
+		// hostOf still holds the pre-apply placement: syncPlacement runs
+		// only after the loop.
+		oldJ := e.hostOf[i]
 		newPM := p[vm]
-		if !hadOld || oldPM == model.NoPM || newPM == model.NoPM {
+		if oldJ < 0 || newPM == model.NoPM {
 			continue // initial placement or eviction: no image transfer
 		}
-		fromDC := e.cfg.Inventory.DCOf(oldPM)
+		fromDC := e.pmSpecs[oldJ].DC
 		toDC := e.cfg.Inventory.DCOf(newPM)
 		d := e.cfg.Topology.MigrationDuration(spec.ImageSizeGB, fromDC, toDC)
 		e.downtime[i] += d
@@ -495,7 +496,7 @@ func (e *Engine) ApplySchedule(p model.Placement) error {
 
 // FailPM marks a host as failed, evicting its guests. Evicted VMs stay
 // unplaced (and earn nothing) until a scheduler reassigns them.
-func (e *Engine) FailPM(pm model.PMID) error {
+func (e *World) FailPM(pm model.PMID) error {
 	j, ok := e.PMIndex(pm)
 	if !ok {
 		return fmt.Errorf("sim: unknown PM %v", pm)
@@ -524,7 +525,7 @@ func (e *Engine) FailPM(pm model.PMID) error {
 
 // RecoverPM returns a failed or draining host to full service (a failed
 // host comes back empty; the next round may use it again).
-func (e *Engine) RecoverPM(pm model.PMID) error {
+func (e *World) RecoverPM(pm model.PMID) error {
 	j, ok := e.PMIndex(pm)
 	if !ok {
 		return fmt.Errorf("sim: unknown PM %v", pm)
@@ -544,7 +545,7 @@ func (e *Engine) RecoverPM(pm model.PMID) error {
 // placements onto it are rejected until the drain is lifted (RecoverPM)
 // or the host is taken down (FailPM). Draining a failed host is a no-op —
 // crash and drain are distinct events and crash wins.
-func (e *Engine) DrainPM(pm model.PMID) error {
+func (e *World) DrainPM(pm model.PMID) error {
 	j, ok := e.PMIndex(pm)
 	if !ok {
 		return fmt.Errorf("sim: unknown PM %v", pm)
@@ -558,16 +559,16 @@ func (e *Engine) DrainPM(pm model.PMID) error {
 }
 
 // IsDraining reports whether a host is currently draining.
-func (e *Engine) IsDraining(pm model.PMID) bool {
+func (e *World) IsDraining(pm model.PMID) bool {
 	j, ok := e.PMIndex(pm)
 	return ok && e.draining[j]
 }
 
 // IsDrainingIndex reports whether the host at dense index j is draining.
-func (e *Engine) IsDrainingIndex(j int) bool { return e.draining[j] }
+func (e *World) IsDrainingIndex(j int) bool { return e.draining[j] }
 
 // DrainingPMs returns the currently draining hosts in inventory order.
-func (e *Engine) DrainingPMs() []model.PMID {
+func (e *World) DrainingPMs() []model.PMID {
 	var out []model.PMID
 	for j := range e.pmSpecs {
 		if e.draining[j] {
@@ -578,22 +579,22 @@ func (e *Engine) DrainingPMs() []model.PMID {
 }
 
 // NumFailedPMs is the count of currently failed hosts.
-func (e *Engine) NumFailedPMs() int { return e.nFailed }
+func (e *World) NumFailedPMs() int { return e.nFailed }
 
 // NumDrainingPMs is the count of currently draining hosts.
-func (e *Engine) NumDrainingPMs() int { return e.nDraining }
+func (e *World) NumDrainingPMs() int { return e.nDraining }
 
 // IsFailed reports whether a host is currently failed.
-func (e *Engine) IsFailed(pm model.PMID) bool {
+func (e *World) IsFailed(pm model.PMID) bool {
 	j, ok := e.PMIndex(pm)
 	return ok && e.failed[j]
 }
 
 // IsFailedIndex reports whether the host at dense index j is failed.
-func (e *Engine) IsFailedIndex(j int) bool { return e.failed[j] }
+func (e *World) IsFailedIndex(j int) bool { return e.failed[j] }
 
 // FailedPMs returns the currently failed hosts in inventory order.
-func (e *Engine) FailedPMs() []model.PMID {
+func (e *World) FailedPMs() []model.PMID {
 	var out []model.PMID
 	for j := range e.pmSpecs {
 		if e.failed[j] {
@@ -607,7 +608,7 @@ func (e *Engine) FailedPMs() []model.PMID {
 // hosts, or move new VMs onto draining hosts (guests already there may
 // stay while the drain completes); the manager should never offer either,
 // so this is a programming-error guard rather than a recoverable state.
-func (e *Engine) validatePlacementTargets(p model.Placement) error {
+func (e *World) validatePlacementTargets(p model.Placement) error {
 	for vm, pm := range p {
 		if pm == model.NoPM {
 			continue
@@ -633,7 +634,7 @@ func (e *Engine) validatePlacementTargets(p model.Placement) error {
 
 // RequiredResources computes the true requirement of a VM under the given
 // aggregate load — fRequiredResources (constraint 5.1).
-func (e *Engine) RequiredResources(spec model.VMSpec, total model.Load) model.Resources {
+func (e *World) RequiredResources(spec model.VMSpec, total model.Load) model.Resources {
 	p := e.cfg.Params
 	cpu := p.VMBaseCPUPct + queueing.CPURequiredPct(queueing.Demand{
 		RPS: total.RPS, CPUTimeReq: total.CPUTimeReq * p.cpuCostFactor(),
@@ -646,11 +647,11 @@ func (e *Engine) RequiredResources(spec model.VMSpec, total model.Load) model.Re
 	return model.Resources{CPUPct: cpu, MemMB: mem, BWMbps: bw}
 }
 
-// Step advances the engine by one tick: fills the workload into the dense
+// Step advances the world by one tick: fills the workload into the dense
 // rows, resolves resource occupation on every PM, computes response times,
 // SLA, power and money, feeds the monitoring pipeline and returns the tick
 // summary. Step performs no per-tick map or slice allocations.
-func (e *Engine) Step() TickSummary {
+func (e *World) Step() TickSummary {
 	var t0 time.Time
 	if e.met != nil {
 		t0 = time.Now()
@@ -783,11 +784,21 @@ func (e *Engine) Step() TickSummary {
 	return sum
 }
 
+// Run advances n ticks, invoking cb (if non-nil) after each.
+func (e *World) Run(n int, cb func(TickSummary)) {
+	for i := 0; i < n; i++ {
+		st := e.Step()
+		if cb != nil {
+			cb(st)
+		}
+	}
+}
+
 // resolvePM resolves resource occupation, queueing, SLA and power for one
 // PM and its guests. It writes only PM-indexed and guest-indexed state and
 // draws no randomness (RT noise is pre-drawn into rtNoise), so distinct
 // PMs may resolve concurrently.
-func (e *Engine) resolvePM(j int) {
+func (e *World) resolvePM(j int) {
 	p := e.cfg.Params
 	gs := e.guests[j]
 	e.pmGuestN[j] = len(gs)
@@ -834,7 +845,7 @@ func (e *Engine) resolvePM(j int) {
 }
 
 // resolveVM computes the hidden behaviour of one hosted VM for this tick.
-func (e *Engine) resolveVM(i int, pmSpec *model.PMSpec) {
+func (e *World) resolveVM(i int, pmSpec *model.PMSpec) {
 	total := e.totals[i]
 	p := e.cfg.Params
 	spec := &e.vmSpecs[i]

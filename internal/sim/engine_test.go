@@ -7,84 +7,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// buildPair constructs two identical worlds with identical placements so
-// one can be driven through the World adapter and one through the Engine.
-func buildPair(t *testing.T) (*scenario.Scenario, *scenario.Scenario) {
-	t.Helper()
-	mk := func() *scenario.Scenario {
-		sc, err := scenario.Build(scenario.Spec{
-			Name: "engine-test", Seed: 1234,
-			DCs: 3, PMsPerDC: 2, VMs: 5,
-			LoadScale: 2, NoiseSD: 0.2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-			t.Fatal(err)
-		}
-		return sc
-	}
-	return mk(), mk()
-}
-
-// TestEngineMatchesWorldBitForBit drives the same seed through the Engine
-// path and the World adapter path, with mid-run placement churn, and
-// requires every metric to match exactly: the adapter must add map views,
-// never computation.
-func TestEngineMatchesWorldBitForBit(t *testing.T) {
-	scW, scE := buildPair(t)
-	world := scW.World
-	eng := scE.World.Engine
-
-	churn := model.Placement{0: 1, 1: 2, 2: 3, 3: 4, 4: 5}
-	for tick := 0; tick < 120; tick++ {
-		if tick == 40 {
-			if err := world.ApplySchedule(churn); err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.ApplySchedule(churn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ws := world.Step()
-		es := eng.Step()
-		if ws.Tick != es.Tick || ws.AvgSLA != es.AvgSLA || ws.MinSLA != es.MinSLA ||
-			ws.FacilityWatts != es.FacilityWatts || ws.ActivePMs != es.ActivePMs ||
-			ws.Migrations != es.Migrations || ws.RevenueEUR != es.RevenueEUR ||
-			ws.EnergyEUR != es.EnergyEUR || ws.PenaltyEUR != es.PenaltyEUR ||
-			ws.ProfitEUR != es.ProfitEUR || ws.TotalRPS != es.TotalRPS {
-			t.Fatalf("tick %d diverged:\nworld  %+v\nengine %+v", tick, ws, es)
-		}
-		// The adapter's per-DC map must be the engine's dense split.
-		watts, active := eng.PerDCWatts(), eng.PerDCActive()
-		for dc, w := range ws.PerDCWatts {
-			if watts[dc] != w {
-				t.Fatalf("tick %d: PerDCWatts[%v] %v != engine %v", tick, dc, w, watts[dc])
-			}
-			if active[dc] == 0 {
-				t.Fatalf("tick %d: adapter reports idle DC %v", tick, dc)
-			}
-		}
-		// Truth views agree per VM.
-		for i := 0; i < eng.NumVMs(); i++ {
-			id := eng.VMSpecAt(i).ID
-			wt, okW := world.VMTruthAt(id)
-			et, okE := eng.VMTruthByIndex(i)
-			if okW != okE {
-				t.Fatalf("tick %d vm %v: truth availability diverged", tick, id)
-			}
-			if wt.SLA != et.SLA || wt.RTProcess != et.RTProcess || wt.Used != et.Used ||
-				wt.QueueLen != et.QueueLen || wt.Host != et.Host {
-				t.Fatalf("tick %d vm %v: truth diverged\nworld  %+v\nengine %+v", tick, id, wt, et)
-			}
-		}
-	}
-	if world.Ledger() != eng.Ledger() {
-		t.Fatalf("ledgers diverged: %+v vs %+v", world.Ledger(), eng.Ledger())
-	}
-}
-
 // TestEngineStepDoesNotAllocate is the allocation regression gate for the
 // tick hot path: after warmup (monitor rings filled), a tick must perform
 // zero allocations — no per-tick maps, no fresh load vectors, no truth
@@ -101,13 +23,13 @@ func TestEngineStepDoesNotAllocate(t *testing.T) {
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 		t.Fatal(err)
 	}
-	eng := sc.World.Engine
+	eng := sc.World
 	for i := 0; i < 30; i++ { // warmup: observer rings reach capacity
 		eng.Step()
 	}
 	avg := testing.AllocsPerRun(100, func() { eng.Step() })
 	if avg != 0 {
-		t.Fatalf("Engine.Step allocates %.1f times per tick, want 0", avg)
+		t.Fatalf("World.Step allocates %.1f times per tick, want 0", avg)
 	}
 }
 
@@ -119,7 +41,7 @@ func TestEngineDenseAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sc.World.Engine
+	eng := sc.World
 	if eng.NumVMs() != 3 || eng.NumPMs() != 4 {
 		t.Fatalf("dense sizes: %d VMs, %d PMs", eng.NumVMs(), eng.NumPMs())
 	}

@@ -20,20 +20,20 @@ type VMHandle struct {
 // ActiveVM reports whether slot i currently holds an admitted VM. Callers
 // iterating the dense index space [0, NumVMs()) under workload churn must
 // skip inactive slots.
-func (e *Engine) ActiveVM(i int) bool {
+func (e *World) ActiveVM(i int) bool {
 	return i >= 0 && i < e.nVM && e.activeVM[i]
 }
 
 // NumActiveVMs returns how many VMs are currently admitted.
-func (e *Engine) NumActiveVMs() int { return e.nActive }
+func (e *World) NumActiveVMs() int { return e.nActive }
 
 // VMSlotCap returns the total slot capacity (static population plus
 // Config.ExtraVMSlots). AdmitVM fails once every slot is live.
-func (e *Engine) VMSlotCap() int { return e.capVM }
+func (e *World) VMSlotCap() int { return e.capVM }
 
 // HandleOf returns the current handle of slot i; ok is false for
 // inactive slots.
-func (e *Engine) HandleOf(i int) (VMHandle, bool) {
+func (e *World) HandleOf(i int) (VMHandle, bool) {
 	if !e.ActiveVM(i) {
 		return VMHandle{}, false
 	}
@@ -41,7 +41,7 @@ func (e *Engine) HandleOf(i int) (VMHandle, bool) {
 }
 
 // LookupVM resolves a VM ID to its live handle.
-func (e *Engine) LookupVM(id model.VMID) (VMHandle, bool) {
+func (e *World) LookupVM(id model.VMID) (VMHandle, bool) {
 	i, ok := e.vmByID[id]
 	if !ok {
 		return VMHandle{}, false
@@ -50,7 +50,7 @@ func (e *Engine) LookupVM(id model.VMID) (VMHandle, bool) {
 }
 
 // Valid reports whether a handle still refers to a live admission.
-func (e *Engine) Valid(h VMHandle) bool {
+func (e *World) Valid(h VMHandle) bool {
 	i := int(h.Slot)
 	return i >= 0 && i < e.nVM && e.activeVM[i] && e.gens[i] == h.Gen
 }
@@ -62,7 +62,7 @@ func (e *Engine) Valid(h VMHandle) bool {
 // the workload generator on the next Step. Admission happens between
 // ticks; it may allocate (map inserts), but the tick hot path stays
 // allocation-free because every per-slot buffer was sized at construction.
-func (e *Engine) AdmitVM(spec model.VMSpec) (VMHandle, error) {
+func (e *World) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 	if _, dup := e.vmByID[spec.ID]; dup {
 		return VMHandle{}, fmt.Errorf("sim: VM %v already admitted", spec.ID)
 	}
@@ -106,7 +106,7 @@ func (e *Engine) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 // free-list with a bumped generation so the handle — and any copy of it —
 // dies with the VM. Only dynamically admitted VMs can retire; the static
 // inventory population is permanent.
-func (e *Engine) RetireVM(h VMHandle) error {
+func (e *World) RetireVM(h VMHandle) error {
 	i := int(h.Slot)
 	if !e.Valid(h) {
 		return fmt.Errorf("sim: stale or unknown VM handle {slot %d gen %d}", h.Slot, h.Gen)
@@ -137,7 +137,7 @@ func (e *Engine) RetireVM(h VMHandle) error {
 // clearVMSlot zeroes the persistent and per-tick truth of a slot so a
 // reused slot starts life with no residue of its previous tenant (no
 // inherited gateway backlog, no stale truth rows).
-func (e *Engine) clearVMSlot(i int) {
+func (e *World) clearVMSlot(i int) {
 	e.backlog[i] = 0
 	e.downtime[i] = 0
 	row := e.loadRows[i]
@@ -162,7 +162,7 @@ func (e *Engine) clearVMSlot(i int) {
 // generator. It runs only on admit/retire — never per tick — and reuses
 // its backing arrays (capacity fixed at construction), so steady-state
 // ticks stay allocation-free.
-func (e *Engine) rebuildFill() {
+func (e *World) rebuildFill() {
 	e.fillIDs = e.fillIDs[:0]
 	e.fillRows = e.fillRows[:0]
 	for i := 0; i < e.nVM; i++ {

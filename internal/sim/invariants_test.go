@@ -136,7 +136,7 @@ func TestWorldRunsOnReplayedTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []float64
-		world.Run(ticks, func(st TickStats) {
+		world.Run(ticks, func(st TickSummary) {
 			out = append(out, st.AvgSLA, st.FacilityWatts)
 		})
 		return out

@@ -57,7 +57,7 @@ func NewEngineMetrics(r *obs.Registry) *EngineMetrics {
 // sinks. Recording costs a handful of atomic stores per tick and zero
 // allocations; with no metrics attached Step does not even read the
 // clock.
-func (e *Engine) SetMetrics(m *EngineMetrics) { e.met = m }
+func (e *World) SetMetrics(m *EngineMetrics) { e.met = m }
 
 // recordTick folds one completed tick into the metric sinks.
 func (m *EngineMetrics) recordTick(sum *TickSummary, activeVMs int, sec float64) {

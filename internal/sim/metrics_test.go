@@ -18,7 +18,7 @@ func TestEngineStepZeroAllocWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sc.World.Engine
+	eng := sc.World
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestEngineStepZeroAllocWithMetrics(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(100, func() { eng.Step() })
 	if avg != 0 {
-		t.Fatalf("instrumented Engine.Step allocates %.1f times per tick, want 0", avg)
+		t.Fatalf("instrumented World.Step allocates %.1f times per tick, want 0", avg)
 	}
 	// The sinks really recorded: 30 warmup ticks plus the 101 measured
 	// ones (AllocsPerRun runs the body n+1 times).
@@ -54,7 +54,7 @@ func TestEngineMetricsParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := sc.World.Engine
+		eng := sc.World
 		if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 			t.Fatal(err)
 		}

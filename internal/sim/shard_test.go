@@ -1,6 +1,6 @@
 package sim_test
 
-// Sharded-tick determinism: Engine.Step's per-DC parallel resolution
+// Sharded-tick determinism: World.Step's per-DC parallel resolution
 // phase must be byte-identical to the serial tick at any worker count.
 // The RT-noise pre-pass pins the "sim/rt" stream order, the resolution
 // phase writes only PM-/guest-indexed state, and every accumulation
@@ -35,7 +35,7 @@ func runFingerprint(t *testing.T, workers, ticks int) uint64 {
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 		t.Fatal(err)
 	}
-	e := sc.World.Engine
+	e := sc.World
 
 	h := fnv.New64a()
 	var buf [8]byte
@@ -158,7 +158,7 @@ func TestTickWorkersSetter(t *testing.T) {
 		if tick == 6 {
 			b.SetTickWorkers(2) // reconfigure mid-run
 		}
-		sa, sb := a.Engine.Step(), b.Engine.Step()
+		sa, sb := a.Step(), b.Step()
 		if sa != sb {
 			t.Fatalf("tick %d: serial %+v != sharded %+v", tick, sa, sb)
 		}

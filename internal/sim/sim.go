@@ -13,10 +13,8 @@
 //   - migrating VMs answer nothing (SLA 0) for the migration duration;
 //   - empty machines are powered off, active ones follow the Atom curve.
 //
-// The computation lives in Engine, a flat, index-based core whose tick hot
-// path is allocation-free (see engine.go). World wraps an Engine with the
-// historical map-shaped API (TickStats with per-DC maps and a placement
-// snapshot) so existing callers keep working.
+// The simulation is World (engine.go), a flat, index-based core whose
+// tick, World.Step, returns a TickSummary and allocates nothing.
 package sim
 
 import (
@@ -110,7 +108,7 @@ type Config struct {
 	// behaviour.
 	ExtraVMSlots int
 	// TickWorkers sets the worker count for the tick's per-DC parallel
-	// resolution phase (Engine.Step). Results are byte-identical at any
+	// resolution phase (World.Step). Results are byte-identical at any
 	// worker count; <= 1 (the default) runs serially, which is also the
 	// allocation-free path — parallel ticks pay goroutine spawns.
 	TickWorkers int
@@ -140,90 +138,8 @@ type PMTruth struct {
 	Guests        int
 }
 
-// TickStats summarises one tick for experiment reporting.
-type TickStats struct {
-	Tick          int
-	AvgSLA        float64 // request-weighted over VMs
-	MinSLA        float64
-	FacilityWatts float64
-	ActivePMs     int
-	Migrations    int // migrations started this tick
-	RevenueEUR    float64
-	EnergyEUR     float64
-	PenaltyEUR    float64
-	ProfitEUR     float64
-	TotalRPS      float64
-	// Availability surface for the fault layer (PR 7): active VMs without
-	// a host this tick and the current failed/draining host counts.
-	UnplacedVMs int
-	FailedPMs   int
-	DrainingPMs int
-	PerDCWatts  map[model.DCID]float64
-	Placement   model.Placement
-}
-
 // TickSeconds is the tick length in seconds.
 const TickSeconds = 60.0
 
 // TickHours is the tick length in hours.
 const TickHours = TickSeconds / 3600
-
-// World is the running simulation: a thin adapter that keeps the
-// historical map-shaped API on top of the index-based Engine. All state
-// lives in the embedded Engine; World only reshapes Step's output. It is
-// not safe for concurrent use.
-type World struct {
-	*Engine
-}
-
-// NewWorld validates the configuration and builds a fresh world at tick 0
-// with every VM unplaced.
-func NewWorld(cfg Config) (*World, error) {
-	e, err := NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &World{Engine: e}, nil
-}
-
-// Step advances the world by one tick and reshapes the Engine's summary
-// into the map-carrying TickStats. The numbers are bit-identical to the
-// Engine path: Step adds no computation, only the map views.
-func (w *World) Step() TickStats {
-	s := w.Engine.Step()
-	st := TickStats{
-		Tick:          s.Tick,
-		AvgSLA:        s.AvgSLA,
-		MinSLA:        s.MinSLA,
-		FacilityWatts: s.FacilityWatts,
-		ActivePMs:     s.ActivePMs,
-		Migrations:    s.Migrations,
-		RevenueEUR:    s.RevenueEUR,
-		EnergyEUR:     s.EnergyEUR,
-		PenaltyEUR:    s.PenaltyEUR,
-		ProfitEUR:     s.ProfitEUR,
-		TotalRPS:      s.TotalRPS,
-		UnplacedVMs:   s.UnplacedVMs,
-		FailedPMs:     s.FailedPMs,
-		DrainingPMs:   s.DrainingPMs,
-		PerDCWatts:    make(map[model.DCID]float64),
-		Placement:     w.State().Placement(),
-	}
-	watts := w.PerDCWatts()
-	for dc, active := range w.PerDCActive() {
-		if active > 0 {
-			st.PerDCWatts[model.DCID(dc)] = watts[dc]
-		}
-	}
-	return st
-}
-
-// Run advances n ticks, invoking cb (if non-nil) after each.
-func (w *World) Run(n int, cb func(TickStats)) {
-	for i := 0; i < n; i++ {
-		st := w.Step()
-		if cb != nil {
-			cb(st)
-		}
-	}
-}

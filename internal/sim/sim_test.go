@@ -57,8 +57,8 @@ func TestPlacedVMServesWell(t *testing.T) {
 	if err := sc.World.PlaceInitial(model.Placement{0: 0}); err != nil {
 		t.Fatal(err)
 	}
-	var last TickStats
-	sc.World.Run(30, func(st TickStats) { last = st })
+	var last TickSummary
+	sc.World.Run(30, func(st TickSummary) { last = st })
 	if last.AvgSLA < 0.9 {
 		t.Fatalf("lone well-provisioned VM SLA = %v", last.AvgSLA)
 	}
@@ -100,7 +100,7 @@ func TestOverloadDegradesSLA(t *testing.T) {
 	}
 	// Advance to midday where load is heavy.
 	var worst float64 = 1
-	sc.World.Run(12*60, func(st TickStats) {
+	sc.World.Run(12*60, func(st TickSummary) {
 		if st.AvgSLA < worst {
 			worst = st.AvgSLA
 		}
@@ -162,7 +162,7 @@ func TestConsolidationUsesFewerWatts(t *testing.T) {
 		}
 		var watts float64
 		n := 60
-		sc.World.Run(n, func(st TickStats) { watts += st.FacilityWatts })
+		sc.World.Run(n, func(st TickSummary) { watts += st.FacilityWatts })
 		return watts / float64(n)
 	}
 	consolidated := run(model.Placement{0: 0, 1: 0})
@@ -185,7 +185,7 @@ func TestRemoteHostingAddsTransportRT(t *testing.T) {
 		}
 		sum := 0.0
 		n := 120
-		sc.World.Run(n, func(st TickStats) { sum += st.AvgSLA })
+		sc.World.Run(n, func(st TickSummary) { sum += st.AvgSLA })
 		return sum / float64(n)
 	}
 	home := run(0)   // Brisbane host, home DC 0
@@ -201,12 +201,19 @@ func TestPMTruthAndPerDCWatts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := sc.World.Step()
-	if len(st.PerDCWatts) != 2 {
-		t.Fatalf("PerDCWatts = %v", st.PerDCWatts)
-	}
-	total := 0.0
-	for _, w := range st.PerDCWatts {
+	watts, active := sc.World.PerDCWatts(), sc.World.PerDCActive()
+	total, busy := 0.0, 0
+	for dc, w := range watts {
+		if (active[dc] > 0) != (w > 0) {
+			t.Fatalf("DC %d: %d active hosts drawing %v W", dc, active[dc], w)
+		}
+		if active[dc] > 0 {
+			busy++
+		}
 		total += w
+	}
+	if busy != 2 {
+		t.Fatalf("%d DCs drawing power, want 2: %v", busy, watts)
 	}
 	if math.Abs(total-st.FacilityWatts) > 1e-9 {
 		t.Fatalf("per-DC watts %v != total %v", total, st.FacilityWatts)
@@ -254,7 +261,7 @@ func TestDeterministicRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out []float64
-		sc.World.Run(50, func(st TickStats) {
+		sc.World.Run(50, func(st TickSummary) {
 			out = append(out, st.AvgSLA, st.FacilityWatts, st.ProfitEUR)
 		})
 		return out
@@ -277,7 +284,7 @@ func TestQueueBacklogGrowsUnderOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	maxQ := 0.0
-	sc.World.Run(12*60, func(TickStats) {
+	sc.World.Run(12*60, func(TickSummary) {
 		for i := 0; i < 4; i++ {
 			if truth, ok := sc.World.VMTruthAt(model.VMID(i)); ok && truth.QueueLen > maxQ {
 				maxQ = truth.QueueLen
@@ -303,8 +310,8 @@ func TestHomePlacement(t *testing.T) {
 func TestLedgerConsistency(t *testing.T) {
 	sc := newTestScenario(t, testOpts{VMs: 2, PMsPerDC: 1, DCs: 2})
 	sc.World.PlaceInitial(model.Placement{0: 0, 1: 1})
-	var last TickStats
-	sc.World.Run(30, func(st TickStats) { last = st })
+	var last TickSummary
+	sc.World.Run(30, func(st TickSummary) { last = st })
 	l := sc.World.Ledger()
 	if math.Abs(l.Profit()-(l.Revenue()-l.Penalties()-l.EnergyCost())) > 1e-12 {
 		t.Fatal("ledger identity violated")

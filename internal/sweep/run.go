@@ -135,7 +135,7 @@ type RunOpts struct {
 	// OnTick, when non-nil, observes every tick after the standard
 	// metrics are folded in — the hook experiment-specific series
 	// (e.g. the green-energy sunlit counter) ride on.
-	OnTick func(sc *scenario.Scenario, st sim.TickStats)
+	OnTick func(sc *scenario.Scenario, st sim.TickSummary)
 	// Admission overrides the admission controller of churn scenarios
 	// (nil = the default capacity gate). The default never consults the
 	// predictor bundle, so a cell's decisions cannot depend on whether
@@ -306,7 +306,7 @@ func RunSpecOpts(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks i
 		run.Policy = s.Name()
 	}
 	var sumSLA, sumWatts, sumActive float64
-	err = mgr.Run(ticks, func(st sim.TickStats) {
+	err = mgr.Run(ticks, func(st sim.TickSummary) {
 		sumSLA += st.AvgSLA
 		sumWatts += st.FacilityWatts
 		sumActive += float64(st.ActivePMs)
