@@ -280,12 +280,15 @@ func metricsSummary(addr string) error {
 		val("mdcsim_serve_events_accepted_total"),
 		val("mdcsim_serve_events_applied_total"),
 		val("mdcsim_serve_rejected_429_total"))
-	fmt.Printf("metrics: engine %.0f ticks (mean %.3fms) | wal fsync mean %.3fms | sched %.0f rounds, memo %.0f reused / %.0f recomputed\n",
+	rounds := val("mdcsim_sched_rounds_total")
+	perRound := 0.0
+	if rounds > 0 {
+		perRound = val("mdcsim_sched_candidates_scored_total") / rounds
+	}
+	fmt.Printf("metrics: engine %.0f ticks (mean %.3fms) | wal fsync mean %.3fms | sched %.0f rounds, %.1f candidates scored/round\n",
 		val("mdcsim_engine_ticks_total"), mean("mdcsim_serve_tick_seconds")*1e3,
 		mean("mdcsim_serve_wal_fsync_seconds")*1e3,
-		val("mdcsim_sched_rounds_total"),
-		val("mdcsim_sched_memo_rows_reused_total"),
-		val("mdcsim_sched_memo_rows_recomputed_total"))
+		rounds, perRound)
 	fmt.Printf("metrics: retrain %.0f kicked, %.0f adopted, %.0f failed | runtime %.0f goroutines, %.1f MiB heap\n",
 		val("mdcsim_serve_retrain_kicked_total"),
 		val("mdcsim_serve_retrain_adopted_total"),

@@ -8,8 +8,8 @@
 //   - internal/sched — the Figure 3 profit objective (SLA revenue −
 //     marginal energy − migration penalty) and the Algorithm 1
 //     schedulers: Best-Fit, exhaustive, first/worst-fit heuristics, with
-//     allocation-free rounds, delta rounds (cross-round memoization) and
-//     candidate pruning (host equivalence-class shortlists).
+//     allocation-free rounds and candidate pruning (host
+//     equivalence-class shortlists).
 //   - internal/core — the MAPE manager driving monitor → analyze → plan
 //     → execute per tick, admission control, fault policy (re-home,
 //     degrade, shed) and the hierarchical two-layer scheduler.

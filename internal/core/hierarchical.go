@@ -35,12 +35,6 @@ type Hierarchical struct {
 	HostsPerDC int
 	// Workers bounds the per-DC parallelism of the local rounds.
 	Workers int
-	// Delta and DeltaEpsilon propagate incremental rounds to the local and
-	// global Best-Fit layers (see sched.BestFit.Delta). Each layer keeps
-	// its own per-VM memo, so a VM's local-round row and global-round row
-	// never mix.
-	Delta        bool
-	DeltaEpsilon float64
 	// Prune and PruneK propagate candidate pruning to the local and global
 	// Best-Fit layers (see sched.BestFit.Prune): each layer's Round keeps
 	// its own host-state shortlist index over its own candidate set.
@@ -117,7 +111,6 @@ func (h *Hierarchical) Schedule(p *sched.Problem) (model.Placement, error) {
 			h.localBF[dc] = sched.NewBestFit(h.Cost, h.Est)
 		}
 		bf := h.localBF[dc]
-		bf.Delta, bf.DeltaEpsilon = h.Delta, h.DeltaEpsilon
 		bf.Prune, bf.PruneK = h.Prune, h.PruneK
 		placement, err := bf.Schedule(local)
 		if err != nil {
@@ -178,7 +171,6 @@ func (h *Hierarchical) Schedule(p *sched.Problem) (model.Placement, error) {
 		if h.globalBF == nil {
 			h.globalBF = sched.NewBestFit(h.Cost, h.Est)
 		}
-		h.globalBF.Delta, h.globalBF.DeltaEpsilon = h.Delta, h.DeltaEpsilon
 		h.globalBF.Prune, h.globalBF.PruneK = h.Prune, h.PruneK
 		gPlacement, err := h.globalBF.Schedule(&sched.Problem{VMs: globalVMs, Hosts: globalHosts, Tick: p.Tick})
 		if err != nil {

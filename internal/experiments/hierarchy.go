@@ -2,15 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/sim"
 )
 
 // Hierarchy measures the paper's structural contribution directly: the
@@ -50,18 +47,18 @@ func Hierarchy(seed uint64) (*Result, error) {
 		t.AddRow(
 			fmt.Sprintf("%d", size.vms),
 			fmt.Sprintf("%d", hosts),
-			fmt.Sprintf("%.3f", flat.msPerRound),
-			fmt.Sprintf("%.3f", hier.msPerRound),
-			fmt.Sprintf("%.4f", flat.avgSLA),
-			fmt.Sprintf("%.4f", hier.avgSLA),
-			fmt.Sprintf("%.0f", flat.avgWatts),
-			fmt.Sprintf("%.0f", hier.avgWatts),
+			fmt.Sprintf("%.3f", flat.RoundMS),
+			fmt.Sprintf("%.3f", hier.RoundMS),
+			fmt.Sprintf("%.4f", flat.AvgSLA),
+			fmt.Sprintf("%.4f", hier.AvgSLA),
+			fmt.Sprintf("%.0f", flat.AvgWatts),
+			fmt.Sprintf("%.0f", hier.AvgWatts),
 		)
 		key := fmt.Sprintf("%d", size.vms)
-		res.Metrics["flatMs:"+key] = flat.msPerRound
-		res.Metrics["hierMs:"+key] = hier.msPerRound
-		res.Metrics["flatSLA:"+key] = flat.avgSLA
-		res.Metrics["hierSLA:"+key] = hier.avgSLA
+		res.Metrics["flatMs:"+key] = flat.RoundMS
+		res.Metrics["hierMs:"+key] = hier.RoundMS
+		res.Metrics["flatSLA:"+key] = flat.AvgSLA
+		res.Metrics["hierSLA:"+key] = hier.AvgSLA
 	}
 	res.Tables = append(res.Tables, t)
 	res.Notes = append(res.Notes,
@@ -69,73 +66,19 @@ func Hierarchy(seed uint64) (*Result, error) {
 	return res, nil
 }
 
-type hierarchyRun struct {
-	avgSLA     float64
-	avgWatts   float64
-	msPerRound float64
-}
-
-func runHierarchyPolicy(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle, twoLayer bool) (*hierarchyRun, error) {
+// runHierarchyPolicy runs the hierarchy preset resized to vms VMs and
+// pmsPerDC hosts per DC for 6 hours under the flat or the two-layer ML
+// scheduler, starting from the home placement.
+func runHierarchyPolicy(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle, twoLayer bool) (*PolicyRun, error) {
 	spec := scenario.MustPreset(scenario.Hierarchy, seed)
 	spec.VMs = vms
 	spec.PMsPerDC = pmsPerDC
-	sc, err := scenario.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	est := sched.NewML(bundle)
-	cost := CostModel(sc)
-	var s sched.Scheduler
-	if twoLayer {
-		s = core.NewHierarchical(sc.Inventory, cost, est)
-	} else {
-		s = sched.NewBestFit(cost, est)
-	}
-	timed := &timedScheduler{inner: s}
-	mgr, err := core.NewManager(core.ManagerConfig{
-		World: sc.World, Scheduler: timed, RoundTicks: RoundTicks,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-		return nil, err
-	}
-	const ticks = 360 // 6 hours
-	var sumSLA, sumW float64
-	if err := mgr.Run(ticks, func(st sim.TickSummary) {
-		sumSLA += st.AvgSLA
-		sumW += st.FacilityWatts
-	}); err != nil {
-		return nil, err
-	}
-	out := &hierarchyRun{
-		avgSLA:   sumSLA / ticks,
-		avgWatts: sumW / ticks,
-	}
-	if timed.rounds > 0 {
-		out.msPerRound = float64(timed.total.Milliseconds()) / float64(timed.rounds)
-		if out.msPerRound == 0 {
-			out.msPerRound = float64(timed.total.Microseconds()) / 1000 / float64(timed.rounds)
+	mk := func(sc *scenario.Scenario) (sched.Scheduler, error) {
+		est := sched.NewML(bundle)
+		if twoLayer {
+			return core.NewHierarchical(sc.Inventory, CostModel(sc), est), nil
 		}
+		return sched.NewBestFit(CostModel(sc), est), nil
 	}
-	return out, nil
-}
-
-// timedScheduler wraps a scheduler and accumulates decision wall-time.
-type timedScheduler struct {
-	inner  sched.Scheduler
-	total  time.Duration
-	rounds int
-}
-
-func (t *timedScheduler) Name() string { return t.inner.Name() }
-
-func (t *timedScheduler) Schedule(p *sched.Problem) (model.Placement, error) {
-	start := time.Now()
-	defer func() {
-		t.total += time.Since(start)
-		t.rounds++
-	}()
-	return t.inner.Schedule(p)
+	return RunPolicy(spec, mk, (*scenario.Scenario).HomePlacement, 360)
 }

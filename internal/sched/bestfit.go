@@ -30,14 +30,6 @@ type BestFit struct {
 	// round. Without it, borderline decisions oscillate every round and
 	// the migration blackouts eat the SLA the moves were meant to save.
 	MinGainEUR float64
-	// Delta enables incremental rounds: the Round memoizes its per-VM fill
-	// outputs across Schedule calls and re-estimates only the VMs whose
-	// monitored features moved beyond DeltaEpsilon (see Round.SetDelta).
-	Delta bool
-	// DeltaEpsilon is the relative feature-movement tolerance for reuse;
-	// 0 demands bit-exact equality, making delta rounds placement-identical
-	// to full rounds.
-	DeltaEpsilon float64
 	// Prune scores only the Round's candidate shortlist per VM instead of
 	// every host: one representative per distinct tentative host state,
 	// plus the VM's current host (see prune.go). With PruneK <= 0 the
@@ -70,15 +62,16 @@ type BestFit struct {
 
 // RoundStats is the phase instrumentation of one scheduling round: where
 // the wall-clock went (table fill, candidate scoring, reduction — argmax,
-// hysteresis and commit), how much work the delta memo saved, and what the
-// candidate shortlist did. The candidate counters are deterministic
+// hysteresis and commit), how many VM rows the fill estimated, and what
+// the candidate shortlist did. The candidate counters are deterministic
 // functions of the problem — unlike the wall-clock fields they are safe to
 // publish in reproducible sweep output.
 type RoundStats struct {
-	FillNS         int64
-	ScoreNS        int64
-	ReduceNS       int64
-	RowsReused     int
+	FillNS   int64
+	ScoreNS  int64
+	ReduceNS int64
+	// RowsRecomputed is the number of VM rows the table fill estimated:
+	// every VM of the problem, since each round fills from scratch.
 	RowsRecomputed int
 	// CandidatesScored is the number of profit evaluations performed
 	// (VMs × hosts without pruning; the summed shortlist sizes with it).
@@ -166,7 +159,6 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 		}
 	}
 	r := &b.round
-	r.SetDelta(b.Delta, b.DeltaEpsilon)
 	r.SetPrune(b.Prune)
 	rebuilds0 := r.PruneRebuilds()
 	start := time.Now()
@@ -263,7 +255,7 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 		r.Assign(i, best)
 		placement[p.VMs[i].Spec.ID] = r.HostID(best)
 	}
-	fillNS, reused, recomputed := r.FillStats()
+	fillNS := r.FillNS()
 	total := time.Since(start).Nanoseconds()
 	reduceNS := total - fillNS - scoreNS
 	if reduceNS < 0 {
@@ -271,7 +263,7 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 	}
 	b.stats = RoundStats{
 		FillNS: fillNS, ScoreNS: scoreNS, ReduceNS: reduceNS,
-		RowsReused: reused, RowsRecomputed: recomputed,
+		RowsRecomputed:     n,
 		CandidatesScored:   scored,
 		ShortlistRebuilds:  r.PruneRebuilds() - rebuilds0,
 		ShortlistTruncated: truncated,

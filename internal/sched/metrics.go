@@ -6,14 +6,17 @@ import (
 
 // Metrics is the scheduler's observability surface, fed once per round
 // from the RoundStats ScheduleInto already computes — the counters
-// (candidates scored, memo hit/miss rows, shortlist activity) are
+// (candidates scored, filled rows, shortlist activity) are
 // deterministic, the phase histograms (fill/score/reduce and the whole
 // round) are wall-clock and registered as such. Recording is a handful
 // of atomic operations, so an instrumented round keeps the steady-state
 // zero-alloc contract.
 type Metrics struct {
-	Rounds             *obs.Counter
-	CandidatesScored   *obs.Counter
+	Rounds           *obs.Counter
+	CandidatesScored *obs.Counter
+	// RowsReused is never incremented: rounds carry no rows over from the
+	// previous round. It stays registered so the exported series and the
+	// sweep columns built from it keep their shape.
 	RowsReused         *obs.Counter
 	RowsRecomputed     *obs.Counter
 	ShortlistRebuilds  *obs.Counter
@@ -33,9 +36,9 @@ func NewSchedMetrics(r *obs.Registry) *Metrics {
 		CandidatesScored: r.Counter("mdcsim_sched_candidates_scored_total",
 			"Per-candidate profit evaluations performed."),
 		RowsReused: r.Counter("mdcsim_sched_memo_rows_reused_total",
-			"Delta-memo (VM, DC) rows served from cache."),
+			"Always 0: rounds reuse no rows from earlier rounds."),
 		RowsRecomputed: r.Counter("mdcsim_sched_memo_rows_recomputed_total",
-			"Delta-memo (VM, DC) rows re-estimated."),
+			"VM rows estimated by the table fill (every VM of every round)."),
 		ShortlistRebuilds: r.Counter("mdcsim_sched_shortlist_rebuilds_total",
 			"Full prune-index rebuilds."),
 		ShortlistTruncated: r.Counter("mdcsim_sched_shortlist_truncated_total",
@@ -59,7 +62,6 @@ func (b *BestFit) SetMetrics(m *Metrics) { b.met = m }
 func (m *Metrics) record(st *RoundStats) {
 	m.Rounds.Inc()
 	m.CandidatesScored.Add(uint64(st.CandidatesScored))
-	m.RowsReused.Add(uint64(st.RowsReused))
 	m.RowsRecomputed.Add(uint64(st.RowsRecomputed))
 	m.ShortlistRebuilds.Add(uint64(st.ShortlistRebuilds))
 	m.ShortlistTruncated.Add(uint64(st.ShortlistTruncated))

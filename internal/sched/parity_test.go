@@ -430,3 +430,83 @@ func TestPlacementParityAllPresets(t *testing.T) {
 		}
 	}
 }
+
+// churnedProblem derives a successor-round problem from p: some VMs gone,
+// some brand-new, some with perturbed load and placement — the shape the
+// dynamic workload produces, with every surviving VM's index shifted.
+func churnedProblem(p *sched.Problem) *sched.Problem {
+	out := &sched.Problem{Hosts: p.Hosts, Tick: p.Tick + 1}
+	var maxID model.VMID
+	for i := range p.VMs {
+		if p.VMs[i].Spec.ID > maxID {
+			maxID = p.VMs[i].Spec.ID
+		}
+	}
+	// Drop the first few VMs (departures shift all later indices).
+	drop := 3
+	if drop > len(p.VMs)/2 {
+		drop = len(p.VMs) / 2
+	}
+	for i := drop; i < len(p.VMs); i++ {
+		vm := p.VMs[i] // copy
+		if i%3 == 0 {
+			// Perturbed load: deep-copy the vector so the original problem
+			// stays untouched, then rescale and recompute the total.
+			lv := make(model.LoadVector, len(vm.Load))
+			copy(lv, vm.Load)
+			for k := range lv {
+				lv[k].RPS *= 1.17
+			}
+			vm.Load = lv
+			vm.Total = lv.Total()
+			vm.QueueLen += 5
+		}
+		if i%5 == 0 {
+			// Moved elsewhere since last round.
+			vm.Current = p.Hosts[i%len(p.Hosts)].Spec.ID
+			vm.CurrentDC = p.Hosts[i%len(p.Hosts)].Spec.DC
+		}
+		out.VMs = append(out.VMs, vm)
+	}
+	// Arrivals: new identities, entering unplaced.
+	for n := 0; n < 4 && n < len(p.VMs); n++ {
+		vm := p.VMs[n]
+		vm.Spec.ID = maxID + 1 + model.VMID(n)
+		vm.Current = model.NoPM
+		vm.CurrentDC = -1
+		vm.HasObserved = false
+		out.VMs = append(out.VMs, vm)
+	}
+	return out
+}
+
+// failCycleProblems derives the three successor problems a host fault
+// cycle produces from a mid-run problem: the crash round (victim host
+// gone, its guests homeless), the re-home round (victims current on a
+// survivor), and the recovery round (victim host back as a candidate,
+// same order as the original).
+func failCycleProblems(p *sched.Problem) (failed, rehomed, recovered *sched.Problem) {
+	victim := p.VMs[0].Current
+	var hosts []sched.HostInfo
+	for _, h := range p.Hosts {
+		if h.Spec.ID != victim {
+			hosts = append(hosts, h)
+		}
+	}
+	survivor := hosts[0].Spec
+	stage := func(tick int, hs []sched.HostInfo, cur model.PMID, curDC model.DCID) *sched.Problem {
+		out := &sched.Problem{Hosts: hs, Tick: tick}
+		for _, vm := range p.VMs {
+			if vm.Current == victim {
+				vm.Current = cur
+				vm.CurrentDC = curDC
+			}
+			out.VMs = append(out.VMs, vm)
+		}
+		return out
+	}
+	failed = stage(p.Tick+1, hosts, model.NoPM, -1)
+	rehomed = stage(p.Tick+2, hosts, survivor.ID, survivor.DC)
+	recovered = stage(p.Tick+3, p.Hosts, survivor.ID, survivor.DC)
+	return failed, rehomed, recovered
+}

@@ -94,64 +94,6 @@ func TestPruneParityAllPresets(t *testing.T) {
 	}
 }
 
-// TestPruneDeltaComposition proves the two round accelerators compose:
-// delta rounds reuse fill rows, pruning cuts the scoring matrix, and the
-// placements still match the plain exhaustive schedule everywhere.
-func TestPruneDeltaComposition(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(paritySeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range scenario.Names() {
-		p1 := presetProblem(t, name, paritySeed)
-		p2 := churnedProblem(p1)
-		cost := parityCost(t, name, paritySeed)
-		est := sched.NewML(bundle)
-		want1, err := sched.NewBestFit(cost, est).Schedule(p1)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want2, err := sched.NewBestFit(cost, est).Schedule(p2)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		both := sched.NewBestFit(cost, est)
-		both.Prune = true
-		both.Delta = true
-		for pass, tc := range []struct {
-			p    *sched.Problem
-			want model.Placement
-		}{{p1, want1}, {p1, want1}, {p2, want2}} {
-			got, err := both.Schedule(tc.p)
-			if err != nil {
-				t.Fatalf("%s pass %d: %v", name, pass, err)
-			}
-			if !got.Equal(tc.want) {
-				t.Fatalf("%s pass %d: delta+prune placement diverged", name, pass)
-			}
-		}
-		// Two more passes over p1: the first re-primes the memo after the
-		// churned round, the second is a steady round that must show both
-		// accelerators engaged at once.
-		for pass := 0; pass < 2; pass++ {
-			got, err := both.Schedule(p1)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !got.Equal(want1) {
-				t.Fatalf("%s: delta+prune re-primed round diverged", name)
-			}
-		}
-		st := both.LastRoundStats()
-		if st.RowsReused != len(p1.VMs) {
-			t.Fatalf("%s: delta reuse off under prune: %+v", name, st)
-		}
-		if st.CandidatesScored >= len(p1.VMs)*len(p1.Hosts) && len(p1.Hosts) > 4 {
-			t.Fatalf("%s: pruning scored the full matrix: %+v", name, st)
-		}
-	}
-}
-
 // TestPruneParityThroughFaultCycle carries one pruned scheduler through a
 // crash → re-home → recover cycle: the shortlist index is rebuilt against
 // each round's candidate set, so a disappearing (and returning) host must

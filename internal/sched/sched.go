@@ -167,59 +167,17 @@ type Round struct {
 	estProc  SLAProcEstimator
 	estBatch BatchSLAEstimator
 
-	// fillList is the set of VM rows (re)computed by the current Reset —
-	// all rows normally, only the moved rows in delta mode. fillSlot is
-	// the parallel delta-memo slot per refilled row (delta mode only).
+	// fillList is the identity list of VM rows 0..n-1 the fill walks.
 	fillList []int32
-	fillSlot []int32
-
-	// Delta-round memo (enabled via SetDelta): the per-VM fill outputs of
-	// previous Resets, keyed by VM identity so rows survive index shifts
-	// under churn. A row is reused when its context (estimator, topology,
-	// cost switches, DC set, capacity cap) is unchanged and its feature
-	// signature moved by at most deltaEps (0 = bit-exact reuse). Slots of
-	// departed VMs are swept once the map outgrows the fleet.
-	deltaOn  bool
-	deltaEps float64
-	dCtx     deltaCtx
-	dSlot    map[model.VMID]int32
-	dFree    []int32
-	dUsed    int32
-	dGen     []uint64  // [slot] last r.gen the slot was touched
-	dSig     []float64 // [slot*sigW] feature signature
-	dReq     []model.Resources
-	dCPU     []float64
-	dLat     []float64 // [slot*nDC+dc]
-	dSLA     []float64
-	dMig     []float64
-	sigW     int
-	maxSrc   int // load-vector width the signature layout covers
-	sigTmp   []float64
 
 	// Instrumentation of the last Reset.
-	fillNS                     int64
-	rowsReused, rowsRecomputed int
+	fillNS int64
 
 	// Candidate-pruning shortlist index (enabled via SetPrune): the
 	// equivalence classes of tentative host state, rebuilt by Reset and
 	// re-keyed by Assign/Unassign. See prune.go.
 	pruneOn  bool
 	pruneIdx pruneIndex
-}
-
-// deltaCtx is the table-fill context outside the per-VM inputs: any change
-// here invalidates the whole delta memo (the memoized outputs were computed
-// under different rules).
-type deltaCtx struct {
-	est            Estimator
-	top            *network.Topology
-	latencyOnly    bool
-	migrationAware bool
-	hasHosts       bool
-	nDC            int
-	maxCap         model.Resources
-	dcs            []int // copy of the present-DC list, order-sensitive
-	valid          bool
 }
 
 // fillIdx computes the per-VM table rows of every VM in list, in three
@@ -401,15 +359,15 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 	r.slaFull = grown(r.slaFull, nV*r.nDC)
 	r.migPen = grown(r.migPen, nV*r.nDC)
 
-	// Decide which rows to (re)fill. Without delta mode (or after any
-	// context change) that is every row; in delta mode, rows whose memoized
-	// signature still matches are restored from the memo instead.
-	list := r.decideFill()
-	r.rowsRecomputed = len(list)
-	r.rowsReused = nV - len(list)
-
-	// Fill the chosen rows, fanned out as contiguous blocks so the batched
+	// Fill every row, fanned out as contiguous blocks so the batched
 	// processing stage amortizes over whole chunks rather than single VMs.
+	if len(r.fillList) != nV {
+		r.fillList = grown(r.fillList, nV)
+		for i := range r.fillList {
+			r.fillList[i] = int32(i)
+		}
+	}
+	list := r.fillList
 	if workers > len(scratches) {
 		workers = len(scratches)
 	}
@@ -419,9 +377,6 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 		})
 	} else {
 		r.fillIdx(list, &r.scratch)
-	}
-	if r.deltaOn {
-		r.storeDelta(list)
 	}
 
 	// Power: grab the raw curve when the model exposes one, then prime the
@@ -443,244 +398,8 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 	return nil
 }
 
-// SetDelta switches delta rounds on or off for subsequent Resets. With
-// delta on, the fill outputs of each Reset are memoized per VM identity
-// and reused next Reset for VMs whose feature signature moved by at most
-// eps (relative movement; eps = 0 demands bit-exact equality, making delta
-// rounds placement-identical to full rounds). Changing the mode or the
-// epsilon drops the memo.
-func (r *Round) SetDelta(on bool, eps float64) {
-	if on == r.deltaOn && eps == r.deltaEps {
-		return
-	}
-	r.deltaOn, r.deltaEps = on, eps
-	r.dCtx.valid = false
-	r.dropDelta()
-}
-
-// FillStats reports the instrumentation of the last Reset: the wall-clock
-// nanoseconds of the table fill and the delta-round row counters (with
-// delta off, reused is 0 and recomputed is the fleet size).
-func (r *Round) FillStats() (fillNS int64, rowsReused, rowsRecomputed int) {
-	return r.fillNS, r.rowsReused, r.rowsRecomputed
-}
-
-// sigExactW is the width of the signature's exact-match prefix: identity,
-// placement and contract fields where any change whatsoever invalidates
-// the row (the epsilon tolerance applies only to the monitored features
-// after it).
-const sigExactW = 10
-
-// decideFill returns the list of VM rows the current Reset must compute.
-// In delta mode with an unchanged fill context it restores matching rows
-// from the memo and returns only the moved (or new) rows, recording the
-// memo slot of each so storeDelta can write the fresh outputs back.
-func (r *Round) decideFill() []int32 {
-	nV := len(r.vms)
-	r.fillList = r.fillList[:0]
-	if !r.deltaOn {
-		for i := 0; i < nV; i++ {
-			r.fillList = append(r.fillList, int32(i))
-		}
-		return r.fillList
-	}
-	// A wider load vector than the signature layout covers forces a new
-	// layout, which orphans every stored signature.
-	needSrc := r.maxSrc
-	for i := range r.vms {
-		if n := len(r.vms[i].Load); n > needSrc {
-			needSrc = n
-		}
-	}
-	if needSrc > r.maxSrc || r.sigW == 0 {
-		r.maxSrc = needSrc
-		r.sigW = sigExactW + 4 + 4*r.maxSrc
-		r.dropDelta()
-	}
-	if !r.ctxMatches() {
-		r.ctxStore()
-		r.dropDelta()
-	}
-	r.fillSlot = r.fillSlot[:0]
-	for i := 0; i < nV; i++ {
-		sig := r.buildSig(&r.vms[i], r.sigTmp)
-		r.sigTmp = sig
-		slot, known := r.dSlot[r.vms[i].Spec.ID]
-		if known && sigMatches(r.dSig[int(slot)*r.sigW:int(slot+1)*r.sigW], sig, r.deltaEps) {
-			r.restoreDelta(i, slot)
-			r.dGen[slot] = r.gen
-			continue
-		}
-		if !known {
-			slot = r.allocSlot()
-			r.dSlot[r.vms[i].Spec.ID] = slot
-		}
-		copy(r.dSig[int(slot)*r.sigW:int(slot+1)*r.sigW], sig)
-		r.dGen[slot] = r.gen
-		r.fillList = append(r.fillList, int32(i))
-		r.fillSlot = append(r.fillSlot, slot)
-	}
-	// Sweep slots of departed VMs once the memo clearly outgrows the
-	// fleet, so a churning workload cannot grow it without bound.
-	if int(r.dUsed) > 2*nV+64 {
-		for id, slot := range r.dSlot {
-			if r.dGen[slot] != r.gen {
-				delete(r.dSlot, id)
-				r.dFree = append(r.dFree, slot)
-			}
-		}
-	}
-	return r.fillList
-}
-
-// ctxMatches reports whether the fill context of the previous Reset still
-// holds. The DC list is compared order-sensitively: host order is
-// deterministic for an unchanged problem, and a false negative merely
-// costs one full fill.
-func (r *Round) ctxMatches() bool {
-	c := &r.dCtx
-	if !c.valid || c.est != r.est || c.top != r.cost.Top ||
-		c.latencyOnly != r.cost.LatencyOnly || c.migrationAware != r.cost.MigrationAware ||
-		c.hasHosts != (len(r.hID) > 0) || c.nDC != r.nDC || c.maxCap != r.maxCap ||
-		len(c.dcs) != len(r.dcs) {
-		return false
-	}
-	for k, dc := range r.dcs {
-		if c.dcs[k] != dc {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *Round) ctxStore() {
-	r.dCtx = deltaCtx{
-		est: r.est, top: r.cost.Top,
-		latencyOnly: r.cost.LatencyOnly, migrationAware: r.cost.MigrationAware,
-		hasHosts: len(r.hID) > 0, nDC: r.nDC, maxCap: r.maxCap,
-		dcs: append(r.dCtx.dcs[:0], r.dcs...), valid: true,
-	}
-}
-
-// dropDelta forgets every memoized row (slot storage is kept for reuse).
-func (r *Round) dropDelta() {
-	if r.dSlot == nil {
-		r.dSlot = make(map[model.VMID]int32)
-	} else {
-		clear(r.dSlot)
-	}
-	r.dFree = r.dFree[:0]
-	r.dUsed = 0
-}
-
-// buildSig writes the delta signature of vm into dst: the exact-match
-// prefix (placement, spec and SLA-contract fields), then the
-// epsilon-tolerant monitored features (backlog, observed usage, per-source
-// load), padded to the fixed layout width.
-func (r *Round) buildSig(vm *VMInfo, dst []float64) []float64 {
-	cur := 0.0
-	if vm.HasObserved {
-		cur = 1
-	}
-	dst = append(dst[:0],
-		float64(vm.Current), float64(vm.CurrentDC), cur,
-		vm.Spec.PriceEURh, vm.Spec.ImageSizeGB, vm.Spec.BaseMemMB, vm.Spec.MaxMemMB,
-		vm.Spec.Terms.RT0, vm.Spec.Terms.Alpha, float64(len(vm.Load)),
-		vm.QueueLen, vm.Observed.CPUPct, vm.Observed.MemMB, vm.Observed.BWMbps,
-	)
-	for _, l := range vm.Load {
-		dst = append(dst, l.RPS, l.BytesInReq, l.BytesOutRq, l.CPUTimeReq)
-	}
-	for len(dst) < r.sigW {
-		dst = append(dst, 0)
-	}
-	return dst
-}
-
-// sigMatches reports whether a stored signature still covers the current
-// one: the exact prefix must be identical, and each later feature may move
-// at most eps relative to the larger magnitude (eps <= 0: bit-exact).
-func sigMatches(old, cur []float64, eps float64) bool {
-	for i := 0; i < sigExactW; i++ {
-		if old[i] != cur[i] {
-			return false
-		}
-	}
-	if eps <= 0 {
-		for i := sigExactW; i < len(old); i++ {
-			if old[i] != cur[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := sigExactW; i < len(old); i++ {
-		d := old[i] - cur[i]
-		if d < 0 {
-			d = -d
-		}
-		m := old[i]
-		if m < 0 {
-			m = -m
-		}
-		if c := cur[i]; c > m {
-			m = c
-		} else if -c > m {
-			m = -c
-		}
-		if d > eps*m {
-			return false
-		}
-	}
-	return true
-}
-
-// allocSlot hands out a memo slot, growing the backing columns while
-// preserving the rows already stored.
-func (r *Round) allocSlot() int32 {
-	if n := len(r.dFree); n > 0 {
-		s := r.dFree[n-1]
-		r.dFree = r.dFree[:n-1]
-		return s
-	}
-	s := r.dUsed
-	r.dUsed++
-	n := int(r.dUsed)
-	r.dGen = growKeep(r.dGen, n)
-	r.dSig = growKeep(r.dSig, n*r.sigW)
-	r.dReq = growKeep(r.dReq, n)
-	r.dCPU = growKeep(r.dCPU, n)
-	r.dLat = growKeep(r.dLat, n*r.nDC)
-	r.dSLA = growKeep(r.dSLA, n*r.nDC)
-	r.dMig = growKeep(r.dMig, n*r.nDC)
-	return s
-}
-
-// restoreDelta copies a memoized row into the round tables. Absent-DC
-// entries ride along; they are stale in the memo exactly as they would be
-// in a fresh fill, and the tables' contract already forbids reading them.
-func (r *Round) restoreDelta(i int, slot int32) {
-	r.req[i] = r.dReq[slot]
-	r.vmCPUFull[i] = r.dCPU[slot]
-	base, mbase := i*r.nDC, int(slot)*r.nDC
-	copy(r.latVMDC[base:base+r.nDC], r.dLat[mbase:mbase+r.nDC])
-	copy(r.slaFull[base:base+r.nDC], r.dSLA[mbase:mbase+r.nDC])
-	copy(r.migPen[base:base+r.nDC], r.dMig[mbase:mbase+r.nDC])
-}
-
-// storeDelta writes the freshly filled rows back into the memo (their
-// signatures were stored by decideFill).
-func (r *Round) storeDelta(list []int32) {
-	for p, i := range list {
-		slot := r.fillSlot[p]
-		r.dReq[slot] = r.req[i]
-		r.dCPU[slot] = r.vmCPUFull[i]
-		base, mbase := int(i)*r.nDC, int(slot)*r.nDC
-		copy(r.dLat[mbase:mbase+r.nDC], r.latVMDC[base:base+r.nDC])
-		copy(r.dSLA[mbase:mbase+r.nDC], r.slaFull[base:base+r.nDC])
-		copy(r.dMig[mbase:mbase+r.nDC], r.migPen[base:base+r.nDC])
-	}
-}
+// FillNS reports the wall-clock nanoseconds of the last Reset's table fill.
+func (r *Round) FillNS() int64 { return r.fillNS }
 
 // Required exposes the estimated requirement of VM i.
 func (r *Round) Required(i int) model.Resources { return r.req[i] }
@@ -896,7 +615,7 @@ func grown[T any](s []T, n int) []T {
 }
 
 // growKeep returns s resized to n, preserving existing contents (the
-// delta-memo columns must survive growth).
+// prune index's per-DC lists and class arena must survive growth).
 func growKeep[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]

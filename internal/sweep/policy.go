@@ -20,15 +20,6 @@ const DefaultRoundTicks = 10
 // HorizonHours is the profit horizon of one scheduling round.
 const HorizonHours = float64(DefaultRoundTicks) / 60
 
-// DeltaSweepEpsilon is the relative feature-drift tolerance of the
-// bf-ml-delta policy. Workload traces carry ~5% per-tick multiplicative
-// noise per source plus diurnal drift, and a row is reused only when
-// every one of its signature features stayed inside the tolerance, so a
-// strict epsilon never reuses a row in a live run. 0.5 reuses roughly
-// the quieter half of a steady fleet's rows between 10-minute rounds
-// while still re-estimating every VM that genuinely ramped or burst.
-const DeltaSweepEpsilon = 0.5
-
 // CostModel builds the standard Figure 3 objective for a scenario.
 func CostModel(sc *scenario.Scenario) sched.CostModel {
 	return sched.NewCostModel(sc.Topology, power.Atom{}, HorizonHours)
@@ -89,22 +80,6 @@ var policies = map[string]Policy{
 			return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
 		},
 	},
-	// bf-ml-delta keeps the per-VM estimate memo alive between rounds and
-	// re-estimates only VMs whose monitored features drifted beyond
-	// DeltaSweepEpsilon since they were last scored — the delta-round
-	// configuration for large steady fleets, where most rows survive a
-	// 10-minute round within tolerance. Placements can differ from bf-ml
-	// by at most the staleness the epsilon admits (epsilon 0 would be
-	// bit-identical, but also reuse nothing under noisy monitors).
-	"bf-ml-delta": {
-		Name: "bf-ml-delta", NeedsBundle: true,
-		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			bf := sched.NewBestFit(CostModel(sc), sched.NewML(b))
-			bf.Delta = true
-			bf.DeltaEpsilon = DeltaSweepEpsilon
-			return bf, nil
-		},
-	},
 	// bf-ml-prune scores only one candidate host per distinct tentative
 	// host state (plus each VM's current host) instead of the whole fleet.
 	// At the safe bound (PruneK 0, used here) placements are bit-identical
@@ -118,16 +93,6 @@ var policies = map[string]Policy{
 			bf := sched.NewBestFit(CostModel(sc), sched.NewML(b))
 			bf.Prune = true
 			return bf, nil
-		},
-	},
-	// bf-ml-par spins up GOMAXPROCS candidate-evaluation workers inside
-	// every cell, so it is meant for single-cell or -workers 1 studies of
-	// large fleets; combined with a wide matrix fan-out it oversubscribes
-	// the cores and usually loses to plain bf-ml.
-	"bf-ml-par": {
-		Name: "bf-ml-par", NeedsBundle: true,
-		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return ParallelBestFit(CostModel(sc), sched.NewML(b)), nil
 		},
 	},
 	"firstfit": {

@@ -63,13 +63,12 @@ type PolicyRun struct {
 	// Phase breakdown of the rounds, probed from schedulers implementing
 	// sched.RoundStatsReporter (zero otherwise). FillMS/ScoreMS/ReduceMS
 	// are mean per-round wall milliseconds (non-deterministic, reporting
-	// only); RowsReused/RowsRecomputed are total (VM, DC)-table rows the
-	// delta memo served from cache vs re-estimated — pure counters, and
-	// deterministic like every placement decision.
+	// only); RowsRecomputed is the total VM rows the rounds' table fills
+	// estimated — a pure counter, deterministic like every placement
+	// decision.
 	FillMS         float64
 	ScoreMS        float64
 	ReduceMS       float64
-	RowsReused     int
 	RowsRecomputed int
 	// Candidate-shortlist counters (see sched.RoundStats): profit
 	// evaluations performed, prune-index rebuilds, and truncated host-state
@@ -154,14 +153,13 @@ type RunOpts struct {
 // back to Schedule (copying into the recycled map) when it does not, so
 // wrapping never changes decisions. When the inner scheduler implements
 // sched.RoundStatsReporter it also folds in each round's phase breakdown
-// (fill/score/reduce nanoseconds, delta-memo row counters).
+// (fill/score/reduce nanoseconds, filled-row and candidate counters).
 type timedScheduler struct {
 	inner  sched.Scheduler
 	nanos  int64
 	rounds int
 
 	fillNS, scoreNS, reduceNS int64
-	rowsReused                int
 	rowsRecomputed            int
 	candidatesScored          int
 	shortlistRebuilds         int
@@ -178,7 +176,6 @@ func (t *timedScheduler) fold() {
 	t.fillNS += st.FillNS
 	t.scoreNS += st.ScoreNS
 	t.reduceNS += st.ReduceNS
-	t.rowsReused += st.RowsReused
 	t.rowsRecomputed += st.RowsRecomputed
 	t.candidatesScored += st.CandidatesScored
 	t.shortlistRebuilds += st.ShortlistRebuilds
@@ -342,7 +339,6 @@ func RunSpecOpts(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks i
 		run.ScoreMS = perRoundMS(timed.scoreNS)
 		run.ReduceMS = perRoundMS(timed.reduceNS)
 	}
-	run.RowsReused = timed.rowsReused
 	run.RowsRecomputed = timed.rowsRecomputed
 	run.CandidatesScored = timed.candidatesScored
 	run.ShortlistRebuilds = timed.shortlistRebuilds

@@ -315,63 +315,6 @@ func TestSweepMLPolicies(t *testing.T) {
 	}
 }
 
-// TestSweepDeltaReuse drives the bf-ml-delta policy through a live sweep
-// cell on a steady (fixed-population) fleet and checks the delta-round
-// columns: the memo must actually serve rows (reused > 0 after the first
-// round), the plain policy must report zero reuse, and the counters —
-// being pure decisions, not wall clock — must be byte-stable across
-// worker counts.
-func TestSweepDeltaReuse(t *testing.T) {
-	m := Matrix{
-		Scenarios: []string{scenario.IntraDC},
-		Policies:  []string{"bf-ml", "bf-ml-delta"},
-		Seeds:     []uint64{42},
-		Ticks:     120,
-		Workers:   1,
-	}
-	res, err := Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Cells) != 2 {
-		t.Fatalf("cells = %d", len(res.Cells))
-	}
-	plain, delta := res.Cells[0], res.Cells[1]
-	if plain.Policy != "bf-ml" || delta.Policy != "bf-ml-delta" {
-		t.Fatalf("unexpected cell order: %q, %q", plain.Policy, delta.Policy)
-	}
-	if plain.RowsReused != 0 || plain.RowsRecomputed == 0 {
-		t.Fatalf("plain bf-ml rows: reused %d, recomputed %d", plain.RowsReused, plain.RowsRecomputed)
-	}
-	if delta.RowsReused == 0 {
-		t.Fatalf("delta policy reused no rows on a steady fleet: %+v", delta)
-	}
-	if delta.RowsRecomputed == 0 {
-		t.Fatal("delta policy recomputed nothing — first round alone must fill every row")
-	}
-	// Both policies walk the same VM set every round, so the per-round row
-	// totals must agree.
-	if got, want := delta.RowsReused+delta.RowsRecomputed, plain.RowsRecomputed; got != want {
-		t.Fatalf("delta rows reused+recomputed = %d, want %d", got, want)
-	}
-	// The counters are decisions, not measurements: a re-run at a
-	// different worker count must reproduce them exactly.
-	m.Workers = 4
-	res2, err := Run(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2 := res2.Cells[1]
-	if d2.RowsReused != delta.RowsReused || d2.RowsRecomputed != delta.RowsRecomputed {
-		t.Fatalf("delta counters drift across worker counts: (%d,%d) vs (%d,%d)",
-			delta.RowsReused, delta.RowsRecomputed, d2.RowsReused, d2.RowsRecomputed)
-	}
-	agg := res.Aggregates[1]
-	if agg.Policy != "bf-ml-delta" || agg.RowsReused.Mean != float64(delta.RowsReused) {
-		t.Fatalf("aggregate rows_reused = %+v, cell = %d", agg.RowsReused, delta.RowsReused)
-	}
-}
-
 // TestObservedOnlySweepSkipsTraining pins the training gate: a matrix
 // whose policies never consume predictors must not train (or cache) a
 // bundle for any of its seeds — training is the sweep's most expensive

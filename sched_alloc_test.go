@@ -55,41 +55,6 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestScheduleDeltaSteadyStateAllocs extends the zero-alloc contract to
-// delta rounds: once the per-VM memo is warm, a steady fleet reuses every
-// row without allocating. (Churn under delta may allocate — new VM
-// identities insert into the memo's id→slot map — so only the steady
-// state is gated.)
-func TestScheduleDeltaSteadyStateAllocs(t *testing.T) {
-	bundle, err := experiments.TrainedBundle(benchSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
-	problem := syntheticProblem(24, 16)
-	bf := sched.NewBestFit(cost, sched.NewML(bundle))
-	bf.Delta = true
-	placement := make(model.Placement, len(problem.VMs))
-	for i := 0; i < 2; i++ {
-		clear(placement)
-		if err := bf.ScheduleInto(problem, placement); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		clear(placement)
-		if err := bf.ScheduleInto(problem, placement); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state delta ScheduleInto allocates %.1f objects per round, want 0", allocs)
-	}
-	if st := bf.LastRoundStats(); st.RowsReused != len(problem.VMs) {
-		t.Fatalf("steady delta reused %d of %d rows", st.RowsReused, len(problem.VMs))
-	}
-}
-
 // TestScheduleChurnAllocs extends the allocation contract to workload
 // churn: a Best-Fit whose round storage was grown once keeps allocating
 // nothing while the VM set shrinks and grows between rounds (the problem
