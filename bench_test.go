@@ -573,25 +573,34 @@ func BenchmarkFailover(b *testing.B) {
 }
 
 // BenchmarkWorkloadGeneration measures trace synthesis for a full fleet
-// tick through the dense Fill contract.
+// tick through the dense Fill contract: a paper-sized fleet and the
+// hyperscale preset (20000 VMs x 6 client locations), whose Fill must
+// stay allocation-free like the engine tick that calls it.
 func BenchmarkWorkloadGeneration(b *testing.B) {
-	sc, err := scenario.Build(scenario.Spec{
-		Name: "bench-trace", Seed: benchSeed,
-		DCs: 4, PMsPerDC: 2, VMs: 10,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]model.VMID, len(sc.VMs))
-	dst := make([]model.LoadVector, len(sc.VMs))
-	for i, vm := range sc.VMs {
-		ids[i] = vm.ID
-		dst[i] = make(model.LoadVector, 4)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Generator.Fill(i%model.TicksPerDay, ids, dst)
+	for _, size := range []struct {
+		name string
+		spec scenario.Spec
+	}{
+		{"Small", scenario.Spec{Name: "bench-trace", Seed: benchSeed, DCs: 4, PMsPerDC: 2, VMs: 10}},
+		{"Hyperscale", scenario.MustPreset(scenario.HyperscaleFleet, benchSeed)},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			sc, err := scenario.Build(size.spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := make([]model.VMID, len(sc.VMs))
+			dst := make([]model.LoadVector, len(sc.VMs))
+			for i, vm := range sc.VMs {
+				ids[i] = vm.ID
+				dst[i] = make(model.LoadVector, sc.Generator.Sources())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sc.Generator.Fill(i%model.TicksPerDay, ids, dst)
+			}
+		})
 	}
 }
 

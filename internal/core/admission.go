@@ -73,7 +73,7 @@ func (p *AdmissionPolicy) requirement(w *sim.World, a *lifecycle.Arrival) model.
 	if p.Bundle != nil {
 		return p.Bundle.PredictVMResources(a.Offered, 0)
 	}
-	return w.RequiredResources(a.Spec, a.Offered)
+	return w.RequiredResources(&a.Spec, a.Offered)
 }
 
 // fleetCommitment is the capacity gate's per-tick fleet snapshot: the

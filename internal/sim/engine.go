@@ -634,7 +634,7 @@ func (e *World) validatePlacementTargets(p model.Placement) error {
 
 // RequiredResources computes the true requirement of a VM under the given
 // aggregate load — fRequiredResources (constraint 5.1).
-func (e *World) RequiredResources(spec model.VMSpec, total model.Load) model.Resources {
+func (e *World) RequiredResources(spec *model.VMSpec, total model.Load) model.Resources {
 	p := e.cfg.Params
 	cpu := p.VMBaseCPUPct + queueing.CPURequiredPct(queueing.Demand{
 		RPS: total.RPS, CPUTimeReq: total.CPUTimeReq * p.cpuCostFactor(),
@@ -816,7 +816,7 @@ func (e *World) resolvePM(j int) {
 	// proportional-sharing grant — fOccupation (constraint 5.2).
 	var reqSum model.Resources
 	for _, vi := range gs {
-		e.required[vi] = e.RequiredResources(e.vmSpecs[vi], e.totals[vi])
+		e.required[vi] = e.RequiredResources(&e.vmSpecs[vi], e.totals[vi])
 		reqSum = reqSum.Add(e.required[vi])
 	}
 	shCPU, shMem, shBW := cluster.ShareFactors(pmSpec.Capacity, reqSum)

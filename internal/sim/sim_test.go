@@ -235,7 +235,7 @@ func TestPMTruthAndPerDCWatts(t *testing.T) {
 
 func TestRequiredResourcesShape(t *testing.T) {
 	sc := newTestScenario(t, testOpts{VMs: 1, PMsPerDC: 1, DCs: 1})
-	spec := sc.VMs[0]
+	spec := &sc.VMs[0]
 	low := sc.World.RequiredResources(spec, model.Load{RPS: 5, CPUTimeReq: 0.01, BytesOutRq: 1000})
 	high := sc.World.RequiredResources(spec, model.Load{RPS: 50, CPUTimeReq: 0.01, BytesOutRq: 1000})
 	if high.CPUPct <= low.CPUPct || high.MemMB <= low.MemMB || high.BWMbps <= low.BWMbps {

@@ -115,10 +115,24 @@ type Config struct {
 }
 
 // Generator produces per-tick load vectors for every VM. It is not safe
-// for concurrent use: Fill and Loads share one reseedable draw stream.
+// for concurrent use: Fill and Loads share one reseedable draw stream and
+// one day table.
 type Generator struct {
-	cfg  Config
-	byID map[model.VMID]*model.VMSpec
+	cfg Config
+	// index points each known VM ID at its entry in vms; it is the only
+	// per-VM map lookup a fill makes.
+	index   map[model.VMID]int32
+	vms     []vmEntry
+	classes []ServiceClass // deduplicated; vmEntry.class indexes it
+	crowds  []FlashCrowd   // grouped by VM, config order within a VM
+	// shareHome and shareOther split a VM's clients: HomeBias at its home
+	// location, the remainder uniform across the others (1 and 1 when
+	// there is a single location).
+	shareHome, shareOther float64
+	// day[loc] is the diurnal factor of location loc at the tick being
+	// filled: it depends only on (tick, location), so each Fill computes
+	// it once instead of once per VM.
+	day []float64
 	// scratch is the reusable per-(VM, tick) stream: each fill reseeds it
 	// to the state a fresh NewNamed(seed, "trace/<vm>/<tick>") would have,
 	// so the draws are identical to building one stream per call without
@@ -127,7 +141,21 @@ type Generator struct {
 	nameBuf []byte
 }
 
-// NewGenerator validates the configuration and builds a generator.
+// vmEntry is one VM resolved against the configuration at construction.
+type vmEntry struct {
+	home             int32 // home location: HomeDC modulo Sources
+	class            int32 // index into Generator.classes
+	crowdLo, crowdHi int32 // the VM's flash crowds: Generator.crowds[lo:hi]
+	// scale is the VM's Config.Scale row, aliased; locations beyond its
+	// length (or a VM without a row) scale by 1.
+	scale []float64
+}
+
+// NewGenerator validates the configuration and builds a generator. It
+// does not modify cfg: VMs without a ClassOf entry get ClassByIndex of
+// their position in VMs, recorded in the generator. When an ID appears
+// more than once in VMs, the last spec's home DC and the first
+// position's default class apply.
 func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.Sources <= 0 {
 		return nil, fmt.Errorf("trace: Sources must be positive, got %d", cfg.Sources)
@@ -147,31 +175,81 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.HomeBias == 0 {
 		cfg.HomeBias = 0.6
 	}
-	if cfg.ClassOf == nil {
-		cfg.ClassOf = map[model.VMID]ServiceClass{}
+	n := cfg.Sources
+	g := &Generator{
+		cfg:        cfg,
+		index:      make(map[model.VMID]int32, len(cfg.VMs)),
+		vms:        make([]vmEntry, 0, len(cfg.VMs)),
+		shareHome:  1,
+		shareOther: 1,
+		day:        make([]float64, n),
+		scratch:    rng.New(0, 0),
+		nameBuf:    make([]byte, 0, 32),
 	}
-	for i, vm := range cfg.VMs {
-		if _, ok := cfg.ClassOf[vm.ID]; !ok {
-			cfg.ClassOf[vm.ID] = ClassByIndex(i)
+	if n > 1 {
+		g.shareHome = cfg.HomeBias
+		g.shareOther = (1 - cfg.HomeBias) / float64(n-1)
+	}
+	classIdx := make(map[ServiceClass]int32)
+	for i := range cfg.VMs {
+		vm := &cfg.VMs[i]
+		home := int32(int(vm.HomeDC) % n)
+		if k, ok := g.index[vm.ID]; ok {
+			g.vms[k].home = home
+			continue
+		}
+		class, ok := cfg.ClassOf[vm.ID]
+		if !ok {
+			class = ClassByIndex(i)
+		}
+		c, ok := classIdx[class]
+		if !ok {
+			c = int32(len(g.classes))
+			classIdx[class] = c
+			g.classes = append(g.classes, class)
+		}
+		g.index[vm.ID] = int32(len(g.vms))
+		g.vms = append(g.vms, vmEntry{home: home, class: c, scale: cfg.Scale[vm.ID]})
+	}
+	// Group the crowds by VM with a counting sort, which keeps config
+	// order within each VM; crowds on unknown VMs never apply.
+	for _, c := range cfg.Crowds {
+		if k, ok := g.index[c.VM]; ok {
+			g.vms[k].crowdHi++
 		}
 	}
-	g := &Generator{
-		cfg:     cfg,
-		byID:    make(map[model.VMID]*model.VMSpec, len(cfg.VMs)),
-		scratch: rng.New(0, 0),
-		nameBuf: make([]byte, 0, 32),
+	var off int32
+	for k := range g.vms {
+		e := &g.vms[k]
+		count := e.crowdHi
+		e.crowdLo, e.crowdHi = off, off
+		off += count
 	}
-	for i := range cfg.VMs {
-		g.byID[cfg.VMs[i].ID] = &cfg.VMs[i]
+	g.crowds = make([]FlashCrowd, off)
+	for _, c := range cfg.Crowds {
+		if k, ok := g.index[c.VM]; ok {
+			e := &g.vms[k]
+			g.crowds[e.crowdHi] = c
+			e.crowdHi++
+		}
 	}
+	// Everything per-VM except the roster order now lives in the entries.
+	g.cfg.ClassOf, g.cfg.Scale, g.cfg.Crowds = nil, nil, nil
 	return g, nil
 }
 
 // Sources returns the number of client locations.
 func (g *Generator) Sources() int { return g.cfg.Sources }
 
-// Class returns the service class of a VM.
-func (g *Generator) Class(vm model.VMID) ServiceClass { return g.cfg.ClassOf[vm] }
+// Class returns the service class of a VM, or the zero class for a VM the
+// generator was not built with.
+func (g *Generator) Class(vm model.VMID) ServiceClass {
+	k, ok := g.index[vm]
+	if !ok {
+		return ServiceClass{}
+	}
+	return g.classes[g.vms[k].class]
+}
 
 // diurnal returns the smooth day curve in [floor, 1] for a local hour.
 // Peak at 15:00 local time, trough around 03:00, as in web-hosting traces.
@@ -183,12 +261,26 @@ func diurnal(localHour, floor float64) float64 {
 	return floor + (1-floor)*base
 }
 
+// setDay fills the day table for a tick.
+func (g *Generator) setDay(tick int) {
+	hourUTC := float64(tick) / float64(model.TicksPerHour)
+	for loc := range g.day {
+		tz := 0.0
+		if len(g.cfg.TZOffsetH) > 0 {
+			tz = g.cfg.TZOffsetH[loc]
+		}
+		localHour := math.Mod(hourUTC+tz+240, 24) // +240 keeps Mod positive
+		g.day[loc] = diurnal(localHour, g.cfg.DiurnalFloor)
+	}
+}
+
 // Fill implements the sim.Workload contract: it writes the load vector of
 // vms[i] into dst[i] for every i, overwriting every slot so rows can be
 // reused across ticks. Rows shorter than Sources receive a prefix; slots
 // beyond Sources are zeroed. The result is deterministic in (seed, tick)
 // and independent of query order. Fill performs no per-tick allocations.
 func (g *Generator) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
+	g.setDay(tick)
 	for i, id := range vms {
 		g.fillFor(id, tick, dst[i])
 	}
@@ -197,6 +289,7 @@ func (g *Generator) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
 // Loads returns the load vector of every VM at the given tick in a fresh
 // map — the convenience form of Fill for exporters and tests.
 func (g *Generator) Loads(tick int) map[model.VMID]model.LoadVector {
+	g.setDay(tick)
 	out := make(map[model.VMID]model.LoadVector, len(g.cfg.VMs))
 	for _, vm := range g.cfg.VMs {
 		lv := make(model.LoadVector, g.cfg.Sources)
@@ -209,6 +302,7 @@ func (g *Generator) Loads(tick int) map[model.VMID]model.LoadVector {
 // LoadsFor returns one VM's load vector at the given tick.
 func (g *Generator) LoadsFor(id model.VMID, tick int) model.LoadVector {
 	lv := make(model.LoadVector, g.cfg.Sources)
+	g.setDay(tick)
 	g.fillFor(id, tick, lv)
 	return lv
 }
@@ -226,33 +320,35 @@ func (g *Generator) tickStream(id model.VMID, tick int) *rng.Stream {
 	return g.scratch
 }
 
+// fillFor writes one VM's row; the day table must hold the tick's factors.
 func (g *Generator) fillFor(id model.VMID, tick int, row model.LoadVector) {
 	for i := range row {
 		row[i] = model.Load{}
 	}
-	vm, ok := g.byID[id]
+	k, ok := g.index[id]
 	if !ok {
 		return
 	}
-	class := g.cfg.ClassOf[id]
+	e := &g.vms[k]
+	class := &g.classes[e.class]
+	crowds := g.crowds[e.crowdLo:e.crowdHi]
+	noiseSD := g.cfg.NoiseSD
 	// Deterministic per-(vm, tick) stream: noise does not depend on how many
 	// times or in what order ticks are queried.
 	s := g.tickStream(id, tick)
-	hourUTC := float64(tick) / float64(model.TicksPerHour)
 	for loc := 0; loc < g.cfg.Sources; loc++ {
-		tz := 0.0
-		if len(g.cfg.TZOffsetH) > 0 {
-			tz = g.cfg.TZOffsetH[loc]
+		share := g.shareOther
+		if int32(loc) == e.home {
+			share = g.shareHome
 		}
-		localHour := math.Mod(hourUTC+tz+240, 24) // +240 keeps Mod positive
-		day := diurnal(localHour, g.cfg.DiurnalFloor)
-		share := g.sourceShare(*vm, model.LocationID(loc))
-		rate := class.BaseRPS * day * share
-		rate *= g.scale(id, loc)
-		if g.cfg.NoiseSD > 0 {
-			rate *= s.LogNormal(-g.cfg.NoiseSD*g.cfg.NoiseSD/2, g.cfg.NoiseSD)
+		rate := class.BaseRPS * g.day[loc] * share
+		if loc < len(e.scale) {
+			rate *= e.scale[loc]
 		}
-		rate += g.crowdBoost(id, model.LocationID(loc), tick, class.BaseRPS)
+		if noiseSD > 0 {
+			rate *= s.LogNormal(-noiseSD*noiseSD/2, noiseSD)
+		}
+		rate += crowdBoost(crowds, model.LocationID(loc), tick, class.BaseRPS)
 		if rate < 0 {
 			rate = 0
 		}
@@ -279,34 +375,11 @@ func (g *Generator) fillFor(id model.VMID, tick int, row model.LoadVector) {
 	}
 }
 
-// sourceShare distributes a VM's clients: HomeBias at the home location,
-// the remainder uniform across the others.
-func (g *Generator) sourceShare(vm model.VMSpec, loc model.LocationID) float64 {
-	n := g.cfg.Sources
-	if n == 1 {
-		return 1
-	}
-	home := model.LocationID(int(vm.HomeDC) % n)
-	if loc == home {
-		return g.cfg.HomeBias
-	}
-	return (1 - g.cfg.HomeBias) / float64(n-1)
-}
-
-func (g *Generator) scale(vm model.VMID, loc int) float64 {
-	if g.cfg.Scale == nil {
-		return 1
-	}
-	row, ok := g.cfg.Scale[vm]
-	if !ok || loc >= len(row) {
-		return 1
-	}
-	return row[loc]
-}
-
-func (g *Generator) crowdBoost(vm model.VMID, loc model.LocationID, tick int, baseRPS float64) float64 {
-	for _, c := range g.cfg.Crowds {
-		if c.VM != vm || c.Source != loc {
+// crowdBoost is the request rate the first of a VM's crowds active at
+// (loc, tick) adds on top of the diurnal rate.
+func crowdBoost(crowds []FlashCrowd, loc model.LocationID, tick int, baseRPS float64) float64 {
+	for _, c := range crowds {
+		if c.Source != loc {
 			continue
 		}
 		if tick < c.StartTick || tick >= c.EndTick {

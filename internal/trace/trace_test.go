@@ -216,8 +216,15 @@ func TestClassAssignmentDefaultsAndOverride(t *testing.T) {
 	if g.Class(0).Name != DynamicWeb.Name {
 		t.Fatal("explicit class ignored")
 	}
-	if g.Class(1).Name == "" {
-		t.Fatal("default class missing")
+	if got, want := g.Class(1), ClassByIndex(1); got != want {
+		t.Fatalf("default class of vm 1 = %q, want %q", got.Name, want.Name)
+	}
+	if got := g.Class(99); got != (ServiceClass{}) {
+		t.Fatalf("unknown VM class = %q, want the zero class", got.Name)
+	}
+	// Defaults live in the generator, not in the caller's map.
+	if len(cfg.ClassOf) != 1 || cfg.ClassOf[0] != DynamicWeb {
+		t.Fatalf("NewGenerator modified the caller's ClassOf: %v", cfg.ClassOf)
 	}
 }
 
