@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -54,5 +55,76 @@ func TestCalibrationAnticorrelated(t *testing.T) {
 	}
 	if r := c.Report(); r.PearsonR >= 0 {
 		t.Fatalf("PearsonR %v for anticorrelated pairs, want < 0", r.PearsonR)
+	}
+}
+
+// stormScript offers four VMs every fourth tick and drives each with
+// telemetry from 20 to 140 rps: enough load that the gateway measures
+// SLA shortfalls, so calibration pairs carry real variance, and enough
+// VMs that the default window wraps.
+func stormScript() *ReplayScript {
+	rs := &ReplayScript{Ticks: 45}
+	var seq int64
+	for tick := 0; tick < 40; tick += 4 {
+		var evs []Event
+		for k := 0; k < 4; k++ {
+			seq++
+			evs = append(evs, offerEv(seq, fmt.Sprintf("vm-%d-%d", tick, k), k))
+		}
+		for k := 0; k < 4; k++ {
+			seq++
+			evs = append(evs, telemEv(seq, fmt.Sprintf("vm-%d-%d", tick, k), float64(20+40*k)))
+		}
+		rs.Steps = append(rs.Steps, ReplayStep{Tick: tick, Events: evs})
+	}
+	return rs
+}
+
+// TestCalibrationReportGolden pins the exact float64 bits of the
+// calibration report after online-learning replays (SLA gate on, a
+// synchronous refit every 15 ticks): the smoke script, and the storm
+// script under the default window (which wraps) and a 64-pair window.
+// Any change to when or how calibration predictions are computed must
+// leave every bit in place.
+func TestCalibrationReportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	cases := []struct {
+		name        string
+		script      *ReplayScript
+		window      int
+		pairs       int
+		total       int
+		mape, corrR uint64
+	}{
+		{"smoke", smokeScript(), 0, 214, 214, 0x3fbf821bae35d286, 0},
+		{"storm", stormScript(), 0, 512, 576, 0x4002645ab5118f88, 0x3fe381a4771b1c7d},
+		{"storm-window-64", stormScript(), 64, 64, 576, 0x3fa59db466c5e081, 0x3fdb1c20e0bf1135},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Seed:               9,
+				Bundle:             testBundle(t),
+				MinPredictedSLA:    0.2,
+				OnlineRetrainEvery: 15,
+				CalibWindow:        tc.window,
+			}
+			s, c := newTestServer(t, cfg)
+			if _, err := c.Replay(tc.script, 2); err != nil {
+				t.Fatal(err)
+			}
+			r := s.Snapshot().Calibration
+			if r == nil {
+				t.Fatal("no calibration report")
+			}
+			if r.Pairs != tc.pairs || r.Total != tc.total ||
+				math.Float64bits(r.MAPE) != tc.mape || math.Float64bits(r.PearsonR) != tc.corrR {
+				t.Fatalf("report pairs=%d total=%d mape=%#016x r=%#016x, want %d/%d/%#016x/%#016x",
+					r.Pairs, r.Total, math.Float64bits(r.MAPE), math.Float64bits(r.PearsonR),
+					tc.pairs, tc.total, tc.mape, tc.corrR)
+			}
+		})
 	}
 }

@@ -1,6 +1,10 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,5 +265,88 @@ func TestReplayDeterministicWithOnlineLearning(t *testing.T) {
 	}
 	if h.Online == nil || h.Online.Retrains == 0 {
 		t.Fatalf("online stats %+v: expected at least one synchronous retrain", h.Online)
+	}
+}
+
+// snapshotJSON renders a snapshot for parity comparison, with the one
+// wall-clock field (the last refit's duration) zeroed.
+func snapshotJSON(t *testing.T, s *Snapshot) map[string]json.RawMessage {
+	t.Helper()
+	c := *s
+	if c.Online != nil {
+		o := *c.Online
+		o.LastRetrainWall = 0
+		c.Online = &o
+	}
+	data, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	return fields
+}
+
+// TestRestoredSnapshotMatchesLive pins restore parity of the read side:
+// a run abandoned right after a checkpoint restores to a Snapshot that
+// JSON-equals the one the crashed run last published — VM table,
+// calibration report, online-learning stats and durability position
+// included — and the restore leaves the crashed run's checkpoint file
+// byte for byte as it was. The checkpoint period deliberately does not
+// divide the cut tick.
+func TestRestoredSnapshotMatchesLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a model")
+	}
+	cfg := Config{
+		Seed:               9,
+		Dir:                t.TempDir(),
+		Bundle:             testBundle(t),
+		MinPredictedSLA:    0.2,
+		OnlineRetrainEvery: 15,
+		CheckpointEvery:    10,
+	}
+	const cut = 33
+	s1, c1 := newTestServer(t, cfg)
+	drive(t, c1, smokeScript(), 0, cut, 2)
+	if err := c1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	live := s1.Snapshot()
+	cpPath := filepath.Join(cfg.Dir, CheckpointName)
+	cpLive, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Online == nil || live.Online.Retrains == 0 || live.Calibration == nil || live.Calibration.Pairs == 0 {
+		t.Fatalf("live run exercised too little: online %+v calibration %+v", live.Online, live.Calibration)
+	}
+
+	rcfg := cfg
+	rcfg.Restore = true
+	s2, _ := newTestServer(t, rcfg)
+	restored := s2.Snapshot()
+	if restored.LastCheckpoint != live.LastCheckpoint {
+		t.Errorf("restored last_checkpoint_tick %d, the crashed run certified %d", restored.LastCheckpoint, live.LastCheckpoint)
+	}
+	cpRestored, err := os.ReadFile(cpPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cpRestored, cpLive) {
+		t.Errorf("restore rewrote %s:\n%s\nthe crashed run left:\n%s", CheckpointName, cpRestored, cpLive)
+	}
+	want, got := snapshotJSON(t, live), snapshotJSON(t, restored)
+	for k, v := range want {
+		if !bytes.Equal(got[k], v) {
+			t.Errorf("snapshot field %q: restored %s, live %s", k, got[k], v)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			t.Errorf("restored snapshot has extra field %q", k)
+		}
 	}
 }
