@@ -1,7 +1,15 @@
 package repro
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +25,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/serve"
 )
 
 // benchSeed keeps every benchmark on the same deterministic world.
@@ -602,6 +611,114 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 			}
 		})
 	}
+}
+
+// restoreBenchTicks is the length of BenchmarkRestore's recorded run.
+const restoreBenchTicks = 300
+
+// BenchmarkRestore measures crash recovery of the placement service.
+// ServeBase records one serve-base run once, untimed: restoreBenchTicks
+// ticks of two offers, two telemetry updates and a periodic host crash
+// and repair each, with a trained bundle so every tick also feeds the
+// calibration window, ended by a graceful shutdown. Each op then restores
+// a service from a fresh copy of that state directory — serve.New with
+// Restore, which replays the whole journal through the live tick path.
+// Copying the directory and shutting the restored service down are
+// untimed.
+func BenchmarkRestore(b *testing.B) {
+	bundle, err := experiments.TrainedBundle(benchSeed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ServeBase", func(b *testing.B) {
+		root := b.TempDir()
+		src := filepath.Join(root, "recorded")
+		cfg := serve.Config{Seed: benchSeed, Dir: src, CheckpointEvery: 100, Bundle: bundle}
+		recorded := recordServeRun(b, cfg, restoreBenchTicks)
+		cfg.Restore = true
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cfg.Dir = filepath.Join(root, strconv.Itoa(i))
+			if err := os.CopyFS(cfg.Dir, os.DirFS(src)); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			srv, err := serve.New(cfg)
+			b.StopTimer()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if got := srv.Snapshot().Tick; got != recorded {
+				b.Fatalf("restored to tick %d, the recorded run ended at %d", got, recorded)
+			}
+			if err := srv.Shutdown(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.RemoveAll(cfg.Dir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
+}
+
+// recordServeRun drives a fresh service in cfg.Dir through its HTTP
+// handler, in process, for ticks ticks, then shuts it down and returns
+// the tick its drain ended at.
+func recordServeRun(b *testing.B, cfg serve.Config, ticks int) int {
+	b.Helper()
+	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := serve.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := srv.Handler()
+	post := func(path string, body any) {
+		data, err := json.Marshal(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+		if rec.Code != http.StatusAccepted {
+			b.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+	}
+	classes := []string{"file-hosting", "image-gallery", "dynamic-web"}
+	ctx := context.Background()
+	for t := 0; t < ticks; t++ {
+		for k := 0; k < 2; k++ {
+			post("/v1/offers", serve.OfferReq{
+				Name:          fmt.Sprintf("vm-%d-%d", t, k),
+				Class:         classes[(t+k)%len(classes)],
+				HomeDC:        (2*t + k) % 4,
+				LifetimeTicks: 30 + (7*t+13*k)%60,
+			})
+			if t > 0 {
+				post("/v1/telemetry", serve.TelemetryReq{
+					Name: fmt.Sprintf("vm-%d-%d", t-1-(t%20), k),
+					RPS:  5 + float64((3*t+k)%40),
+				})
+			}
+		}
+		switch {
+		case t > 0 && t%50 == 0:
+			post("/v1/faults", serve.FaultEventReq{Kind: "crash", PM: (t / 50) % 8})
+		case t > 50 && t%50 == 10:
+			post("/v1/faults", serve.FaultEventReq{Kind: "repair", PM: (t / 50) % 8})
+		}
+		if _, err := srv.Tick(ctx, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := srv.Shutdown(ctx); err != nil {
+		b.Fatal(err)
+	}
+	return srv.Snapshot().Tick
 }
 
 // syntheticProblem builds a larger scheduling round for the solver benches

@@ -41,6 +41,11 @@ type AdmissionPolicy struct {
 	// deferred — never dropped — until tokens refill or the deferral
 	// deadline passes. nil disables rate limiting.
 	Rate *RateLimit
+
+	// scratch is the bundle predictions' reusable buffer: deferred offers
+	// re-enter admission every tick. Each manager owns its copy of the
+	// policy; copy a policy only before its first decision.
+	scratch predict.Scratch
 }
 
 // targetUtil returns the effective capacity ceiling.
@@ -71,7 +76,7 @@ func (p *AdmissionPolicy) deferOrReject(tick int, o *lifecycle.Offer) lifecycle.
 // queueing arithmetic capacity planning uses) otherwise.
 func (p *AdmissionPolicy) requirement(w *sim.World, a *lifecycle.Arrival) model.Resources {
 	if p.Bundle != nil {
-		return p.Bundle.PredictVMResources(a.Offered, 0)
+		return p.Bundle.PredictVMResourcesBuf(&p.scratch, a.Offered, 0)
 	}
 	return w.RequiredResources(&a.Spec, a.Offered)
 }
@@ -137,7 +142,7 @@ func (p *AdmissionPolicy) decide(w *sim.World, tick int, o *lifecycle.Offer, fle
 	if p.MinPredictedSLA > 0 && p.Bundle != nil {
 		home := a.Spec.HomeDC
 		lat := w.Topology().LatencyClientDC(model.LocationID(home), home)
-		sla := p.Bundle.PredictSLA(a.Spec.Terms, a.Offered, req.CPUPct, 0, 0, lat)
+		sla := p.Bundle.PredictSLABuf(&p.scratch, a.Spec.Terms, a.Offered, req.CPUPct, 0, 0, lat)
 		if sla < p.MinPredictedSLA {
 			return lifecycle.Reject, req
 		}

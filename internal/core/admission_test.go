@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/lifecycle"
 	"repro/internal/model"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
@@ -128,5 +129,34 @@ func TestAdmissionDisabled(t *testing.T) {
 	st := runner.Stats()
 	if st.Offered == 0 || st.Admitted != st.Offered {
 		t.Fatalf("admit-all gated something: %+v", st)
+	}
+}
+
+// constModel is a stand-in regressor for every bundle model.
+type constModel float64
+
+func (c constModel) Predict([]float64) float64 { return float64(c) }
+
+// TestAdmissionDecideZeroAlloc pins the deferral path's allocation
+// contract: a deferred offer re-enters decide every tick, so sizing it
+// with the bundle (and running the SLA gate) must reuse the policy's
+// scratch rather than allocate per call.
+func TestAdmissionDecideZeroAlloc(t *testing.T) {
+	m := constModel(0.5)
+	pol := AdmissionPolicy{
+		Bundle:          &predict.Bundle{VMCPU: m, VMMem: m, VMIn: m, VMOut: m, PMCPU: m, VMRT: m, VMSLA: m},
+		MinPredictedSLA: 0.1,
+	}
+	sc, _, mgr := churnManager(t, scenario.ChurnStorm, 11, pol)
+	o := &lifecycle.Offer{Arrival: &sc.Script.Arrivals[0]}
+	w := sc.World
+	fleet := fleetCommitmentOf(w)
+	adm := &mgr.cfg.Admission
+	adm.decide(w, 0, o, fleet, model.Resources{}) // warm the scratch
+	allocs := testing.AllocsPerRun(100, func() {
+		adm.decide(w, 0, o, fleet, model.Resources{})
+	})
+	if allocs != 0 {
+		t.Fatalf("decide: %v allocs per call, want 0", allocs)
 	}
 }

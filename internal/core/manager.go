@@ -515,8 +515,9 @@ func (m *Manager) stepLifecycle(tick int) error {
 		if dec == lifecycle.Admit {
 			var err error
 			if h, err = w.AdmitVM(o.Arrival.Spec); err != nil {
-				// Slot pressure the padded bound did not absorb: treat it
-				// as a capacity shortage (defer, reject past deadline).
+				// Slot pressure the padded bound did not absorb
+				// (sim.ErrSlotsExhausted): treat it as a capacity shortage
+				// (defer, reject past deadline).
 				dec = m.cfg.Admission.deferOrReject(tick, o)
 			} else {
 				m.pendingCommits = append(m.pendingCommits, pendingCommit{id: o.Arrival.Spec.ID, req: req})

@@ -3,6 +3,8 @@ package serve
 import (
 	"math"
 
+	"repro/internal/model"
+	"repro/internal/predict"
 	"repro/internal/stats"
 )
 
@@ -13,21 +15,41 @@ import (
 const minMAPEDenom = 0.05
 
 // Calibration is the accountability window of the SLA predictor: every
-// tick the engine loop records, per served VM, the model's predicted
-// fulfilment next to the fulfilment the simulated gateway then measured.
+// tick the engine loop records, per served VM, the model's prediction
+// inputs next to the fulfilment the simulated gateway then measured.
 // Report summarises the last N pairs as MAPE and Pearson correlation —
 // the same two numbers the paper's Table I uses to argue the models are
 // trustworthy, now computed continuously against live traffic.
 //
+// Predictions are made on read: Record keeps each pair's inputs,
+// including the immutable model set that was current at the time, and
+// Report predicts only the pairs recorded since the previous Report. A
+// pair's prediction is therefore the same pure function of the same
+// inputs whenever it runs, while a journal restore that replays
+// thousands of ticks before its first Report predicts at most one
+// window's worth of pairs.
+//
 // Owned by the engine-loop goroutine; queries read it through the
 // published snapshot, never directly.
 type Calibration struct {
-	window int
-	pred   []float64
-	obs    []float64
-	next   int // ring cursor
-	full   bool
-	total  int // lifetime pairs recorded
+	window  int
+	in      []calInput
+	pred    []float64
+	obs     []float64
+	next    int // ring cursor: the oldest pair once the window is full
+	total   int // lifetime pairs recorded
+	pending int // pairs recorded since the last Report (at most window)
+	scratch predict.Scratch
+}
+
+// calInput is one pair's prediction inputs: the model set and the SLA
+// model's features.
+type calInput struct {
+	bundle         *predict.Bundle // nil once the prediction is made
+	load           model.Load
+	grantedCPUPct  float64
+	memDeficitFrac float64
+	queueLen       float64
 }
 
 // NewCalibration builds a sliding window of n pairs (n <= 0 = 512).
@@ -37,22 +59,27 @@ func NewCalibration(n int) *Calibration {
 	}
 	return &Calibration{
 		window: n,
+		in:     make([]calInput, 0, n),
 		pred:   make([]float64, 0, n),
 		obs:    make([]float64, 0, n),
 	}
 }
 
-// Record appends one predicted/observed fulfilment pair, evicting the
-// oldest once the window is full.
-func (c *Calibration) Record(pred, obs float64) {
+// Record appends one pair, evicting the oldest once the window is full:
+// b's processing-SLA prediction for the given load, grant, memory
+// deficit and queue length, against the observed fulfilment obs. b must
+// not change afterwards (predict.Online.Current hands out such bundles).
+func (c *Calibration) Record(b *predict.Bundle, load model.Load, grantedCPUPct, memDeficitFrac, queueLen, obs float64) {
 	c.total++
-	if len(c.pred) < c.window {
-		c.pred = append(c.pred, pred)
+	c.pending = min(c.pending+1, c.window)
+	in := calInput{bundle: b, load: load, grantedCPUPct: grantedCPUPct, memDeficitFrac: memDeficitFrac, queueLen: queueLen}
+	if len(c.obs) < c.window {
+		c.in = append(c.in, in)
+		c.pred = append(c.pred, 0)
 		c.obs = append(c.obs, obs)
 		return
 	}
-	c.full = true
-	c.pred[c.next] = pred
+	c.in[c.next] = in
 	c.obs[c.next] = obs
 	c.next = (c.next + 1) % c.window
 }
@@ -71,10 +98,22 @@ type CalibrationReport struct {
 	PearsonR float64 `json:"pearson_r"`
 }
 
-// Report summarises the current window.
+// Report predicts the pairs recorded since the last Report, newest
+// first, then summarises the current window.
 func (c *Calibration) Report() CalibrationReport {
-	r := CalibrationReport{Pairs: len(c.pred), Total: c.total}
-	if len(c.pred) == 0 {
+	n := len(c.obs)
+	for i, k := c.next, 0; k < c.pending; k++ {
+		// Until the window fills, next stays 0 and the newest pair is the
+		// last one; after, the newest sits just behind the cursor.
+		i = (i - 1 + n) % n
+		in := &c.in[i]
+		c.pred[i], _ = in.bundle.PredictSLAProcBuf(&c.scratch, in.load, in.grantedCPUPct, in.memDeficitFrac, in.queueLen)
+		in.bundle = nil
+	}
+	c.pending = 0
+
+	r := CalibrationReport{Pairs: n, Total: c.total}
+	if n == 0 {
 		return r
 	}
 	var sum float64
@@ -85,7 +124,7 @@ func (c *Calibration) Report() CalibrationReport {
 		}
 		sum += math.Abs(c.pred[i]-c.obs[i]) / den
 	}
-	r.MAPE = sum / float64(len(c.pred))
+	r.MAPE = sum / float64(n)
 	r.PearsonR = stats.Correlation(c.pred, c.obs)
 	return r
 }

@@ -4,7 +4,29 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"repro/internal/model"
+	"repro/internal/predict"
 )
+
+// echoGrant is a stand-in SLA and RT model that predicts its granted-CPU
+// feature, so window tests choose each pair's prediction; calls counts
+// its predictions.
+type echoGrant struct{ calls *int }
+
+func (r echoGrant) Predict(x []float64) float64 {
+	if r.calls != nil {
+		*r.calls++
+	}
+	return x[2]
+}
+
+// record adds one pair whose prediction will be pred (in [0, 1]).
+func record(c *Calibration, b *predict.Bundle, pred, obs float64) {
+	c.Record(b, model.Load{}, pred, 0, 0, obs)
+}
+
+var echoBundle = &predict.Bundle{VMSLA: echoGrant{}, VMRT: echoGrant{}}
 
 // TestCalibrationWindow pins the sliding-window mechanics: pairs
 // accumulate to the window size, then evict oldest-first while the
@@ -15,7 +37,7 @@ func TestCalibrationWindow(t *testing.T) {
 		t.Fatalf("empty report %+v", r)
 	}
 	for i := 0; i < 5; i++ {
-		c.Record(float64(i), float64(i))
+		record(c, echoBundle, float64(i)/4, float64(i)/4)
 	}
 	r := c.Report()
 	if r.Pairs != 3 || r.Total != 5 {
@@ -30,12 +52,49 @@ func TestCalibrationWindow(t *testing.T) {
 	}
 }
 
+// TestCalibrationPredictsOnRead pins the lazy evaluation: Report
+// predicts only the pairs recorded since the previous Report, at most
+// one window's worth however many were recorded, each with the model
+// set it was recorded under.
+func TestCalibrationPredictsOnRead(t *testing.T) {
+	var calls int
+	counting := &predict.Bundle{VMSLA: echoGrant{calls: &calls}, VMRT: echoGrant{}}
+	c := NewCalibration(4)
+	for i := 0; i < 10; i++ {
+		record(c, counting, 0.5, 0.5)
+	}
+	if calls != 0 {
+		t.Fatalf("Record predicted %d times, want 0", calls)
+	}
+	if r := c.Report(); r.Pairs != 4 || r.Total != 10 || r.MAPE != 0 {
+		t.Fatalf("report %+v, want 4 exact pairs of 10", r)
+	}
+	if calls != 4 {
+		t.Fatalf("Report predicted %d pairs, want the window's 4", calls)
+	}
+	c.Report()
+	if calls != 4 {
+		t.Fatalf("a second Report predicted %d more pairs, want 0", calls-4)
+	}
+	// One new pair under another model set: only it is predicted, and
+	// the three older pairs keep their predictions.
+	half := &predict.Bundle{VMSLA: echoGrant{}, VMRT: echoGrant{}}
+	record(c, half, 0.25, 0.5)
+	r := c.Report()
+	if calls != 4 {
+		t.Fatalf("the old model set predicted again (%d calls)", calls)
+	}
+	if want := 0.5 / 4; math.Abs(r.MAPE-want) > 1e-12 {
+		t.Fatalf("MAPE %v, want %v", r.MAPE, want)
+	}
+}
+
 // TestCalibrationMAPEFloor pins the near-zero-denominator guard: an
 // observed SLA of 0 is measured against the 0.05 floor instead of
 // dividing by zero.
 func TestCalibrationMAPEFloor(t *testing.T) {
 	c := NewCalibration(4)
-	c.Record(0.5, 0)
+	record(c, echoBundle, 0.5, 0)
 	r := c.Report()
 	want := 0.5 / minMAPEDenom
 	if math.Abs(r.MAPE-want) > 1e-12 {
@@ -51,7 +110,7 @@ func TestCalibrationMAPEFloor(t *testing.T) {
 func TestCalibrationAnticorrelated(t *testing.T) {
 	c := NewCalibration(8)
 	for i := 0; i < 8; i++ {
-		c.Record(float64(i)/8, 1-float64(i)/8)
+		record(c, echoBundle, float64(i)/8, 1-float64(i)/8)
 	}
 	if r := c.Report(); r.PearsonR >= 0 {
 		t.Fatalf("PearsonR %v for anticorrelated pairs, want < 0", r.PearsonR)

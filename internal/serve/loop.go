@@ -193,6 +193,7 @@ type loop struct {
 	// Owner-goroutine state.
 	vms        map[string]*vmState
 	byID       map[model.VMID]*vmState
+	live       []*vmState // admitted, not yet departed, in admission order
 	nextID     int
 	decisions  []decision
 	batch      []Event
@@ -211,7 +212,6 @@ type loop struct {
 	linesMu sync.Mutex
 	lines   []string
 
-	calScratch predict.Scratch
 	// placeBuf is appendLog's reusable round-tick placement listing.
 	placeBuf []placeEntry
 }
@@ -446,7 +446,8 @@ const (
 // execTick executes one tick over an already-canonical batch. It is the
 // single code path shared by live ticks and journal restore — which is
 // the whole crash-safety argument: a restored run re-executes the exact
-// function the live run executed.
+// function the live run executed. Only the views wait while restoring:
+// the snapshot publish and the periodic checkpoint.
 func (l *loop) execTick(batch []Event) error {
 	t := l.world.Tick()
 	l.decisions = l.decisions[:0]
@@ -479,7 +480,21 @@ func (l *loop) execTick(batch []Event) error {
 	}
 	l.refreshVMs()
 	l.appendLog(t, &st)
-	l.publishTick(&st)
+	l.econ = tickEcon{
+		unplaced: st.UnplacedVMs,
+		avgSLA:   st.AvgSLA,
+		revenue:  st.RevenueEUR,
+		energy:   st.EnergyEUR,
+		penalty:  st.PenaltyEUR,
+		profit:   st.ProfitEUR,
+	}
+	if l.restoring {
+		// A restore replays state only: nobody can read a snapshot before
+		// newLoop publishes the restored one, and the crashed run's
+		// checkpoint must stay as it left it.
+		return nil
+	}
+	l.publish()
 	l.sinceCheckpoint++
 	if l.journal != nil && l.cfg.CheckpointEvery > 0 && l.sinceCheckpoint >= l.cfg.CheckpointEvery {
 		if err := l.checkpointNow(); err != nil {
@@ -551,6 +566,7 @@ func (l *loop) onResolve(tick int, a *lifecycle.Arrival, d lifecycle.Decision) {
 	case lifecycle.Admit:
 		vs.status = StatusAdmitted
 		vs.admitTick = tick
+		l.live = append(l.live, vs)
 		load := a.Offered
 		if vs.hasLoad {
 			load = vs.lastLoad
@@ -611,10 +627,11 @@ func (l *loop) observe(tick int) error {
 }
 
 // recordCalibration logs one predicted-vs-observed SLA pair per placed
-// VM: what the current models would have predicted for the load the
-// gateway actually saw, against the fulfilment the gateway measured. Both
-// sides are the processing component (transport is deterministic and
-// would only flatter the correlation).
+// VM: what the current models would predict for the load the gateway
+// actually saw, against the fulfilment the gateway measured. Both sides
+// are the processing component (transport is deterministic and would
+// only flatter the correlation). The prediction itself runs when the
+// window is next reported.
 func (l *loop) recordCalibration() {
 	if l.bundle == nil {
 		return
@@ -638,29 +655,25 @@ func (l *loop) recordCalibration() {
 			continue
 		}
 		memDef := predict.MemDeficitFrac(truth.Granted.MemMB, truth.Required.MemMB)
-		pred, _ := b.PredictSLAProcBuf(&l.calScratch, sample.Load, truth.Granted.CPUPct, memDef, sample.QueueLen)
-		l.calib.Record(pred, spec.Terms.Fulfilment(sample.RT))
+		l.calib.Record(b, sample.Load, truth.Granted.CPUPct, memDef, sample.QueueLen, spec.Terms.Fulfilment(sample.RT))
 	}
 }
 
 // refreshVMs reconciles per-VM status with the engine after the tick:
 // placements, fault evictions (back to admitted, awaiting re-home) and
-// departures. Map iteration order is irrelevant here — every entry is
-// updated independently from engine state.
+// departures. It walks only the live VMs and compacts the departed out
+// of that list, keeping admission order.
 func (l *loop) refreshVMs() {
 	st := l.world.State()
-	for _, vs := range l.byID {
-		switch vs.status {
-		case StatusAdmitted, StatusPlaced:
-		default:
-			continue
-		}
+	kept := l.live[:0]
+	for _, vs := range l.live {
 		if _, live := l.world.LookupVM(vs.id); !live {
 			vs.status = StatusDeparted
 			vs.host, vs.dc = model.NoPM, -1
 			l.overlay.Remove(vs.id)
 			continue
 		}
+		kept = append(kept, vs)
 		host := st.HostOf(vs.id)
 		if host == model.NoPM {
 			vs.status = StatusAdmitted
@@ -673,6 +686,7 @@ func (l *loop) refreshVMs() {
 			vs.dc = l.world.PMSpecAt(j).DC
 		}
 	}
+	l.live = kept
 }
 
 // appendLog emits the tick's deterministic placement-log line. The log is
@@ -758,24 +772,12 @@ type tickEcon struct {
 	avgSLA, revenue, energy, penalty, profit float64
 }
 
-// publishTick publishes the post-tick snapshot.
-func (l *loop) publishTick(st *sim.TickSummary) {
-	l.econ = tickEcon{
-		unplaced: st.UnplacedVMs,
-		avgSLA:   st.AvgSLA,
-		revenue:  st.RevenueEUR,
-		energy:   st.EnergyEUR,
-		penalty:  st.PenaltyEUR,
-		profit:   st.ProfitEUR,
-	}
-	l.publish()
-}
-
-// publish publishes a snapshot outside a tick (startup, fatal error).
+// publish publishes a fresh snapshot: after every live tick, at startup
+// (after any restore), and on checkpoint, drain and fatal error.
 func (l *loop) publish() { l.snap.Store(l.baseSnapshot()) }
 
-// baseSnapshot assembles the snapshot fields that do not come from
-// TickSummary. The returned value is immutable once stored.
+// baseSnapshot assembles the snapshot; the economics are the last
+// tick's. The returned value is immutable once stored.
 func (l *loop) baseSnapshot() *Snapshot {
 	s := &Snapshot{
 		Tick:             l.world.Tick(),
@@ -934,10 +936,12 @@ func writeTraceFile(path string, tr *obs.Tracer) error {
 	return f.Close()
 }
 
-// restore replays a journal through execTick — the exact live code path.
-// The checkpoint, when present, gates compatibility (scenario, seed,
-// round period; deliberately not TickWorkers) and cross-checks the
-// replayed placement log against the digest the crashed run certified.
+// restore replays a journal through execTick — the exact live code path,
+// minus the views: no snapshot is published and no checkpoint written
+// until the replay ends (newLoop publishes once). The checkpoint, when
+// present, gates compatibility (scenario, seed, round period;
+// deliberately not TickWorkers) and cross-checks the replayed placement
+// log against the digest the crashed run certified.
 func (l *loop) restore(prior []entry) error {
 	cp, hasCP, err := ReadCheckpoint(l.cfg.Dir)
 	if err != nil {
@@ -989,6 +993,11 @@ func (l *loop) restore(prior []entry) error {
 		if d != cp.LogDigest {
 			return fmt.Errorf("serve: restored placement log diverges from checkpoint (digest %016x != %016x)", d, cp.LogDigest)
 		}
+	}
+	// Resume the checkpoint cadence where the crashed run left it.
+	l.sinceCheckpoint = l.world.Tick()
+	if hasCP {
+		l.sinceCheckpoint -= cp.Tick
 	}
 	l.cfg.Logf("serve: restored %d journal entries to tick %d", len(prior), l.world.Tick())
 	return nil

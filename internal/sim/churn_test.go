@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/cluster"
@@ -59,6 +60,34 @@ func dynSpec(id model.VMID) model.VMSpec {
 	return model.VMSpec{
 		ID: id, Name: "dyn", ImageSizeGB: 4, BaseMemMB: 256, MaxMemMB: 1024,
 		Terms: model.DefaultSLATerms, PriceEURh: 0.17, HomeDC: 0,
+	}
+}
+
+// TestAdmitVMSlotsExhausted pins AdmitVM's full-world error: the
+// ErrSlotsExhausted sentinel, returned without allocating — a deferred
+// arrival retries admission every tick while slot pressure lasts.
+func TestAdmitVMSlotsExhausted(t *testing.T) {
+	stub := &stubLoad{rps: map[model.VMID]float64{}, cpuTime: 0.01}
+	eng := churnEngine(t, stub)
+	for _, id := range []model.VMID{100, 101} {
+		if _, err := eng.AdmitVM(dynSpec(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spec := dynSpec(102)
+	if _, err := eng.AdmitVM(spec); !errors.Is(err, sim.ErrSlotsExhausted) {
+		t.Fatalf("admission into a full world: %v, want ErrSlotsExhausted", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.AdmitVM(spec); err != sim.ErrSlotsExhausted {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AdmitVM into a full world: %v allocs, want 0", allocs)
+	}
+	if eng.NumActiveVMs() != 3 {
+		t.Fatalf("%d active VMs after refused admissions, want 3", eng.NumActiveVMs())
 	}
 }
 

@@ -1,10 +1,17 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/model"
 )
+
+// ErrSlotsExhausted is AdmitVM's error when every VM slot is live. It is
+// a sentinel, not a formatted error: callers that defer an arrival on
+// slot pressure hit it every tick the pressure lasts, and it must not
+// allocate.
+var ErrSlotsExhausted = errors.New("sim: VM slots exhausted")
 
 // VMHandle identifies one admitted VM for the lifetime of its admission.
 // Slots are reused once a VM retires (the engine keeps a free-list so the
@@ -28,7 +35,8 @@ func (e *World) ActiveVM(i int) bool {
 func (e *World) NumActiveVMs() int { return e.nActive }
 
 // VMSlotCap returns the total slot capacity (static population plus
-// Config.ExtraVMSlots). AdmitVM fails once every slot is live.
+// Config.ExtraVMSlots). AdmitVM fails with ErrSlotsExhausted once every
+// slot is live.
 func (e *World) VMSlotCap() int { return e.capVM }
 
 // HandleOf returns the current handle of slot i; ok is false for
@@ -77,7 +85,7 @@ func (e *World) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 		slot = e.nVM
 		e.nVM++
 	default:
-		return VMHandle{}, fmt.Errorf("sim: VM slots exhausted (%d live of %d)", e.nActive, e.capVM)
+		return VMHandle{}, ErrSlotsExhausted
 	}
 	if err := e.state.AddVM(spec); err != nil {
 		if fromFree {
