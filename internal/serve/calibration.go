@@ -36,16 +36,17 @@ type Calibration struct {
 	in      []calInput
 	pred    []float64
 	obs     []float64
-	next    int // ring cursor: the oldest pair once the window is full
+	next    int // ring cursor
 	total   int // lifetime pairs recorded
-	pending int // pairs recorded since the last Report (at most window)
 	scratch predict.Scratch
 }
 
 // calInput is one pair's prediction inputs: the model set and the SLA
 // model's features.
 type calInput struct {
-	bundle         *predict.Bundle // nil once the prediction is made
+	// bundle is nil once the pair is predicted, which marks it done and
+	// keeps the window from pinning retired model sets.
+	bundle         *predict.Bundle
 	load           model.Load
 	grantedCPUPct  float64
 	memDeficitFrac float64
@@ -68,10 +69,10 @@ func NewCalibration(n int) *Calibration {
 // Record appends one pair, evicting the oldest once the window is full:
 // b's processing-SLA prediction for the given load, grant, memory
 // deficit and queue length, against the observed fulfilment obs. b must
-// not change afterwards (predict.Online.Current hands out such bundles).
+// be non-nil and must not change afterwards (predict.Online.Current hands
+// out such bundles).
 func (c *Calibration) Record(b *predict.Bundle, load model.Load, grantedCPUPct, memDeficitFrac, queueLen, obs float64) {
 	c.total++
-	c.pending = min(c.pending+1, c.window)
 	in := calInput{bundle: b, load: load, grantedCPUPct: grantedCPUPct, memDeficitFrac: memDeficitFrac, queueLen: queueLen}
 	if len(c.obs) < c.window {
 		c.in = append(c.in, in)
@@ -98,20 +99,19 @@ type CalibrationReport struct {
 	PearsonR float64 `json:"pearson_r"`
 }
 
-// Report predicts the pairs recorded since the last Report, newest
-// first, then summarises the current window.
+// Report predicts the pairs recorded since the last Report, then
+// summarises the current window.
 func (c *Calibration) Report() CalibrationReport {
-	n := len(c.obs)
-	for i, k := c.next, 0; k < c.pending; k++ {
-		// Until the window fills, next stays 0 and the newest pair is the
-		// last one; after, the newest sits just behind the cursor.
-		i = (i - 1 + n) % n
+	for i := range c.in {
 		in := &c.in[i]
+		if in.bundle == nil {
+			continue
+		}
 		c.pred[i], _ = in.bundle.PredictSLAProcBuf(&c.scratch, in.load, in.grantedCPUPct, in.memDeficitFrac, in.queueLen)
 		in.bundle = nil
 	}
-	c.pending = 0
 
+	n := len(c.obs)
 	r := CalibrationReport{Pairs: n, Total: c.total}
 	if n == 0 {
 		return r
