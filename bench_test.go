@@ -315,7 +315,9 @@ func BenchmarkBestFitRound(b *testing.B) {
 // preset: 1000 VMs over 402 hosts in six DCs, scheduled as one flat
 // problem). This is the decision-maker hot path the allocation-free Round
 // refactor and the flat ML inference layouts target; AllocsPerRun
-// coverage lives in sched_alloc_test.go.
+// coverage lives in sched_alloc_test.go. Each size also reports the
+// round's SLA k-NN queries, the leaves and points they scanned, and its
+// marginal-watts memo calls and misses.
 func BenchmarkScheduleRound(b *testing.B) {
 	bundle, err := experiments.TrainedBundle(benchSeed)
 	if err != nil {
@@ -363,6 +365,14 @@ func BenchmarkScheduleRound(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			// The inference work of one (serial) round, identical in every
+			// iteration.
+			st := bf.LastRoundStats()
+			b.ReportMetric(float64(st.KNNQueries), "knn-queries/op")
+			b.ReportMetric(float64(st.KNNLeaves), "knn-leaves/op")
+			b.ReportMetric(float64(st.KNNPoints), "knn-points/op")
+			b.ReportMetric(float64(st.EnergyMemoHits+st.EnergyMemoMisses), "memo-calls/op")
+			b.ReportMetric(float64(st.EnergyMemoMisses), "memo-misses/op")
 		})
 	}
 }

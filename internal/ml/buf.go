@@ -9,7 +9,27 @@ type Buf struct {
 	row    []float64
 	heap   neighborHeap
 	sorted []neighbor
-	stack  []kdTask
+	stack  []int32
+	// Work accumulates the k-NN work done through this Buf.
+	Work KNNWork
+}
+
+// KNNWork counts k-NN search work: queries answered, kd-tree leaves
+// scanned and training points compared against the query (a brute-force
+// query compares every point and scans no leaf). The counts are
+// cumulative; diff two readings to measure the work in between.
+type KNNWork struct {
+	Queries, Leaves, Points int64
+}
+
+// Add returns the element-wise sum of w and o.
+func (w KNNWork) Add(o KNNWork) KNNWork {
+	return KNNWork{w.Queries + o.Queries, w.Leaves + o.Leaves, w.Points + o.Points}
+}
+
+// Sub returns the element-wise difference w - o.
+func (w KNNWork) Sub(o KNNWork) KNNWork {
+	return KNNWork{w.Queries - o.Queries, w.Leaves - o.Leaves, w.Points - o.Points}
 }
 
 // BufferedRegressor is a Regressor with an allocation-free prediction path

@@ -13,17 +13,24 @@ import (
 // over adjacent memory. Interior nodes hold no points — they only split —
 // which is what lets the scan stay branch-light.
 //
-// The k-nearest set it returns is identical to the classic
-// one-point-per-node tree's (and to brute force) up to exact distance
-// ties: pruning uses the strict d2 < bound test matching the heap's
-// strict acceptance, so a skipped subtree can only hold points that would
-// have been rejected anyway.
+// Every node also carries the tight bounding box of the points beneath
+// it. The search skips a subtree or leaf whose box lies at or beyond the
+// current worst-of-k distance (see boxWithin): a box bounds all of its
+// points on every axis at once, where a splitting plane bounds them on
+// one. The box distance never exceeds the computed distance of any point
+// inside, so a skipped point would have failed the heap's strict
+// d2 < worst acceptance anyway — the heap evolves step for step as in an
+// unpruned scan, and the k-nearest set is identical to brute force's up
+// to exact distance ties.
 type kdTree struct {
 	// Per-node columns, index-parallel. count[id] > 0 marks a leaf.
 	axis   []int32   // interior: split axis
 	thresh []float64 // interior: split value (left side strictly below)
 	first  []int32   // interior: left child id; leaf: first point slot
 	count  []int32   // leaf: points in the bucket; 0 for interior
+	// box is node-major: box[id*2*dims:][:dims] is the node's lower
+	// corner, the next dims values its upper corner.
+	box []float64
 
 	// Point storage in tree order.
 	coords []float64 // slot-major rows: coords[slot*dims : (slot+1)*dims]
@@ -74,6 +81,7 @@ func (b *kdBuilder) alloc(n int) int32 {
 		t.first = append(t.first, 0)
 		t.count = append(t.count, 0)
 	}
+	t.box = append(t.box, make([]float64, 2*n*t.dims)...)
 	return id
 }
 
@@ -117,6 +125,14 @@ func (b *kdBuilder) fill(id int32, idx []int) {
 	t.count[id] = 0
 	b.fill(left, idx[:mid])
 	b.fill(left+1, idx[mid:])
+	// An interior box is the union of its children's.
+	lo, hi := t.nodeBox(id)
+	llo, lhi := t.nodeBox(left)
+	rlo, rhi := t.nodeBox(left + 1)
+	for d := range lo {
+		lo[d] = min(llo[d], rlo[d])
+		hi[d] = max(lhi[d], rhi[d])
+	}
 }
 
 // leaf copies the bucket's points into the contiguous backing array.
@@ -124,10 +140,23 @@ func (b *kdBuilder) leaf(id int32, idx []int) {
 	t := b.t
 	t.first[id] = int32(len(t.ptIdx))
 	t.count[id] = int32(len(idx))
+	lo, hi := t.nodeBox(id)
+	copy(lo, b.points[idx[0]])
+	copy(hi, b.points[idx[0]])
 	for _, p := range idx {
 		t.ptIdx = append(t.ptIdx, int32(p))
 		t.coords = append(t.coords, b.points[p]...)
+		for d, v := range b.points[p] {
+			lo[d] = min(lo[d], v)
+			hi[d] = max(hi[d], v)
+		}
 	}
+}
+
+// nodeBox returns views of node id's lower and upper box corners.
+func (t *kdTree) nodeBox(id int32) (lo, hi []float64) {
+	off := int(id) * 2 * t.dims
+	return t.box[off : off+t.dims], t.box[off+t.dims : off+2*t.dims]
 }
 
 func (b *kdBuilder) widestAxis(idx []int) int {
@@ -169,60 +198,85 @@ func (s *kdAxisSorter) Less(a, b int) bool {
 }
 func (s *kdAxisSorter) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-// kdTask is one deferred far-subtree visit on the iterative search stack:
-// the node to descend into and the squared distance from the query to the
-// splitting plane guarding it.
-type kdTask struct {
-	id    int32
-	diff2 float64
-}
-
-// search collects the k nearest stored points to q into the caller's heap
-// (callers drain it with sortedInto for ascending-distance order). stack
-// is reusable traversal scratch: it grows once to the tree depth and is
-// then shared by every query of a batch, so repeated searches allocate
-// nothing.
+// search collects the k nearest stored points to q into b's heap (callers
+// drain it with sortedInto for ascending-distance order) and adds the
+// query, the leaves it scanned and their points to b.Work. b's stack is
+// reusable traversal scratch: it grows once to the tree depth and is then
+// shared by every query of a batch, so repeated searches allocate nothing.
 //
 // The traversal is the classic near-first recursion made iterative:
-// descend to the nearest leaf, pushing every far sibling with its plane
-// distance, scan the leaf, then pop. The stack is LIFO, so a far entry is
-// popped exactly when its near sibling's subtree has completed — the heap
-// bound at pop time equals the bound the recursion would have tested after
-// returning from the near call. Visit order, pruning decisions and
-// therefore results are bit-identical to the recursive form.
-func (t *kdTree) search(q []float64, k int, h *neighborHeap, stack *[]kdTask) {
+// descend to the nearest leaf, pushing every far sibling, scan the leaf,
+// then pop. The stack is LIFO, so a far entry is popped exactly when its
+// near sibling's subtree has completed. Once the heap holds k candidates,
+// a popped subtree or a reached leaf whose box is not strictly nearer
+// than the worst of them is skipped: none of its points could enter the
+// heap, so the heap changes exactly as in an unpruned scan of the same
+// leaf order, and so exactly as under plane-only pruning (the test oracle).
+func (t *kdTree) search(q []float64, k int, b *Buf) {
 	if len(t.first) == 0 {
 		return
 	}
-	st := (*stack)[:0]
+	h := &b.heap
+	st := b.stack[:0]
+	b.Work.Queries++
 	id := int32(0)
 	for {
 		for t.count[id] == 0 {
-			diff := q[t.axis[id]] - t.thresh[id]
 			near := t.first[id]
 			far := near + 1
-			if diff > 0 {
+			if q[t.axis[id]]-t.thresh[id] > 0 {
 				near, far = far, near
 			}
-			st = append(st, kdTask{far, diff * diff})
+			st = append(st, far)
 			id = near
 		}
-		t.scanLeaf(id, q, k, h)
-		// Pop the next surviving far subtree. The prune test is the same
-		// h.Len() < k || diff² < worst-of-k test the recursion applies.
+		if h.Len() < k || t.boxWithin(id, q, (*h)[0].d2) {
+			t.scanLeaf(id, q, k, h)
+			b.Work.Leaves++
+			b.Work.Points += int64(t.count[id])
+		}
 		for {
 			if len(st) == 0 {
-				*stack = st
+				b.stack = st
 				return
 			}
-			e := st[len(st)-1]
+			id = st[len(st)-1]
 			st = st[:len(st)-1]
-			if h.Len() < k || e.diff2 < (*h)[0].d2 {
-				id = e.id
+			if h.Len() < k || t.boxWithin(id, q, (*h)[0].d2) {
 				break
 			}
 		}
 	}
+}
+
+// boxWithin reports whether node id's box lies strictly nearer to q than
+// bound. The box distance sums, in dimension order like sqDist, the
+// squared gap from q to the box on every axis q lies outside of (axes
+// inside contribute nothing). Float subtraction, squaring and addition
+// are monotone, and every point p of the box is at least as far from q as
+// the box on each axis, so the sum never exceeds the computed sqDist of
+// any point in the box: when it reaches bound, every point there fails
+// the strict d2 < bound test. Partial sums only grow, so it stops at the
+// first axis that reaches bound.
+func (t *kdTree) boxWithin(id int32, q []float64, bound float64) bool {
+	lo, hi := t.nodeBox(id)
+	lo, hi = lo[:len(q)], hi[:len(q)]
+	var s float64
+	for i, v := range q {
+		var d float64
+		if v < lo[i] {
+			d = v - lo[i]
+		} else if v > hi[i] {
+			d = v - hi[i]
+		} else {
+			continue
+		}
+		s += d * d
+		if s >= bound {
+			return false
+		}
+	}
+	return true
 }
 
 // scanLeaf runs one leaf bucket through the neighbour heap. The warm-up

@@ -75,9 +75,9 @@ func (k *KNN) PredictBuf(x []float64, b *Buf) float64 {
 	b.row = k.std.ApplyInto(b.row, x)
 	b.heap = b.heap[:0]
 	if k.tree != nil {
-		k.tree.search(b.row, k.cfg.K, &b.heap, &b.stack)
+		k.tree.search(b.row, k.cfg.K, b)
 	} else {
-		k.bruteSearch(b.row, &b.heap)
+		k.bruteSearch(b.row, b)
 	}
 	b.sorted = b.heap.sortedInto(b.sorted[:0])
 	return k.blend(b.sorted)
@@ -117,15 +117,14 @@ func (k *KNN) PredictBatchBuf(xs []float64, n int, out []float64, b *Buf) {
 // Neighbors exposes the raw nearest neighbours (index, squared distance)
 // for diagnostics and tests.
 func (k *KNN) Neighbors(x []float64) []neighborInfo {
-	q := k.std.Apply(x)
-	var h neighborHeap
-	var stack []kdTask
+	var b Buf
+	b.row = k.std.Apply(x)
 	if k.tree != nil {
-		k.tree.search(q, k.cfg.K, &h, &stack)
+		k.tree.search(b.row, k.cfg.K, &b)
 	} else {
-		k.bruteSearch(q, &h)
+		k.bruteSearch(b.row, &b)
 	}
-	nb := h.sortedInto(nil)
+	nb := b.heap.sortedInto(nil)
 	out := make([]neighborInfo, len(nb))
 	for i, n := range nb {
 		out[i] = neighborInfo{Index: n.idx, Dist2: n.d2, Y: k.y[n.idx]}
@@ -144,7 +143,12 @@ type neighbor struct {
 	d2  float64
 }
 
-func (k *KNN) bruteSearch(q []float64, h *neighborHeap) {
+// bruteSearch is search without the index: every training row is
+// compared against q.
+func (k *KNN) bruteSearch(q []float64, b *Buf) {
+	h := &b.heap
+	b.Work.Queries++
+	b.Work.Points += int64(len(k.x))
 	for i, row := range k.x {
 		d2 := sqDist(q, row)
 		if h.Len() < k.cfg.K {

@@ -134,6 +134,9 @@ type Scratch struct {
 	buf  ml.Buf
 }
 
+// KNNWork returns the k-NN search work done through s so far.
+func (s *Scratch) KNNWork() ml.KNNWork { return s.buf.Work }
+
 // PredictVMResources anticipates the resources a VM will need to serve the
 // given load — the replacement for reading stale monitors (Section IV-B).
 func (b *Bundle) PredictVMResources(load model.Load, queueLen float64) model.Resources {

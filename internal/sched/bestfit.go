@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/par"
 )
@@ -83,6 +84,39 @@ type RoundStats struct {
 	// truncation — the disclosed divergence from the exhaustive scan.
 	// Always 0 when PruneK <= 0.
 	ShortlistTruncated int
+	// Inference work, summed over the scratches the round ran on: SLA
+	// k-NN queries and the kd-tree leaves and training points they
+	// scanned, and marginal-watts memo lookups served by the memo (hits)
+	// or by the PM-CPU model (misses). Serial rounds make these pure
+	// functions of the problem. Parallel scoring splits each VM's
+	// candidates among per-worker memos through a self-scheduled cursor,
+	// so its scoring-phase counts vary from run to run.
+	KNNQueries       int
+	KNNLeaves        int
+	KNNPoints        int
+	EnergyMemoHits   int
+	EnergyMemoMisses int
+}
+
+// scratchWork is the cumulative inference work counted in scratches.
+type scratchWork struct {
+	knn                  ml.KNNWork
+	memoHits, memoMisses int64
+}
+
+// add returns w plus the counts of s.
+func (w scratchWork) add(s *Scratch) scratchWork {
+	return scratchWork{w.knn.Add(s.Predict.KNNWork()), w.memoHits + s.eHits, w.memoMisses + s.eMisses}
+}
+
+// work sums the inference counts of every scratch a round may run on:
+// the round's own (serial fill and scoring) and the per-worker ones.
+func (b *BestFit) work() scratchWork {
+	w := scratchWork{}.add(&b.round.scratch)
+	for i := range b.scratches {
+		w = w.add(&b.scratches[i])
+	}
+	return w
 }
 
 // RoundStatsReporter is implemented by schedulers exposing per-round phase
@@ -161,6 +195,7 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 	r := &b.round
 	r.SetPrune(b.Prune)
 	rebuilds0 := r.PruneRebuilds()
+	work0 := b.work()
 	start := time.Now()
 	if err := r.ResetParallel(p, b.Cost, b.Est, workers, b.scratches); err != nil {
 		return err
@@ -257,6 +292,8 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 	}
 	fillNS := r.FillNS()
 	total := time.Since(start).Nanoseconds()
+	work := b.work()
+	knn := work.knn.Sub(work0.knn)
 	reduceNS := total - fillNS - scoreNS
 	if reduceNS < 0 {
 		reduceNS = 0
@@ -267,6 +304,11 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 		CandidatesScored:   scored,
 		ShortlistRebuilds:  r.PruneRebuilds() - rebuilds0,
 		ShortlistTruncated: truncated,
+		KNNQueries:         int(knn.Queries),
+		KNNLeaves:          int(knn.Leaves),
+		KNNPoints:          int(knn.Points),
+		EnergyMemoHits:     int(work.memoHits - work0.memoHits),
+		EnergyMemoMisses:   int(work.memoMisses - work0.memoMisses),
 	}
 	if b.met != nil {
 		b.met.record(&b.stats)

@@ -55,6 +55,9 @@ type Scratch struct {
 	eLastW float64
 	eKeys  [energyCacheSize]energyKey
 	eWatts [energyCacheSize]float64
+	// Cumulative memo lookups answered from the memo and lookups that
+	// ran the PM-CPU model.
+	eHits, eMisses int64
 }
 
 // energyCacheSize is the direct-mapped marginal-energy table size (power
@@ -80,6 +83,7 @@ func (s *Scratch) marginalWatts(r *Round, i, j int, vmCPU float64) float64 {
 	guests, sumCPU, sumRPS, cap := r.hGuests[j], r.hSumCPU[j], r.hSumRPS[j], r.hCapCPU[j]
 	if l := &s.eLast; l.epoch == s.eEpoch && l.guests == guests && l.sumCPU == sumCPU &&
 		l.sumRPS == sumRPS && l.cap == cap && l.vmCPU == vmCPU {
+		s.eHits++
 		return s.eLastW
 	}
 	h := math.Float64bits(sumCPU)
@@ -91,8 +95,10 @@ func (s *Scratch) marginalWatts(r *Round, i, j int, vmCPU float64) float64 {
 	if e.epoch == s.eEpoch && e.guests == guests && e.sumCPU == sumCPU &&
 		e.sumRPS == sumRPS && e.cap == cap && e.vmCPU == vmCPU {
 		s.eLast, s.eLastW = *e, s.eWatts[slot]
+		s.eHits++
 		return s.eWatts[slot]
 	}
+	s.eMisses++
 	newPM := r.est.PMCPU(guests+1, sumCPU+vmCPU, sumRPS+r.vms[i].Total.RPS, s)
 	newPM = clampF(newPM, 0, cap)
 	w := r.facilityWatts(newPM) - r.hWattsBefore[j]

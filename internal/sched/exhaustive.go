@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/model"
 )
@@ -23,10 +22,11 @@ type Exhaustive struct {
 	Est  Estimator
 	// Prune enables the branch-and-bound optimistic bound.
 	Prune bool
-	// Budget bounds the search wall-clock; on expiry the incumbent (always
-	// at least as good as Best-Fit's solution) is returned. Zero means no
-	// limit.
-	Budget time.Duration
+	// NodeBudget bounds the search to that many explored nodes; on expiry
+	// the incumbent (always at least as good as Best-Fit's solution) is
+	// returned. Counting nodes rather than wall-clock time keeps the
+	// result and Nodes() independent of the machine. Zero means no limit.
+	NodeBudget int64
 	// nodes counts explored search nodes (exposed for the scaling bench).
 	nodes int64
 }
@@ -86,16 +86,12 @@ func (e *Exhaustive) Schedule(p *Problem) (model.Placement, error) {
 	assign := make([]int, n)
 	bestAssign := make([]int, n)
 	haveBest := false
-	deadline := time.Time{}
-	if e.Budget > 0 {
-		deadline = time.Now().Add(e.Budget)
-	}
 	var dfs func(i int, acc float64) bool // returns false on budget expiry
 	dfs = func(i int, acc float64) bool {
-		e.nodes++
-		if !deadline.IsZero() && e.nodes%1024 == 0 && time.Now().After(deadline) {
+		if e.NodeBudget > 0 && e.nodes >= e.NodeBudget {
 			return false
 		}
+		e.nodes++
 		if i == n {
 			if acc > incumbent {
 				incumbent = acc

@@ -8,9 +8,13 @@ import (
 // from the RoundStats ScheduleInto already computes — the counters
 // (candidates scored, filled rows, shortlist activity) are
 // deterministic, the phase histograms (fill/score/reduce and the whole
-// round) are wall-clock and registered as such. Recording is a handful
-// of atomic operations, so an instrumented round keeps the steady-state
-// zero-alloc contract.
+// round) are wall-clock and registered as such. The inference-work
+// counters (k-NN queries, leaves and points scanned, marginal-watts memo
+// hits and misses) are deterministic for serial rounds only — parallel
+// scoring makes them depend on the worker schedule — so they are marked
+// WallClock too and stay out of the deterministic snapshot and the sweep
+// output built from it. Recording is a handful of atomic operations, so
+// an instrumented round keeps the steady-state zero-alloc contract.
 type Metrics struct {
 	Rounds           *obs.Counter
 	CandidatesScored *obs.Counter
@@ -21,6 +25,11 @@ type Metrics struct {
 	RowsRecomputed     *obs.Counter
 	ShortlistRebuilds  *obs.Counter
 	ShortlistTruncated *obs.Counter
+	KNNQueries         *obs.Counter
+	KNNLeaves          *obs.Counter
+	KNNPoints          *obs.Counter
+	EnergyMemoHits     *obs.Counter
+	EnergyMemoMisses   *obs.Counter
 	RoundSeconds       *obs.Histogram
 	FillSeconds        *obs.Histogram
 	ScoreSeconds       *obs.Histogram
@@ -43,6 +52,16 @@ func NewSchedMetrics(r *obs.Registry) *Metrics {
 			"Full prune-index rebuilds."),
 		ShortlistTruncated: r.Counter("mdcsim_sched_shortlist_truncated_total",
 			"Host-state classes dropped by PruneK truncation."),
+		KNNQueries: r.Counter("mdcsim_sched_knn_queries_total",
+			"SLA k-NN queries answered by scheduling rounds.", obs.WallClock()),
+		KNNLeaves: r.Counter("mdcsim_sched_knn_leaves_scanned_total",
+			"kd-tree leaves the rounds' k-NN queries scanned.", obs.WallClock()),
+		KNNPoints: r.Counter("mdcsim_sched_knn_points_scanned_total",
+			"Training points the rounds' k-NN queries compared against.", obs.WallClock()),
+		EnergyMemoHits: r.Counter("mdcsim_sched_energy_memo_hits_total",
+			"Marginal-watts lookups served by the per-VM memo.", obs.WallClock()),
+		EnergyMemoMisses: r.Counter("mdcsim_sched_energy_memo_misses_total",
+			"Marginal-watts lookups that ran the PM-CPU model.", obs.WallClock()),
 		RoundSeconds: r.Histogram("mdcsim_sched_round_seconds",
 			"Whole-round wall latency.", buckets, obs.WallClock()),
 		FillSeconds: r.Histogram("mdcsim_sched_fill_seconds",
@@ -65,6 +84,11 @@ func (m *Metrics) record(st *RoundStats) {
 	m.RowsRecomputed.Add(uint64(st.RowsRecomputed))
 	m.ShortlistRebuilds.Add(uint64(st.ShortlistRebuilds))
 	m.ShortlistTruncated.Add(uint64(st.ShortlistTruncated))
+	m.KNNQueries.Add(uint64(st.KNNQueries))
+	m.KNNLeaves.Add(uint64(st.KNNLeaves))
+	m.KNNPoints.Add(uint64(st.KNNPoints))
+	m.EnergyMemoHits.Add(uint64(st.EnergyMemoHits))
+	m.EnergyMemoMisses.Add(uint64(st.EnergyMemoMisses))
 	m.RoundSeconds.Observe(float64(st.FillNS+st.ScoreNS+st.ReduceNS) / 1e9)
 	m.FillSeconds.Observe(float64(st.FillNS) / 1e9)
 	m.ScoreSeconds.Observe(float64(st.ScoreNS) / 1e9)

@@ -89,10 +89,9 @@ func TestBestFitAlwaysPlacesEveryVMProperty(t *testing.T) {
 	}
 }
 
-// TestExhaustiveBudgetExpiryFallsBack: with an absurd instance and a tiny
-// budget, the solver must return the Best-Fit fallback promptly instead of
-// hanging.
-func TestExhaustiveBudgetExpiryFallsBack(t *testing.T) {
+// budgetProblem is an instance far too large to enumerate: 12 VMs on 8
+// hosts is 8^12 ≈ 69G leaves.
+func budgetProblem() (*Problem, *fakeEstimator) {
 	var vms []VMInfo
 	est := &fakeEstimator{req: map[model.VMID]model.Resources{}}
 	for i := 0; i < 12; i++ {
@@ -104,17 +103,60 @@ func TestExhaustiveBudgetExpiryFallsBack(t *testing.T) {
 	for j := 0; j < 8; j++ {
 		hosts = append(hosts, mkHost(j, j%4))
 	}
-	ex := &Exhaustive{Cost: paperCost(), Est: est, Budget: 5 * time.Millisecond}
+	return &Problem{VMs: vms, Hosts: hosts}, est
+}
+
+// TestExhaustiveBudgetExpiryFallsBack: with an absurd instance and a small
+// node budget, the solver must stop at exactly the budget and return a
+// complete placement (the incumbent or the Best-Fit fallback) promptly
+// instead of hanging.
+func TestExhaustiveBudgetExpiryFallsBack(t *testing.T) {
+	p, est := budgetProblem()
+	const budget = 5000
+	ex := &Exhaustive{Cost: paperCost(), Est: est, NodeBudget: budget}
 	start := time.Now()
-	placement, err := ex.Schedule(&Problem{VMs: vms, Hosts: hosts})
+	placement, err := ex.Schedule(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatalf("budget ignored: took %v", time.Since(start))
 	}
-	if len(placement) != len(vms) {
-		t.Fatalf("fallback placement incomplete: %d/%d", len(placement), len(vms))
+	if ex.Nodes() != budget {
+		t.Fatalf("explored %d nodes, budget %d", ex.Nodes(), budget)
+	}
+	if len(placement) != len(p.VMs) {
+		t.Fatalf("fallback placement incomplete: %d/%d", len(placement), len(p.VMs))
+	}
+}
+
+// TestExhaustiveNodeBudgetDeterministic: the budget counts nodes, not
+// time, so two runs that hit it — plain enumeration and branch-and-bound
+// alike — explore the same number of nodes and return the same placement.
+func TestExhaustiveNodeBudgetDeterministic(t *testing.T) {
+	for _, tc := range []struct {
+		prune  bool
+		budget int64
+	}{{false, 20000}, {true, 500}} { // branch-and-bound finishes this one in 913
+		p, est := budgetProblem()
+		var nodes []int64
+		var placements []model.Placement
+		for run := 0; run < 2; run++ {
+			ex := &Exhaustive{Cost: paperCost(), Est: est, Prune: tc.prune, NodeBudget: tc.budget}
+			placement, err := ex.Schedule(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, ex.Nodes())
+			placements = append(placements, placement)
+		}
+		if nodes[0] != tc.budget {
+			t.Fatalf("prune=%v: explored %d nodes, want the whole budget of %d", tc.prune, nodes[0], tc.budget)
+		}
+		if nodes[0] != nodes[1] || !placements[0].Equal(placements[1]) {
+			t.Fatalf("prune=%v: runs differ: %d vs %d nodes, placements %v vs %v",
+				tc.prune, nodes[0], nodes[1], placements[0], placements[1])
+		}
 	}
 }
 
