@@ -229,7 +229,7 @@ func serveReport(addr string) error {
 		fmt.Printf("journal: %d entries, %d bytes | last checkpoint at tick %d\n",
 			h.JournalEntries, h.JournalBytes, h.LastCheckpoint)
 	}
-	if err := metricsSummary(addr); err != nil {
+	if err := metricsSummary(os.Stdout, addr); err != nil {
 		fmt.Printf("metrics: unavailable (%v)\n", err)
 	}
 	if h.Err != "" {
@@ -239,10 +239,11 @@ func serveReport(addr string) error {
 	return nil
 }
 
-// metricsSummary scrapes /metrics and prints the operational core of the
-// registry: intake and engine throughput, scheduler memo efficiency, and
-// the wall-clock latency histograms' means.
-func metricsSummary(addr string) error {
+// metricsSummary scrapes /metrics and writes the operational core of the
+// registry to w: intake counts, the engine tick and the whole tick barrier
+// (drain, journal, flush, execute) as separate means, the WAL fsync mean,
+// the scheduler's rounds and candidates per round, retrains and runtime.
+func metricsSummary(w io.Writer, addr string) error {
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		return err
@@ -275,7 +276,7 @@ func metricsSummary(addr string) error {
 		}
 		return 0
 	}
-	fmt.Printf("metrics: %d families | intake: %.0f accepted, %.0f applied, %.0f over-capacity 429s\n",
+	fmt.Fprintf(w, "metrics: %d families | intake: %.0f accepted, %.0f applied, %.0f over-capacity 429s\n",
 		len(fams),
 		val("mdcsim_serve_events_accepted_total"),
 		val("mdcsim_serve_events_applied_total"),
@@ -285,11 +286,12 @@ func metricsSummary(addr string) error {
 	if rounds > 0 {
 		perRound = val("mdcsim_sched_candidates_scored_total") / rounds
 	}
-	fmt.Printf("metrics: engine %.0f ticks (mean %.3fms) | wal fsync mean %.3fms | sched %.0f rounds, %.1f candidates scored/round\n",
-		val("mdcsim_engine_ticks_total"), mean("mdcsim_serve_tick_seconds")*1e3,
+	fmt.Fprintf(w, "metrics: engine %.0f ticks (mean %.3fms) | tick barrier mean %.3fms | wal fsync mean %.3fms | sched %.0f rounds, %.1f candidates scored/round\n",
+		val("mdcsim_engine_ticks_total"), mean("mdcsim_engine_tick_seconds")*1e3,
+		mean("mdcsim_serve_tick_seconds")*1e3,
 		mean("mdcsim_serve_wal_fsync_seconds")*1e3,
 		rounds, perRound)
-	fmt.Printf("metrics: retrain %.0f kicked, %.0f adopted, %.0f failed | runtime %.0f goroutines, %.1f MiB heap\n",
+	fmt.Fprintf(w, "metrics: retrain %.0f kicked, %.0f adopted, %.0f failed | runtime %.0f goroutines, %.1f MiB heap\n",
 		val("mdcsim_serve_retrain_kicked_total"),
 		val("mdcsim_serve_retrain_adopted_total"),
 		val("mdcsim_serve_retrain_failed_total"),

@@ -149,37 +149,6 @@ func TestHierarchicalProducesValidPlacement(t *testing.T) {
 	}
 }
 
-func TestHierarchicalPruneParity(t *testing.T) {
-	sc := testScenario(t, scenario.Spec{VMs: 8, PMsPerDC: 3, DCs: 4})
-	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-		t.Fatal(err)
-	}
-	sc.World.Run(12, nil)
-	mk := func(prune bool) *Hierarchical {
-		h := NewHierarchical(sc.Inventory, costFor(sc), sched.NewObserved())
-		h.Prune = prune
-		return h
-	}
-	m, _ := NewManager(ManagerConfig{World: sc.World, Scheduler: mk(false)})
-	p := m.BuildProblem()
-	want, err := mk(false).Schedule(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned := mk(true)
-	// Two rounds: the second runs against the incrementally re-keyed
-	// shortlists of the per-DC local rounds.
-	for pass := 0; pass < 2; pass++ {
-		got, err := pruned.Schedule(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("pass %d: pruned hierarchical placement diverged", pass)
-		}
-	}
-}
-
 func TestHierarchicalHandlesHomelessVMs(t *testing.T) {
 	sc := testScenario(t, scenario.Spec{VMs: 3, PMsPerDC: 1, DCs: 2})
 	// No initial placement: every VM is homeless and must enter via the

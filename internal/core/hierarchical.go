@@ -33,13 +33,6 @@ type Hierarchical struct {
 	MaxExportsPerDC int
 	// HostsPerDC is how many candidate hosts each DC exports.
 	HostsPerDC int
-	// Workers bounds the per-DC parallelism of the local rounds.
-	Workers int
-	// Prune and PruneK propagate candidate pruning to the local and global
-	// Best-Fit layers (see sched.BestFit.Prune): each layer's Round keeps
-	// its own host-state shortlist index over its own candidate set.
-	Prune  bool
-	PruneK int
 
 	// Reused per-DC local schedulers plus the global-round scheduler: each
 	// owns a Round whose storage (and memoized estimates) survive across
@@ -87,8 +80,9 @@ func (h *Hierarchical) Schedule(p *sched.Problem) (model.Placement, error) {
 		vmsByDC[vm.CurrentDC] = append(vmsByDC[vm.CurrentDC], vm)
 	}
 
-	// Phase 1: intra-DC rounds, one per datacenter, in parallel. Each DC's
-	// problem touches only its own VMs and hosts, so no state is shared.
+	// Phase 1: intra-DC rounds, one per datacenter, in parallel on
+	// par.DefaultWorkers goroutines. Each DC's problem touches only its
+	// own VMs and hosts, so no state is shared.
 	type localResult struct {
 		placement model.Placement
 		exports   []sched.VMInfo
@@ -102,7 +96,7 @@ func (h *Hierarchical) Schedule(p *sched.Problem) (model.Placement, error) {
 	if len(h.localBF) < nDC {
 		h.localBF = append(h.localBF, make([]*sched.BestFit, nDC-len(h.localBF))...)
 	}
-	results := par.Map(dcs, h.Workers, func(dc model.DCID) localResult {
+	results := par.Map(dcs, 0, func(dc model.DCID) localResult {
 		local := &sched.Problem{VMs: vmsByDC[dc], Hosts: hostsByDC[dc], Tick: p.Tick}
 		if len(local.Hosts) == 0 {
 			return localResult{placement: model.Placement{}}
@@ -111,7 +105,6 @@ func (h *Hierarchical) Schedule(p *sched.Problem) (model.Placement, error) {
 			h.localBF[dc] = sched.NewBestFit(h.Cost, h.Est)
 		}
 		bf := h.localBF[dc]
-		bf.Prune, bf.PruneK = h.Prune, h.PruneK
 		placement, err := bf.Schedule(local)
 		if err != nil {
 			return localResult{err: err}
@@ -171,7 +164,6 @@ func (h *Hierarchical) Schedule(p *sched.Problem) (model.Placement, error) {
 		if h.globalBF == nil {
 			h.globalBF = sched.NewBestFit(h.Cost, h.Est)
 		}
-		h.globalBF.Prune, h.globalBF.PruneK = h.Prune, h.PruneK
 		gPlacement, err := h.globalBF.Schedule(&sched.Problem{VMs: globalVMs, Hosts: globalHosts, Tick: p.Tick})
 		if err != nil {
 			return nil, err

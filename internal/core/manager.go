@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/lifecycle"
 	"repro/internal/model"
@@ -57,6 +58,9 @@ type DegradedPolicy struct {
 type Manager struct {
 	cfg    ManagerConfig
 	rounds int
+	// roundWall sums the wall time spent inside the scheduler's calls;
+	// reporting only, it feeds no decision.
+	roundWall time.Duration
 	// problem, loadBufs and placement are reused across rounds so the
 	// steady-state MAPE loop stops allocating a fresh scheduler view (and
 	// result map) every 10 minutes.
@@ -122,6 +126,10 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 
 // Rounds returns how many scheduling rounds have executed.
 func (m *Manager) Rounds() int { return m.rounds }
+
+// RoundWall returns the total wall time the scheduler spent planning
+// those rounds (Schedule or ScheduleInto calls only).
+func (m *Manager) RoundWall() time.Duration { return m.roundWall }
 
 // Degraded reports the last fault-step verdict: committed requirements
 // exceed the surviving capacity (always false without a fault runner).
@@ -249,6 +257,7 @@ func (m *Manager) Step() (sim.TickSummary, error) {
 	if t > 0 && t%m.cfg.RoundTicks == 0 && m.numCandidates() > 0 {
 		problem := m.BuildProblem()
 		var placement model.Placement
+		start := time.Now()
 		if is, ok := m.cfg.Scheduler.(intoScheduler); ok {
 			if m.placement == nil {
 				m.placement = make(model.Placement, len(problem.VMs))
@@ -266,6 +275,7 @@ func (m *Manager) Step() (sim.TickSummary, error) {
 				return sim.TickSummary{}, fmt.Errorf("core: scheduling round at tick %d: %w", t, err)
 			}
 		}
+		m.roundWall += time.Since(start)
 		if w.NumFailedPMs() > 0 || w.NumDrainingPMs() > 0 {
 			// Schedulers that ignore the candidate set (Fixed, replayed
 			// placements) may still target unavailable hosts; scrub those

@@ -42,13 +42,13 @@ func Churn(seed uint64) (*Result, error) {
 	}
 	mkOB := sweep.Policy{
 		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(CostModel(sc), sched.NewOverbooked()), nil
+			return sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked()), nil
 		},
 	}
 	mkML := sweep.Policy{
 		NeedsBundle: true,
 		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
+			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 		},
 	}
 	setups := []setup{
@@ -84,7 +84,7 @@ func Churn(seed uint64) (*Result, error) {
 		t.AddRow(su.name,
 			fmt.Sprintf("%.4f", run.AvgSLA),
 			fmt.Sprintf("%.4f", run.MinSLA),
-			fmt.Sprintf("%.4f", run.AvgEuroH),
+			fmt.Sprintf("%.4f", run.ProfitEURh),
 			fmt.Sprintf("%d", run.OfferedVMs),
 			fmt.Sprintf("%d", run.AdmittedVMs),
 			fmt.Sprintf("%d", run.RejectedVMs),
@@ -92,7 +92,7 @@ func Churn(seed uint64) (*Result, error) {
 			fmt.Sprintf("%.1f", run.MeanPlaceTicks),
 			fmt.Sprintf("%d", run.Migrations))
 		res.Metrics["sla:"+su.name] = run.AvgSLA
-		res.Metrics["profit:"+su.name] = run.AvgEuroH
+		res.Metrics["profit:"+su.name] = run.ProfitEURh
 		res.Metrics["offered:"+su.name] = float64(run.OfferedVMs)
 		res.Metrics["admitted:"+su.name] = float64(run.AdmittedVMs)
 		res.Metrics["rejected:"+su.name] = float64(run.RejectedVMs)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // Delocation reproduces the Section V-C "benefit of de-locating load"
@@ -32,7 +33,7 @@ func Delocation(seed uint64) (*Result, error) {
 		return nil, fmt.Errorf("delocation static: %w", err)
 	}
 	dynamic, err := RunPolicy(spec, func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		return sched.NewBestFit(CostModel(sc), sched.NewML(bundle)), nil
+		return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(bundle)), nil
 	}, pile, ticks)
 	if err != nil {
 		return nil, fmt.Errorf("delocation dynamic: %w", err)
@@ -40,7 +41,7 @@ func Delocation(seed uint64) (*Result, error) {
 	static.Policy = "fixed-DC"
 	dynamic.Policy = "de-locating"
 
-	perVMPerDay := (dynamic.AvgEuroH - static.AvgEuroH) * 24 / 5
+	perVMPerDay := (dynamic.ProfitEURh - static.ProfitEURh) * 24 / 5
 	res := &Result{Name: "Delocation", Metrics: map[string]float64{
 		"slaStatic":     static.AvgSLA,
 		"slaDynamic":    dynamic.AvgSLA,
@@ -48,7 +49,7 @@ func Delocation(seed uint64) (*Result, error) {
 	}}
 	res.Tables = append(res.Tables, summaryTable(
 		"§V-C — benefit of de-locating load (paper: SLA 0.8115 -> 0.8871, +0.348 €/VM/day)",
-		[]*PolicyRun{static, dynamic}))
+		[]*sweep.PolicyRun{static, dynamic}))
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("SLA %.4f -> %.4f, net benefit %.3f €/VM/day",
 			static.AvgSLA, dynamic.AvgSLA, perVMPerDay),

@@ -67,22 +67,12 @@ func TrainedBundle(seed uint64) (*predict.Bundle, error) {
 	return sweep.TrainedBundle(seed)
 }
 
-// RoundTicks is the scheduling period used across experiments (10 min).
-const RoundTicks = sweep.DefaultRoundTicks
-
-// HorizonHours is the profit horizon of one scheduling round.
-const HorizonHours = sweep.HorizonHours
-
-// PolicyRun summarises one (scenario, scheduler) execution; it is the
-// sweep cell result.
-type PolicyRun = sweep.PolicyRun
-
 // RunPolicy executes a scheduler-managed run on a fresh scenario built
 // from the spec, through the sweep cell-runner. A nil initial leaves the
 // VMs unplaced until the first scheduling round, matching each figure's
 // hand-picked starting state.
 func RunPolicy(spec scenario.Spec, mkSched func(*scenario.Scenario) (sched.Scheduler, error),
-	initial func(*scenario.Scenario) model.Placement, ticks int) (*PolicyRun, error) {
+	initial func(*scenario.Scenario) model.Placement, ticks int) (*sweep.PolicyRun, error) {
 	pol := sweep.Policy{
 		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
 			return mkSched(sc)
@@ -96,23 +86,12 @@ func RunPolicy(spec scenario.Spec, mkSched func(*scenario.Scenario) (sched.Sched
 // the experiments that drive the loop tick by tick themselves).
 func newManager(sc *scenario.Scenario, s sched.Scheduler) (*core.Manager, error) {
 	return core.NewManager(core.ManagerConfig{
-		World: sc.World, Scheduler: s, RoundTicks: RoundTicks,
+		World: sc.World, Scheduler: s, RoundTicks: sweep.DefaultRoundTicks,
 	})
 }
 
-// CostModel builds the standard Figure 3 objective for a scenario.
-func CostModel(sc *scenario.Scenario) sched.CostModel {
-	return sweep.CostModel(sc)
-}
-
-// ParallelBestFit builds the ML Best-Fit with concurrent candidate
-// evaluation (see sweep.ParallelBestFit).
-func ParallelBestFit(cost sched.CostModel, est sched.Estimator) *sched.BestFit {
-	return sweep.ParallelBestFit(cost, est)
-}
-
 // summaryTable renders PolicyRuns side by side.
-func summaryTable(caption string, runs []*PolicyRun) report.Table {
+func summaryTable(caption string, runs []*sweep.PolicyRun) report.Table {
 	t := report.Table{
 		Caption: caption,
 		Headers: []string{"policy", "avg SLA", "min SLA", "avg W", "profit €/h", "migrations", "avg PMs on"},
@@ -122,16 +101,16 @@ func summaryTable(caption string, runs []*PolicyRun) report.Table {
 			fmt.Sprintf("%.4f", r.AvgSLA),
 			fmt.Sprintf("%.4f", r.MinSLA),
 			fmt.Sprintf("%.1f", r.AvgWatts),
-			fmt.Sprintf("%.4f", r.AvgEuroH),
+			fmt.Sprintf("%.4f", r.ProfitEURh),
 			fmt.Sprintf("%d", r.Migrations),
-			fmt.Sprintf("%.2f", r.AvgActive),
+			fmt.Sprintf("%.2f", r.AvgActivePMs),
 		)
 	}
 	return t
 }
 
 // ledgerNote formats the money components of a run.
-func ledgerNote(r *PolicyRun) string {
+func ledgerNote(r *sweep.PolicyRun) string {
 	return fmt.Sprintf("%s: revenue %.3f€, energy %.3f€, penalties %.3f€ over %d ticks",
 		r.Policy, r.RevenueEUR, r.EnergyEUR, r.PenaltyEUR, r.Ticks)
 }

@@ -43,13 +43,13 @@ func Failures(seed uint64) (*Result, error) {
 	}
 	mkOB := sweep.Policy{
 		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(CostModel(sc), sched.NewOverbooked()), nil
+			return sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked()), nil
 		},
 	}
 	mkML := sweep.Policy{
 		NeedsBundle: true,
 		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
+			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 		},
 	}
 	setups := []setup{
@@ -97,7 +97,7 @@ func Failures(seed uint64) (*Result, error) {
 				fmt.Sprintf("%d", run.ShedVMs),
 				fmt.Sprintf("%d", run.DegradedTicks),
 				fmt.Sprintf("%.4f", run.AvgSLA),
-				fmt.Sprintf("%.4f", run.AvgEuroH))
+				fmt.Sprintf("%.4f", run.ProfitEURh))
 			key := preset + "/" + su.name
 			res.Metrics["availability:"+key] = run.Availability
 			res.Metrics["interruptions:"+key] = float64(run.Interruptions)

@@ -31,19 +31,19 @@ func Figure4(seed uint64) (*Result, error) {
 	policies := []sweep.Policy{
 		{Name: "BF", Initial: initial,
 			Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(CostModel(sc), sched.NewObserved()), nil
+				return sched.NewBestFit(sweep.CostModel(sc), sched.NewObserved()), nil
 			}},
 		{Name: "BF-OB", Initial: initial,
 			Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(CostModel(sc), sched.NewOverbooked()), nil
+				return sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked()), nil
 			}},
 		{Name: "BF+ML", Initial: initial, NeedsBundle: true,
 			Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
+				return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 			}},
 	}
 	res := &Result{Name: "Figure4", Metrics: map[string]float64{}}
-	var runs []*PolicyRun
+	var runs []*sweep.PolicyRun
 	var slaChart, pmChart report.Chart
 	slaChart.Caption = "Figure 4 (SLA over 24 h, per policy)"
 	pmChart.Caption = "Figure 4 (active PMs over 24 h, per policy)"
@@ -57,8 +57,8 @@ func Figure4(seed uint64) (*Result, error) {
 		pmChart.Series = append(pmChart.Series, report.Series{Name: pol.Name, Values: run.ActiveSer})
 		res.Metrics["sla:"+pol.Name] = run.AvgSLA
 		res.Metrics["watts:"+pol.Name] = run.AvgWatts
-		res.Metrics["profit:"+pol.Name] = run.AvgEuroH
-		res.Metrics["pms:"+pol.Name] = run.AvgActive
+		res.Metrics["profit:"+pol.Name] = run.ProfitEURh
+		res.Metrics["pms:"+pol.Name] = run.AvgActivePMs
 		res.Notes = append(res.Notes, ledgerNote(run))
 	}
 	res.Tables = append(res.Tables, summaryTable("Figure 4 — intra-DC scheduling results and factors", runs))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // Figure5 reproduces the "follow the load" sanity check of Section V-C:
@@ -21,7 +22,7 @@ func Figure5(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost := CostModel(sc)
+	cost := sweep.CostModel(sc)
 	cost.LatencyOnly = true
 	s := sched.NewBestFit(cost, sched.NewObserved())
 	// Latency-only profits differ by fractions of a cent between adjacent

@@ -27,7 +27,7 @@ func Figure6(seed uint64) (*Result, error) {
 	pol := sweep.Policy{
 		Name: "inter-DC BF+ML", NeedsBundle: true,
 		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
+			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 		},
 		Initial: func(sc *scenario.Scenario) model.Placement { return sc.HomePlacement() },
 	}
@@ -41,9 +41,9 @@ func Figure6(seed uint64) (*Result, error) {
 		"minSLA":     run.MinSLA,
 		"avgWatts":   run.AvgWatts,
 		"migrations": float64(run.Migrations),
-		"profitEURh": run.AvgEuroH,
+		"profitEURh": run.ProfitEURh,
 	}}
-	res.Tables = append(res.Tables, summaryTable("Figure 6 — full inter-DC scheduling", []*PolicyRun{run}))
+	res.Tables = append(res.Tables, summaryTable("Figure 6 — full inter-DC scheduling", []*sweep.PolicyRun{run}))
 	res.Charts = append(res.Charts, report.Chart{
 		Caption: "Figure 6 — SLA / facility watts / active PMs over 24 h (flash crowd min 70-90)",
 		Series: []report.Series{

@@ -50,7 +50,7 @@ func Figure7TableIII(seed uint64) (*Result, error) {
 	dynamic, err := sweep.RunSpec(spec, sweep.Policy{
 		Name: "Dynamic", Initial: home, NeedsBundle: true,
 		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
+			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 		},
 	}, bundle, ticks)
 	if err != nil {
@@ -69,7 +69,7 @@ func Figure7TableIII(seed uint64) (*Result, error) {
 		Caption: "Table III — comparative results for the multi-DC per 5 VMs",
 		Headers: []string{"policy", "avg €/h", "(paper)", "avg W", "(paper)", "avg SLA", "(paper)"},
 	}
-	for _, r := range []*PolicyRun{static, dynamic} {
+	for _, r := range []*sweep.PolicyRun{static, dynamic} {
 		key := "static"
 		if r == dynamic {
 			key = "dynamic"
@@ -82,7 +82,7 @@ func Figure7TableIII(seed uint64) (*Result, error) {
 		)
 	}
 	res.Tables = append(res.Tables, t)
-	res.Tables = append(res.Tables, summaryTable("Figure 7 — static vs dynamic detail", []*PolicyRun{static, dynamic}))
+	res.Tables = append(res.Tables, summaryTable("Figure 7 — static vs dynamic detail", []*sweep.PolicyRun{static, dynamic}))
 	res.Charts = append(res.Charts, report.Chart{
 		Caption: "Figure 7 — facility watts, static vs dynamic",
 		Series: []report.Series{
@@ -107,7 +107,7 @@ func Figure7TableIII(seed uint64) (*Result, error) {
 
 // avgRevenueEuroH returns gross revenue per hour (the paper's €/h column
 // counts customer income per 5 VMs).
-func avgRevenueEuroH(r *PolicyRun) float64 {
+func avgRevenueEuroH(r *sweep.PolicyRun) float64 {
 	hours := float64(r.Ticks) / 60
 	if hours == 0 {
 		return 0

@@ -31,7 +31,7 @@ func GreenEnergy(seed uint64) (*Result, error) {
 	base := spec.Pricing.Base
 	home := func(sc *scenario.Scenario) model.Placement { return sc.HomePlacement() }
 
-	run := func(dynamic bool) (*PolicyRun, float64, error) {
+	run := func(dynamic bool) (*sweep.PolicyRun, float64, error) {
 		pol := sweep.Policy{Name: "static", Initial: home,
 			Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
 				return &sched.Fixed{P: sc.HomePlacement()}, nil
@@ -39,7 +39,7 @@ func GreenEnergy(seed uint64) (*Result, error) {
 		if dynamic {
 			pol = sweep.Policy{Name: "follow-the-sun", Initial: home, NeedsBundle: true,
 				Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-					return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
+					return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 				}}
 		}
 		// Count ticks where vm0's host enjoys solar-discounted power.
@@ -80,7 +80,7 @@ func GreenEnergy(seed uint64) (*Result, error) {
 		Headers: []string{"policy", "avg SLA", "energy €", "€ saved", "vm0 on solar power"},
 	}
 	for _, rs := range []struct {
-		r      *PolicyRun
+		r      *sweep.PolicyRun
 		sunlit float64
 	}{{static, staticSunlit}, {dynamic, dynamicSunlit}} {
 		t.AddRow(rs.r.Policy,

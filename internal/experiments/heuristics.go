@@ -39,22 +39,22 @@ func Heuristics(seed uint64) (*Result, error) {
 			}},
 		{Name: "BestFit+ML", Initial: initial, NeedsBundle: true,
 			Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(CostModel(sc), sched.NewML(b)), nil
+				return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 			}},
 		{Name: "BestFit+ML-par", Initial: initial, NeedsBundle: true,
 			Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return ParallelBestFit(CostModel(sc), sched.NewML(b)), nil
+				return sweep.ParallelBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
 			}},
 	}
 	res := &Result{Name: "Heuristics", Metrics: map[string]float64{}}
-	var runs []*PolicyRun
+	var runs []*sweep.PolicyRun
 	for _, pol := range policies {
 		run, err := sweep.RunSpec(spec, pol, bundle, ticks)
 		if err != nil {
 			return nil, fmt.Errorf("heuristics %s: %w", pol.Name, err)
 		}
 		runs = append(runs, run)
-		res.Metrics["profit:"+pol.Name] = run.AvgEuroH
+		res.Metrics["profit:"+pol.Name] = run.ProfitEURh
 		res.Metrics["sla:"+pol.Name] = run.AvgSLA
 		res.Metrics["watts:"+pol.Name] = run.AvgWatts
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // Hierarchy measures the paper's structural contribution directly: the
@@ -69,16 +70,16 @@ func Hierarchy(seed uint64) (*Result, error) {
 // runHierarchyPolicy runs the hierarchy preset resized to vms VMs and
 // pmsPerDC hosts per DC for 6 hours under the flat or the two-layer ML
 // scheduler, starting from the home placement.
-func runHierarchyPolicy(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle, twoLayer bool) (*PolicyRun, error) {
+func runHierarchyPolicy(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle, twoLayer bool) (*sweep.PolicyRun, error) {
 	spec := scenario.MustPreset(scenario.Hierarchy, seed)
 	spec.VMs = vms
 	spec.PMsPerDC = pmsPerDC
 	mk := func(sc *scenario.Scenario) (sched.Scheduler, error) {
 		est := sched.NewML(bundle)
 		if twoLayer {
-			return core.NewHierarchical(sc.Inventory, CostModel(sc), est), nil
+			return core.NewHierarchical(sc.Inventory, sweep.CostModel(sc), est), nil
 		}
-		return sched.NewBestFit(CostModel(sc), est), nil
+		return sched.NewBestFit(sweep.CostModel(sc), est), nil
 	}
 	return RunPolicy(spec, mk, (*scenario.Scenario).HomePlacement, 360)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // OnlineLearning implements and evaluates the paper's future-work item 4:
@@ -34,7 +35,7 @@ func OnlineLearning(seed uint64) (*Result, error) {
 	shifted := sim.DefaultParams()
 	shifted.CPUCostFactor = 2.2
 
-	run := func(online bool) (*PolicyRun, *predict.Online, error) {
+	run := func(online bool) (*sweep.PolicyRun, *predict.Online, error) {
 		sc, err := scenario.Build(scenario.MustPreset(scenario.OnlineShift, seed))
 		if err != nil {
 			return nil, nil, err
@@ -57,8 +58,8 @@ func OnlineLearning(seed uint64) (*Result, error) {
 		}
 		mgr, err := core.NewManager(core.ManagerConfig{
 			World:      world,
-			Scheduler:  sched.NewBestFit(CostModel(sc), sched.NewML(bundle)),
-			RoundTicks: RoundTicks,
+			Scheduler:  sched.NewBestFit(sweep.CostModel(sc), sched.NewML(bundle)),
+			RoundTicks: sweep.DefaultRoundTicks,
 		})
 		if err != nil {
 			return nil, nil, err
@@ -66,7 +67,7 @@ func OnlineLearning(seed uint64) (*Result, error) {
 		if err := world.PlaceInitial(sc.PileOn(0)); err != nil {
 			return nil, nil, err
 		}
-		pr := &PolicyRun{Ticks: ticks, MinSLA: 1}
+		pr := &sweep.PolicyRun{Cell: sweep.Cell{Ticks: ticks, MinSLA: 1}}
 		if online {
 			pr.Policy = "online-retrain"
 		} else {

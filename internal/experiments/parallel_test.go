@@ -6,6 +6,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // TestParallelMatchesSerialHeteroFleet runs the same managed hetero-fleet
@@ -23,13 +24,13 @@ func TestParallelMatchesSerialHeteroFleet(t *testing.T) {
 	const ticks = 3 * 60 // 18 scheduling rounds
 
 	serial, err := RunPolicy(spec, func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		return sched.NewBestFit(CostModel(sc), sched.NewML(bundle)), nil
+		return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(bundle)), nil
 	}, initial, ticks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parallel, err := RunPolicy(spec, func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		return ParallelBestFit(CostModel(sc), sched.NewML(bundle)), nil
+		return sweep.ParallelBestFit(sweep.CostModel(sc), sched.NewML(bundle)), nil
 	}, initial, ticks)
 	if err != nil {
 		t.Fatal(err)
@@ -37,11 +38,11 @@ func TestParallelMatchesSerialHeteroFleet(t *testing.T) {
 
 	if serial.AvgSLA != parallel.AvgSLA ||
 		serial.AvgWatts != parallel.AvgWatts ||
-		serial.AvgEuroH != parallel.AvgEuroH ||
+		serial.ProfitEURh != parallel.ProfitEURh ||
 		serial.Migrations != parallel.Migrations {
 		t.Fatalf("parallel run diverged from serial:\nserial   sla=%v watts=%v eur=%v mig=%d\nparallel sla=%v watts=%v eur=%v mig=%d",
-			serial.AvgSLA, serial.AvgWatts, serial.AvgEuroH, serial.Migrations,
-			parallel.AvgSLA, parallel.AvgWatts, parallel.AvgEuroH, parallel.Migrations)
+			serial.AvgSLA, serial.AvgWatts, serial.ProfitEURh, serial.Migrations,
+			parallel.AvgSLA, parallel.AvgWatts, parallel.ProfitEURh, parallel.Migrations)
 	}
 	for i := range serial.SLASeries {
 		if serial.SLASeries[i] != parallel.SLASeries[i] {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 )
 
 // SchedulerScaling reproduces the Section IV-C scalability claim: exact
@@ -32,7 +33,7 @@ func SchedulerScaling(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, HorizonHours)
+		cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, sweep.HorizonHours)
 		est := sched.NewObserved()
 
 		bf := sched.NewBestFit(cost, est)

@@ -119,13 +119,8 @@ func (b *BestFit) work() scratchWork {
 	return w
 }
 
-// RoundStatsReporter is implemented by schedulers exposing per-round phase
-// instrumentation; harnesses probe for it to add timing columns.
-type RoundStatsReporter interface {
-	LastRoundStats() RoundStats
-}
-
-// LastRoundStats implements RoundStatsReporter for the last Schedule call.
+// LastRoundStats returns the phase breakdown and counters of the last
+// Schedule call.
 func (b *BestFit) LastRoundStats() RoundStats { return b.stats }
 
 // DefaultMinGainEUR is roughly 10% of one VM's per-round revenue at the

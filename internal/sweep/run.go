@@ -3,11 +3,9 @@ package sweep
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lifecycle"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/scenario"
@@ -39,88 +37,16 @@ func TrainedBundle(seed uint64) (*predict.Bundle, error) {
 	return actual.(*predict.Bundle), nil
 }
 
-// PolicyRun summarises one (scenario, policy, seed) execution — a sweep
-// cell, or one run of a paper experiment.
+// PolicyRun is one (scenario, policy, seed) execution — a sweep cell, or
+// one run of a paper experiment: the cell record plus the per-tick series
+// the figures plot. Sweep matrices keep only the Cell, so the series die
+// with the run.
 type PolicyRun struct {
-	Policy     string
-	Scenario   string
-	Seed       uint64
-	Ticks      int
-	AvgSLA     float64
-	MinSLA     float64
-	AvgWatts   float64
-	AvgEuroH   float64 // profit per hour
-	RevenueEUR float64
-	EnergyEUR  float64
-	PenaltyEUR float64
-	Migrations int
-	AvgActive  float64
-	// Rounds counts executed scheduling rounds; RoundMS is their mean
-	// wall-clock latency in milliseconds (not deterministic — excluded
-	// from machine-readable sweep output).
-	Rounds  int
-	RoundMS float64
-	// Phase breakdown of the rounds, probed from schedulers implementing
-	// sched.RoundStatsReporter (zero otherwise). FillMS/ScoreMS/ReduceMS
-	// are mean per-round wall milliseconds (non-deterministic, reporting
-	// only); RowsRecomputed is the total VM rows the rounds' table fills
-	// estimated — a pure counter, deterministic like every placement
-	// decision.
-	FillMS         float64
-	ScoreMS        float64
-	ReduceMS       float64
-	RowsRecomputed int
-	// Candidate-shortlist counters (see sched.RoundStats): profit
-	// evaluations performed, prune-index rebuilds, and truncated host-state
-	// classes, summed over the cell's rounds. Deterministic counters, like
-	// the row counters above.
-	CandidatesScored   int
-	ShortlistRebuilds  int
-	ShortlistTruncated int
-
+	Cell
 	SLASeries   []float64
 	WattsSeries []float64
 	ActiveSer   []float64
 	DCSeries    []float64 // hosting DC of VM 0 (for placement plots)
-
-	// Workload-lifecycle outcomes (zero/one for fixed-population
-	// scenarios, where nothing is ever offered).
-	OfferedVMs  int
-	AdmittedVMs int
-	RejectedVMs int
-	Deferrals   int
-	DepartedVMs int
-	// AdmissionRate is admitted/offered (vacuously 1 with no churn).
-	AdmissionRate float64
-	// MeanPlaceTicks is the mean admission-to-first-host wait of placed
-	// arrivals.
-	MeanPlaceTicks float64
-
-	// Obs is the cell's deterministic metric snapshot: every counter and
-	// gauge of the per-cell obs.Registry that is a pure function of the
-	// event stream (wall-clock histograms and scrape-time gauges are
-	// excluded by construction — see obs.Registry.DeterministicSnapshot).
-	Obs map[string]float64
-	// EngineTicks is the engine tick counter from that registry; TickMS is
-	// the mean engine-tick wall latency in milliseconds (reporting only,
-	// never published to machine-readable output).
-	EngineTicks int
-	TickMS      float64
-
-	// Fault-layer outcomes (zero, with Availability 1, for immortal
-	// fleets).
-	Crashes         int
-	ForcedEvictions int
-	Interruptions   int
-	RehomedVMs      int
-	ShedVMs         int
-	DegradedTicks   int
-	// MeanRehomeTicks is the mean eviction-to-replacement latency of
-	// re-homed VMs; MaxRehomeTicks the worst case.
-	MeanRehomeTicks float64
-	MaxRehomeTicks  int
-	// Availability is served VM-time over total VM-time.
-	Availability float64
 }
 
 // RunOpts tunes one cell execution beyond the (spec, policy, ticks) key.
@@ -145,77 +71,6 @@ type RunOpts struct {
 	// scenarios (nil = core defaults: nominal surviving capacity, never
 	// shed).
 	Degraded *core.DegradedPolicy
-}
-
-// timedScheduler wraps a scheduler and accumulates the wall-clock time
-// spent inside scheduling rounds. It forwards the allocation-free
-// ScheduleInto contract when the inner scheduler supports it and falls
-// back to Schedule (copying into the recycled map) when it does not, so
-// wrapping never changes decisions. When the inner scheduler implements
-// sched.RoundStatsReporter it also folds in each round's phase breakdown
-// (fill/score/reduce nanoseconds, filled-row and candidate counters).
-type timedScheduler struct {
-	inner  sched.Scheduler
-	nanos  int64
-	rounds int
-
-	fillNS, scoreNS, reduceNS int64
-	rowsRecomputed            int
-	candidatesScored          int
-	shortlistRebuilds         int
-	shortlistTruncated        int
-}
-
-// fold accumulates the phase breakdown of the round that just ran.
-func (t *timedScheduler) fold() {
-	rep, ok := t.inner.(sched.RoundStatsReporter)
-	if !ok {
-		return
-	}
-	st := rep.LastRoundStats()
-	t.fillNS += st.FillNS
-	t.scoreNS += st.ScoreNS
-	t.reduceNS += st.ReduceNS
-	t.rowsRecomputed += st.RowsRecomputed
-	t.candidatesScored += st.CandidatesScored
-	t.shortlistRebuilds += st.ShortlistRebuilds
-	t.shortlistTruncated += st.ShortlistTruncated
-}
-
-// intoScheduler mirrors core's optional allocation-free contract.
-type intoScheduler interface {
-	ScheduleInto(p *sched.Problem, placement model.Placement) error
-}
-
-func (t *timedScheduler) Name() string { return t.inner.Name() }
-
-func (t *timedScheduler) Schedule(p *sched.Problem) (model.Placement, error) {
-	start := time.Now()
-	placement, err := t.inner.Schedule(p)
-	t.nanos += time.Since(start).Nanoseconds()
-	t.rounds++
-	t.fold()
-	return placement, err
-}
-
-func (t *timedScheduler) ScheduleInto(p *sched.Problem, placement model.Placement) error {
-	start := time.Now()
-	defer func() {
-		t.nanos += time.Since(start).Nanoseconds()
-		t.rounds++
-		t.fold()
-	}()
-	if is, ok := t.inner.(intoScheduler); ok {
-		return is.ScheduleInto(p, placement)
-	}
-	out, err := t.inner.Schedule(p)
-	if err != nil {
-		return err
-	}
-	for vm, pm := range out {
-		placement[vm] = pm
-	}
-	return nil
 }
 
 // RunSpec executes one cell: build the scenario, make the scheduler, run
@@ -267,13 +122,14 @@ func RunSpecOpts(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks i
 	reg := obs.NewRegistry()
 	engMet := sim.NewEngineMetrics(reg)
 	sc.World.SetMetrics(engMet)
+	var schedMet *sched.Metrics
 	if ms, ok := s.(interface{ SetMetrics(*sched.Metrics) }); ok {
-		ms.SetMetrics(sched.NewSchedMetrics(reg))
+		schedMet = sched.NewSchedMetrics(reg)
+		ms.SetMetrics(schedMet)
 	}
 	lifeMet := lifecycle.NewMetrics(reg)
-	timed := &timedScheduler{inner: s}
 	mgrCfg := core.ManagerConfig{
-		World: sc.World, Scheduler: timed, RoundTicks: roundTicks,
+		World: sc.World, Scheduler: s, RoundTicks: roundTicks,
 	}
 	var runner *lifecycle.Runner
 	if sc.Script != nil {
@@ -295,10 +151,10 @@ func RunSpecOpts(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks i
 	if err != nil {
 		return nil, err
 	}
-	run := &PolicyRun{
-		Policy: pol.Name, Scenario: spec.Name, Seed: spec.Seed,
+	run := &PolicyRun{Cell: Cell{
+		Scenario: spec.Name, Policy: pol.Name, Seed: spec.Seed,
 		Ticks: ticks, MinSLA: 1, AdmissionRate: 1, Availability: 1,
-	}
+	}}
 	if run.Policy == "" {
 		run.Policy = s.Name()
 	}
@@ -325,57 +181,60 @@ func RunSpecOpts(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks i
 	n := float64(ticks)
 	run.AvgSLA = sumSLA / n
 	run.AvgWatts = sumWatts / n
-	run.AvgActive = sumActive / n
+	run.AvgActivePMs = sumActive / n
 	ledger := sc.World.Ledger()
-	run.AvgEuroH = ledger.AvgProfitPerHour(sim.TickHours)
+	run.ProfitEURh = ledger.AvgProfitPerHour(sim.TickHours)
 	run.RevenueEUR = ledger.Revenue()
 	run.EnergyEUR = ledger.EnergyCost()
 	run.PenaltyEUR = ledger.Penalties()
-	run.Rounds = timed.rounds
-	if timed.rounds > 0 {
-		perRoundMS := func(ns int64) float64 { return float64(ns) / float64(timed.rounds) / 1e6 }
-		run.RoundMS = perRoundMS(timed.nanos)
-		run.FillMS = perRoundMS(timed.fillNS)
-		run.ScoreMS = perRoundMS(timed.scoreNS)
-		run.ReduceMS = perRoundMS(timed.reduceNS)
+	run.Rounds = mgr.Rounds()
+	if run.Rounds > 0 {
+		run.RoundMS = mgr.RoundWall().Seconds() * 1e3 / float64(run.Rounds)
 	}
-	run.RowsRecomputed = timed.rowsRecomputed
-	run.CandidatesScored = timed.candidatesScored
-	run.ShortlistRebuilds = timed.shortlistRebuilds
-	run.ShortlistTruncated = timed.shortlistTruncated
-	if runner != nil {
-		st := runner.Stats()
-		run.OfferedVMs = st.Offered
-		run.AdmittedVMs = st.Admitted
-		run.RejectedVMs = st.Rejected
-		run.Deferrals = st.Deferrals
-		run.DepartedVMs = st.Departed
-		run.AdmissionRate = st.AdmissionRate()
-		run.MeanPlaceTicks = st.MeanPlacementTicks()
+	if schedMet != nil {
+		run.FillMS = schedMet.FillSeconds.Mean() * 1e3
+		run.ScoreMS = schedMet.ScoreSeconds.Mean() * 1e3
+		run.ReduceMS = schedMet.ReduceSeconds.Mean() * 1e3
 	}
 	var lifeStats lifecycle.Stats
-	var faultStats lifecycle.FaultStats
 	if runner != nil {
 		lifeStats = runner.Stats()
+		run.OfferedVMs = lifeStats.Offered
+		run.AdmittedVMs = lifeStats.Admitted
+		run.RejectedVMs = lifeStats.Rejected
+		run.DepartedVMs = lifeStats.Departed
+		run.AdmissionRate = lifeStats.AdmissionRate()
+		run.MeanPlaceTicks = lifeStats.MeanPlacementTicks()
 	}
+	var faultStats lifecycle.FaultStats
 	if faults != nil {
 		faultStats = faults.Stats()
+		run.Crashes = faultStats.Crashes
+		run.ForcedEvictions = faultStats.ForcedEvictions
+		run.Interruptions = faultStats.Interruptions
+		run.RehomedVMs = faultStats.Rehomed
+		run.ShedVMs = faultStats.Shed
+		run.DegradedTicks = faultStats.DegradedTicks
+		run.MeanRehomeTicks = faultStats.MeanRehomeTicks()
+		run.MaxRehomeTicks = faultStats.MaxRehomeTicks
+		run.Availability = faultStats.Availability()
 	}
 	lifeMet.Observe(lifeStats, faultStats)
 	run.Obs = reg.DeterministicSnapshot()
+	// Round counters read the scheduler's own series; a scheduler that
+	// registers none (no round stats) reads as zero.
+	for _, c := range []struct {
+		col    *int
+		series string
+	}{
+		{&run.RowsRecomputed, "mdcsim_sched_memo_rows_recomputed_total"},
+		{&run.CandidatesScored, "mdcsim_sched_candidates_scored_total"},
+		{&run.ShortlistRebuilds, "mdcsim_sched_shortlist_rebuilds_total"},
+		{&run.ShortlistTruncated, "mdcsim_sched_shortlist_truncated_total"},
+	} {
+		*c.col = int(run.Obs[c.series])
+	}
 	run.EngineTicks = int(engMet.Ticks.Value())
 	run.TickMS = engMet.TickSeconds.Mean() * 1e3
-	if faults != nil {
-		st := faults.Stats()
-		run.Crashes = st.Crashes
-		run.ForcedEvictions = st.ForcedEvictions
-		run.Interruptions = st.Interruptions
-		run.RehomedVMs = st.Rehomed
-		run.ShedVMs = st.Shed
-		run.DegradedTicks = st.DegradedTicks
-		run.MeanRehomeTicks = st.MeanRehomeTicks()
-		run.MaxRehomeTicks = st.MaxRehomeTicks
-		run.Availability = st.Availability()
-	}
 	return run, nil
 }

@@ -14,7 +14,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 
 	"repro/internal/par"
 	"repro/internal/predict"
@@ -42,9 +44,11 @@ type Matrix struct {
 }
 
 // Cell is the machine-readable result of one (scenario, policy, seed)
-// run. Wall-clock fields carry a json:"-" tag: sweep JSON and CSV must be
-// byte-identical across runs and worker counts, and time measurements are
-// the one non-deterministic output.
+// run — a sweep cell or one run of a paper experiment. Its JSON fields
+// are also the CSV columns (see CellsTable). Wall-clock fields carry a
+// json:"-" tag: sweep JSON and CSV must be byte-identical across runs and
+// worker counts, and time measurements are the one non-deterministic
+// output.
 type Cell struct {
 	Scenario     string  `json:"scenario"`
 	Policy       string  `json:"policy"`
@@ -61,6 +65,9 @@ type Cell struct {
 	Migrations   int     `json:"migrations"`
 	AvgActivePMs float64 `json:"avg_active_pms"`
 	// Workload-lifecycle columns (zero/one for fixed populations).
+	// AdmissionRate is admitted/offered (vacuously 1 with no churn);
+	// MeanPlaceTicks is the mean admission-to-first-host wait of placed
+	// arrivals.
 	OfferedVMs     int     `json:"offered_vms"`
 	AdmittedVMs    int     `json:"admitted_vms"`
 	RejectedVMs    int     `json:"rejected_vms"`
@@ -68,6 +75,9 @@ type Cell struct {
 	AdmissionRate  float64 `json:"admission_rate"`
 	MeanPlaceTicks float64 `json:"mean_place_ticks"`
 	// Fault-layer columns (zero, availability 1, for immortal fleets).
+	// MeanRehomeTicks is the mean eviction-to-replacement latency of
+	// re-homed VMs, MaxRehomeTicks the worst case; Availability is served
+	// VM-time over total VM-time.
 	Crashes         int     `json:"crashes"`
 	ForcedEvictions int     `json:"forced_evictions"`
 	Interruptions   int     `json:"interruptions"`
@@ -77,9 +87,10 @@ type Cell struct {
 	MeanRehomeTicks float64 `json:"mean_rehome_ticks"`
 	MaxRehomeTicks  int     `json:"max_rehome_ticks"`
 	Availability    float64 `json:"availability"`
-	// Row counters, summed over the cell's rounds: RowsRecomputed is the
-	// VM rows the table fills estimated (zero for schedulers that do not
-	// report round stats). RowsReused is always 0 — rounds reuse nothing
+	// Row counters, summed over the cell's rounds and read from the
+	// scheduler's series in Obs: RowsRecomputed is the VM rows the table
+	// fills estimated (zero for schedulers that register no round
+	// metrics). RowsReused is always 0 — rounds reuse nothing
 	// from earlier rounds — and is kept only so the JSON/CSV layout stays
 	// unchanged; drop it at the next change to the benchmark goldens.
 	RowsReused     int `json:"rows_reused"`
@@ -99,11 +110,14 @@ type Cell struct {
 	EngineTicks int                `json:"engine_ticks"`
 	Obs         map[string]float64 `json:"obs"`
 	// TickMS is the mean engine-tick wall latency — reporting only.
-	TickMS  float64 `json:"-"`
-	RoundMS float64 `json:"-"` // mean scheduling-round wall latency
+	TickMS float64 `json:"-"`
+	// RoundMS is the mean wall latency of the scheduler's calls, as the
+	// Manager times them (core.Manager.RoundWall), for every policy.
+	RoundMS float64 `json:"-"`
 	// Phase breakdown of RoundMS (table fill, candidate scoring,
-	// everything else); wall-clock like RoundMS, so excluded from the
-	// machine-readable output.
+	// everything else): the means of the scheduler's phase histograms,
+	// zero for schedulers that register none. Wall-clock like RoundMS, so
+	// excluded from the machine-readable output.
 	FillMS   float64 `json:"-"`
 	ScoreMS  float64 `json:"-"`
 	ReduceMS float64 `json:"-"`
@@ -245,29 +259,7 @@ func Run(m Matrix) (*Result, error) {
 			errs[i] = fmt.Errorf("sweep: cell %s/%s seed %d: %w", scns[si], pols[pi].Name, seed, err)
 			return
 		}
-		cells[i] = Cell{
-			Scenario: scns[si], Policy: pols[pi].Name, Seed: seed,
-			Ticks: run.Ticks, Rounds: run.Rounds,
-			AvgSLA: run.AvgSLA, MinSLA: run.MinSLA, AvgWatts: run.AvgWatts,
-			ProfitEURh: run.AvgEuroH, RevenueEUR: run.RevenueEUR,
-			EnergyEUR: run.EnergyEUR, PenaltyEUR: run.PenaltyEUR,
-			Migrations: run.Migrations, AvgActivePMs: run.AvgActive,
-			OfferedVMs: run.OfferedVMs, AdmittedVMs: run.AdmittedVMs,
-			RejectedVMs: run.RejectedVMs, DepartedVMs: run.DepartedVMs,
-			AdmissionRate: run.AdmissionRate, MeanPlaceTicks: run.MeanPlaceTicks,
-			Crashes: run.Crashes, ForcedEvictions: run.ForcedEvictions,
-			Interruptions: run.Interruptions, RehomedVMs: run.RehomedVMs,
-			ShedVMs: run.ShedVMs, DegradedTicks: run.DegradedTicks,
-			MeanRehomeTicks: run.MeanRehomeTicks, MaxRehomeTicks: run.MaxRehomeTicks,
-			Availability:      run.Availability,
-			RowsRecomputed:    run.RowsRecomputed,
-			CandidatesScored:  run.CandidatesScored,
-			ShortlistRebuilds: run.ShortlistRebuilds, ShortlistTruncated: run.ShortlistTruncated,
-			EngineTicks: run.EngineTicks, Obs: run.Obs,
-			TickMS:  run.TickMS,
-			RoundMS: run.RoundMS,
-			FillMS:  run.FillMS, ScoreMS: run.ScoreMS, ReduceMS: run.ReduceMS,
-		}
+		cells[i] = run.Cell
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -334,42 +326,47 @@ func (r *Result) JSON() ([]byte, error) {
 // fmtF renders a float with full round-trip precision for CSV.
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// CellsTable renders every cell as one table row (the CSV backbone).
+// CellsTable renders every cell as one table row (the CSV backbone). The
+// columns are Cell's JSON fields in declaration order, minus the obs map
+// and the wall-clock (json:"-") fields, so the CSV cannot drift from the
+// JSON.
 func (r *Result) CellsTable() report.Table {
-	t := report.Table{
-		Caption: "sweep cells",
-		Headers: []string{"scenario", "policy", "seed", "ticks", "rounds",
-			"avg_sla", "min_sla", "avg_watts", "profit_eur_h", "revenue_eur",
-			"energy_eur", "penalty_eur", "migrations", "avg_active_pms",
-			"offered_vms", "admitted_vms", "rejected_vms", "departed_vms",
-			"admission_rate", "mean_place_ticks",
-			"crashes", "forced_evictions", "interruptions", "rehomed_vms",
-			"shed_vms", "degraded_ticks", "mean_rehome_ticks",
-			"max_rehome_ticks", "availability",
-			"rows_reused", "rows_recomputed",
-			"candidates_scored", "shortlist_rebuilds", "shortlist_truncated",
-			"engine_ticks"},
+	t := report.Table{Caption: "sweep cells"}
+	typ := reflect.TypeFor[Cell]()
+	var fields []int
+	for i := 0; i < typ.NumField(); i++ {
+		name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if name == "-" || name == "obs" {
+			continue
+		}
+		t.Headers = append(t.Headers, name)
+		fields = append(fields, i)
 	}
 	for i := range r.Cells {
-		c := &r.Cells[i]
-		t.AddRow(c.Scenario, c.Policy,
-			strconv.FormatUint(c.Seed, 10), strconv.Itoa(c.Ticks), strconv.Itoa(c.Rounds),
-			fmtF(c.AvgSLA), fmtF(c.MinSLA), fmtF(c.AvgWatts), fmtF(c.ProfitEURh),
-			fmtF(c.RevenueEUR), fmtF(c.EnergyEUR), fmtF(c.PenaltyEUR),
-			strconv.Itoa(c.Migrations), fmtF(c.AvgActivePMs),
-			strconv.Itoa(c.OfferedVMs), strconv.Itoa(c.AdmittedVMs),
-			strconv.Itoa(c.RejectedVMs), strconv.Itoa(c.DepartedVMs),
-			fmtF(c.AdmissionRate), fmtF(c.MeanPlaceTicks),
-			strconv.Itoa(c.Crashes), strconv.Itoa(c.ForcedEvictions),
-			strconv.Itoa(c.Interruptions), strconv.Itoa(c.RehomedVMs),
-			strconv.Itoa(c.ShedVMs), strconv.Itoa(c.DegradedTicks),
-			fmtF(c.MeanRehomeTicks), strconv.Itoa(c.MaxRehomeTicks),
-			fmtF(c.Availability),
-			strconv.Itoa(c.RowsReused), strconv.Itoa(c.RowsRecomputed),
-			strconv.Itoa(c.CandidatesScored), strconv.Itoa(c.ShortlistRebuilds),
-			strconv.Itoa(c.ShortlistTruncated), strconv.Itoa(c.EngineTicks))
+		v := reflect.ValueOf(&r.Cells[i]).Elem()
+		row := make([]string, len(fields))
+		for k, f := range fields {
+			row[k] = csvField(v.Field(f))
+		}
+		t.AddRow(row...)
 	}
 	return t
+}
+
+// csvField formats one scalar Cell field: integers in base 10, floats
+// with full round-trip precision.
+func csvField(v reflect.Value) string {
+	switch v.Kind() {
+	case reflect.String:
+		return v.String()
+	case reflect.Int:
+		return strconv.FormatInt(v.Int(), 10)
+	case reflect.Uint64:
+		return strconv.FormatUint(v.Uint(), 10)
+	case reflect.Float64:
+		return fmtF(v.Float())
+	}
+	panic(fmt.Sprintf("sweep: no CSV format for %s", v.Type()))
 }
 
 // CSV returns the per-cell results as CSV (deterministic, like JSON).

@@ -444,39 +444,82 @@ func TestHyperscaleSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepCellObsSnapshot pins the per-cell metric snapshot: every cell
-// carries its registry's deterministic counters (engine ticks matching
-// the cell length, lifecycle churn matching the lifecycle columns), and
-// no wall-clock series ever reaches the map or the JSON/CSV output.
+// TestSweepCellObsSnapshot pins the per-cell metric snapshot and the
+// columns read from it: every cell carries its registry's deterministic
+// counters (engine ticks matching the cell length, lifecycle churn
+// matching the lifecycle columns, round counters matching their
+// scheduler series), Rounds is the Manager's round count, the Manager
+// times the rounds of every policy — Best-Fit or not — and no wall-clock
+// series ever reaches the map.
 func TestSweepCellObsSnapshot(t *testing.T) {
-	pol, err := PolicyByName("bf-ob")
-	if err != nil {
-		t.Fatal(err)
-	}
 	const ticks = 40
-	run, err := RunSpecOpts(scenario.MustPreset(scenario.ChurnPoisson, 5), pol, nil, ticks,
-		RunOpts{DefaultInitial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.EngineTicks != ticks {
-		t.Fatalf("engine ticks = %d, want %d", run.EngineTicks, ticks)
-	}
-	if run.Obs["mdcsim_engine_ticks_total"] != ticks {
-		t.Fatalf("obs engine ticks = %v, want %d", run.Obs["mdcsim_engine_ticks_total"], ticks)
-	}
-	if got := run.Obs["mdcsim_lifecycle_offered_total"]; got != float64(run.OfferedVMs) {
-		t.Fatalf("obs offered = %v, lifecycle column says %d", got, run.OfferedVMs)
-	}
-	if got := run.Obs["mdcsim_sched_rounds_total"]; got != float64(run.Rounds) {
-		t.Fatalf("obs rounds = %v, timed scheduler says %d", got, run.Rounds)
-	}
-	for name := range run.Obs {
-		if strings.Contains(name, "_seconds") || strings.Contains(name, "runtime") {
-			t.Fatalf("wall-clock or scrape-time series %q leaked into the deterministic snapshot", name)
-		}
-	}
-	if run.TickMS <= 0 {
-		t.Fatal("mean tick latency not measured")
+	// Rounds run at every positive multiple of the period below ticks;
+	// none of these presets loses every candidate host.
+	const wantRounds = (ticks - 1) / DefaultRoundTicks
+	for _, tc := range []struct {
+		scenario, policy string
+		bestFit          bool // registers the sched.Metrics series
+	}{
+		{scenario.ChurnPoisson, "bf-ob", true},
+		{scenario.IntraDC, "bf-ml-prune", true},
+		{scenario.FailAZOutage, "bf", true},
+		{scenario.IntraDC, "firstfit", false},
+		{scenario.Hierarchy, "hier-ob", false},
+	} {
+		t.Run(tc.scenario+"/"+tc.policy, func(t *testing.T) {
+			pol, err := PolicyByName(tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := RunSpecOpts(scenario.MustPreset(tc.scenario, 5), pol, nil, ticks,
+				RunOpts{DefaultInitial: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run.EngineTicks != ticks {
+				t.Fatalf("engine ticks = %d, want %d", run.EngineTicks, ticks)
+			}
+			if run.Obs["mdcsim_engine_ticks_total"] != ticks {
+				t.Fatalf("obs engine ticks = %v, want %d", run.Obs["mdcsim_engine_ticks_total"], ticks)
+			}
+			if got := run.Obs["mdcsim_lifecycle_offered_total"]; got != float64(run.OfferedVMs) {
+				t.Fatalf("obs offered = %v, lifecycle column says %d", got, run.OfferedVMs)
+			}
+			if run.Rounds != wantRounds {
+				t.Fatalf("rounds = %d, want the Manager's %d", run.Rounds, wantRounds)
+			}
+			if run.RoundMS <= 0 {
+				t.Fatalf("%s rounds not timed: RoundMS = %v", tc.policy, run.RoundMS)
+			}
+			if got, ok := run.Obs["mdcsim_sched_rounds_total"]; ok != tc.bestFit ||
+				(ok && got != float64(run.Rounds)) {
+				t.Fatalf("obs sched rounds = %v (registered %v), rounds column %d", got, ok, run.Rounds)
+			}
+			for _, c := range []struct {
+				col    int
+				series string
+			}{
+				{run.RowsRecomputed, "mdcsim_sched_memo_rows_recomputed_total"},
+				{run.CandidatesScored, "mdcsim_sched_candidates_scored_total"},
+				{run.ShortlistRebuilds, "mdcsim_sched_shortlist_rebuilds_total"},
+				{run.ShortlistTruncated, "mdcsim_sched_shortlist_truncated_total"},
+			} {
+				if float64(c.col) != run.Obs[c.series] {
+					t.Errorf("column %d, series %s = %v", c.col, c.series, run.Obs[c.series])
+				}
+			}
+			if tc.bestFit && (run.CandidatesScored == 0 || run.ScoreMS <= 0) {
+				t.Fatalf("Best-Fit round stats missing: scored %d, score %vms",
+					run.CandidatesScored, run.ScoreMS)
+			}
+			for name := range run.Obs {
+				if strings.Contains(name, "_seconds") || strings.Contains(name, "runtime") {
+					t.Fatalf("wall-clock or scrape-time series %q leaked into the deterministic snapshot", name)
+				}
+			}
+			if run.TickMS <= 0 {
+				t.Fatal("mean tick latency not measured")
+			}
+		})
 	}
 }
