@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -75,7 +76,7 @@ func main() {
 		}
 		return
 	case *scenarioName != "":
-		if err := runScenario(*scenarioName, *seed, *ticks, *admitAll); err != nil {
+		if err := runScenario(os.Stdout, *scenarioName, *seed, *ticks, *admitAll); err != nil {
 			fmt.Fprintf(os.Stderr, "mdcsim: %s: %v\n", *scenarioName, err)
 			os.Exit(1)
 		}
@@ -229,10 +230,10 @@ func parseSeeds(s string) ([]uint64, error) {
 }
 
 // runScenario drives one preset under the overbooked Best-Fit manager and
-// prints an hourly summary plus the closing ledger. Churn presets run
+// writes an hourly summary plus the closing ledger. Churn presets run
 // with the lifecycle event queue and the default admission controller
 // (-admit-all disables the gate) and report the churn outcome.
-func runScenario(name string, seed uint64, ticks int, admitAll bool) error {
+func runScenario(w io.Writer, name string, seed uint64, ticks int, admitAll bool) error {
 	if ticks <= 0 {
 		return fmt.Errorf("-ticks must be positive, got %d", ticks)
 	}
@@ -252,7 +253,7 @@ func runScenario(name string, seed uint64, ticks int, admitAll bool) error {
 	// smaller fleets keep the exact exhaustive scan.
 	if pairs := len(sc.Inventory.PMs()) * len(sc.Inventory.VMs()); pairs > 1<<22 {
 		bf.Prune, bf.PruneK = true, 32
-		fmt.Printf("fleet-scale run (%d VM x PM pairs): candidate pruning on, PruneK 32\n", pairs)
+		fmt.Fprintf(w, "fleet-scale run (%d VM x PM pairs): candidate pruning on, PruneK 32\n", pairs)
 	}
 	mgrCfg := core.ManagerConfig{
 		World:      sc.World,
@@ -277,22 +278,22 @@ func runScenario(name string, seed uint64, ticks int, admitAll bool) error {
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 		return err
 	}
-	fmt.Printf("scenario %q: %d DCs, %d PMs, %d VMs, %d ticks\n",
+	fmt.Fprintf(w, "scenario %q: %d DCs, %d PMs, %d VMs, %d ticks\n",
 		name, sc.Inventory.NumDCs(), sc.Inventory.NumPMs(), len(sc.VMs), ticks)
 	if runner != nil {
-		fmt.Printf("churn: %d scripted arrivals, admission %s\n",
+		fmt.Fprintf(w, "churn: %d scripted arrivals, admission %s\n",
 			len(sc.Script.Arrivals), map[bool]string{true: "disabled", false: "capacity gate"}[admitAll])
 	}
 	if faults != nil {
-		fmt.Printf("faults: %d scripted events\n", len(sc.Faults.Events))
+		fmt.Fprintf(w, "faults: %d scripted events\n", len(sc.Faults.Events))
 	}
-	fmt.Println("tick  SLA    min    watts    PMs  VMs  migs  profit€")
+	fmt.Fprintln(w, "tick  SLA    min    watts    PMs  VMs  migs  profit€")
 	var sumSLA, sumW float64
 	err = mgr.Run(ticks, func(st sim.TickSummary) {
 		sumSLA += st.AvgSLA
 		sumW += st.FacilityWatts
 		if st.Tick%60 == 0 {
-			fmt.Printf("%4d  %.3f  %.3f  %7.1f  %3d  %3d  %4d  %7.3f\n",
+			fmt.Fprintf(w, "%4d  %.3f  %.3f  %7.1f  %3d  %3d  %4d  %7.3f\n",
 				st.Tick, st.AvgSLA, st.MinSLA, st.FacilityWatts, st.ActivePMs,
 				sc.World.NumActiveVMs(), sc.World.TotalMigrations(), st.ProfitEUR)
 		}
@@ -301,18 +302,18 @@ func runScenario(name string, seed uint64, ticks int, admitAll bool) error {
 		return err
 	}
 	l := sc.World.Ledger()
-	fmt.Printf("\nsummary: avg SLA %.4f | avg %.1f W | revenue %.3f€ energy %.3f€ penalties %.3f€ profit %.3f€ | %d migrations\n",
+	fmt.Fprintf(w, "\nsummary: avg SLA %.4f | avg %.1f W | revenue %.3f€ energy %.3f€ penalties %.3f€ profit %.3f€ | %d migrations\n",
 		sumSLA/float64(ticks), sumW/float64(ticks),
 		l.Revenue(), l.EnergyCost(), l.Penalties(), l.Profit(), sc.World.TotalMigrations())
 	if runner != nil {
 		st := runner.Stats()
-		fmt.Printf("churn: offered %d admitted %d rejected %d deferred %d departed %d | admit rate %.2f | mean time-to-place %.1f ticks\n",
+		fmt.Fprintf(w, "churn: offered %d admitted %d rejected %d deferred %d departed %d | admit rate %.2f | mean time-to-place %.1f ticks\n",
 			st.Offered, st.Admitted, st.Rejected, st.Deferrals, st.Departed,
 			st.AdmissionRate(), st.MeanPlacementTicks())
 	}
 	if faults != nil {
 		st := faults.Stats()
-		fmt.Printf("faults: %d crashes %d takedowns %d drains %d outages | %d interruptions (%d forced) | rehomed %d (mean %.1f max %d ticks) shed %d | availability %.4f | degraded %d ticks\n",
+		fmt.Fprintf(w, "faults: %d crashes %d takedowns %d drains %d outages | %d interruptions (%d forced) | rehomed %d (mean %.1f max %d ticks) shed %d | availability %.4f | degraded %d ticks\n",
 			st.Crashes, st.Takedowns, st.DrainsStarted, st.OutageStarts,
 			st.Interruptions, st.ForcedEvictions,
 			st.Rehomed, st.MeanRehomeTicks(), st.MaxRehomeTicks, st.Shed,

@@ -1,6 +1,13 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"maps"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -194,7 +201,78 @@ func TestSchedulerScalingShape(t *testing.T) {
 	}
 }
 
+// experimentGoldens pins, per registered experiment, the SHA-256 of its
+// rendered output followed by its sorted Metrics at testSeed, keyed by
+// GOOS/GOARCH: float formatting is exact, but fused multiply-add and
+// math-library differences may move the last bits on other platforms,
+// which then only run the experiments.
+var experimentGoldens = map[string]map[string]string{
+	"linux/amd64": {
+		"churn":      "1d903dbb34994c53054cd0495c3f08f9ef9ba5ebd5d19f1214383ef395a7d2b6",
+		"delocation": "3b1c4080096bd07a38db84127e4312329ff9d9ba5a724872225e19055ae2568d",
+		"failures":   "5e0bcff60122d817d6735497b33dea49fea3d7fe5bdfea5fcbfc64f04f4903d7",
+		"fig4":       "787ceb178f6f6c5ae2664229404c70150e3f44dae7cfe9ecc707503cd557375d",
+		"fig5":       "3ca02cde16b52cfe89a985571467921c6fdb473032ea0d9f7b4001c9eab32f94",
+		"fig6":       "5e136aeeea755baa0f458aa71708b23afa757d46de6b470178f4961ac0c21b96",
+		"fig7":       "36c7d1c913f7eaf1c9b512a53ed8718c0c036a03d31f6e6b52dd4eb82c00deee",
+		"fig8":       "4e8fab998c150809254687a3ff8c15c3c8ab5769ceb66b4d7549b36cde5ddcb0",
+		"green":      "469d0027297b4ffd67beb3da5b63c7659b0cf6628814ae788f5f7e4332929363",
+		"heuristics": "493f2bb0682a9e7ce4981fb647e06199887426fb103126a348cd81bc7d6008d9",
+		"hierarchy":  "fb1a9e6b12abde70237f670455104cbf2d3c6e13a6a8b9702f510bf78aed00a0",
+		"online":     "664399a7427e847dbd1c4bbd158189bcd5abe768991792510c021c55516330c5",
+		"scaling":    "bc2d4deb23ef1f9299f60592ebfc93d33fec23280e0c83651397e63bd90b5321",
+		"table1":     "e528d3ae09b74266dc16f19c49d1b0f6232873b2b8a8cb3b7b418bbdb6c79e12",
+	},
+}
+
+// wallClock names, per experiment, the table columns and Metrics key
+// prefixes that report elapsed time. The golden blanks those cells and
+// skips those keys; everything else is a pure function of the seed.
+var wallClock = map[string]struct{ columns, metrics []string }{
+	"scaling": {
+		columns: []string{"best-fit", "B&B", "exhaustive", "exh/bf"},
+		metrics: []string{"bfNs:", "exNs:"},
+	},
+	"hierarchy": {
+		columns: []string{"flat ms/round", "hier ms/round"},
+		metrics: []string{"flatMs:", "hierMs:"},
+	},
+}
+
+// experimentDigest hashes an experiment's rendered tables, charts and
+// notes plus its Metrics (exact shortest float formatting, sorted keys),
+// with the experiment's wall-clock cells blanked first.
+func experimentDigest(name string, res *Result) string {
+	wc := wallClock[name]
+	for ti := range res.Tables {
+		tab := &res.Tables[ti]
+		for ci, h := range tab.Headers {
+			if !slices.Contains(wc.columns, h) {
+				continue
+			}
+			for _, row := range tab.Rows {
+				row[ci] = "-"
+			}
+		}
+	}
+	var b strings.Builder
+	b.WriteString(res.Render())
+	for _, k := range slices.Sorted(maps.Keys(res.Metrics)) {
+		if slices.ContainsFunc(wc.metrics, func(p string) bool { return strings.HasPrefix(k, p) }) {
+			continue
+		}
+		fmt.Fprintf(&b, "%s=%s\n", k, strconv.FormatFloat(res.Metrics[k], 'g', -1, 64))
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestRunAllRegisteredExperiments runs every registered experiment once
+// and, on platforms with recorded digests, pins its output byte for
+// byte: refactors of the experiments, the cell runner or the schedulers
+// must reproduce the same tables, charts, notes and metrics.
 func TestRunAllRegisteredExperiments(t *testing.T) {
+	goldens, pinned := experimentGoldens[runtime.GOOS+"/"+runtime.GOARCH]
 	for _, name := range Names() {
 		res, err := Run(name, testSeed)
 		if err != nil {
@@ -206,5 +284,14 @@ func TestRunAllRegisteredExperiments(t *testing.T) {
 		if len(res.Tables) == 0 && len(res.Charts) == 0 {
 			t.Fatalf("%s produced no output", name)
 		}
+		if !pinned {
+			continue
+		}
+		if got, want := experimentDigest(name, res), goldens[name]; got != want {
+			t.Errorf("%s output sha256 = %s, want %s", name, got, want)
+		}
+	}
+	if !pinned {
+		t.Skipf("no experiment goldens recorded for %s/%s", runtime.GOOS, runtime.GOARCH)
 	}
 }
