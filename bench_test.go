@@ -293,12 +293,12 @@ func BenchmarkBestFitRound(b *testing.B) {
 	problem := syntheticProblem(24, 16)
 	cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
 	for _, mode := range []struct {
-		name     string
-		parallel bool
-	}{{"serial", false}, {"parallel", true}} {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 4}} {
 		b.Run(mode.name, func(b *testing.B) {
 			bf := sched.NewBestFit(cost, sched.NewObserved())
-			bf.Parallel = mode.parallel
+			bf.Workers = mode.workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := bf.Schedule(problem); err != nil {

@@ -29,8 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/lifecycle"
-	"repro/internal/power"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -229,10 +228,11 @@ func parseSeeds(s string) ([]uint64, error) {
 	return out, nil
 }
 
-// runScenario drives one preset under the overbooked Best-Fit manager and
-// writes an hourly summary plus the closing ledger. Churn presets run
-// with the lifecycle event queue and the default admission controller
-// (-admit-all disables the gate) and report the churn outcome.
+// runScenario drives one preset as a sweep cell of the registry's
+// overbooked Best-Fit (bf-ob) and writes an hourly summary plus the
+// closing ledger. Churn presets run with the lifecycle event queue and
+// the default admission controller (-admit-all disables the gate) and
+// report the churn outcome; fault presets report the fault outcome.
 func runScenario(w io.Writer, name string, seed uint64, ticks int, admitAll bool) error {
 	if ticks <= 0 {
 		return fmt.Errorf("-ticks must be positive, got %d", ticks)
@@ -241,83 +241,71 @@ func runScenario(w io.Writer, name string, seed uint64, ticks int, admitAll bool
 	if err != nil {
 		return err
 	}
-	sc, err := scenario.Build(spec)
+	pol, err := sweep.PolicyByName("bf-ob")
 	if err != nil {
 		return err
 	}
-	cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
-	bf := sched.NewBestFit(cost, sched.NewOverbooked())
-	// Fleet-scale presets (hyperscale: 20000 VMs x 5100 PMs) cannot run
-	// the exhaustive scoring matrix interactively; bound the round with
-	// the truncated candidate shortlist. Truncation is disclosed, and
-	// smaller fleets keep the exact exhaustive scan.
-	if pairs := len(sc.Inventory.PMs()) * len(sc.Inventory.VMs()); pairs > 1<<22 {
-		bf.Prune, bf.PruneK = true, 32
-		fmt.Fprintf(w, "fleet-scale run (%d VM x PM pairs): candidate pruning on, PruneK 32\n", pairs)
+	makeOB := pol.Make
+	pol.Make = func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
+		s, err := makeOB(sc, b)
+		if err != nil {
+			return nil, err
+		}
+		// Fleet-scale presets (hyperscale: 20000 VMs x 5100 PMs) cannot run
+		// the exhaustive scoring matrix interactively; bound the round with
+		// the truncated candidate shortlist. Truncation is disclosed, and
+		// smaller fleets keep the exact exhaustive scan.
+		if pairs := len(sc.Inventory.PMs()) * len(sc.Inventory.VMs()); pairs > 1<<22 {
+			bf := s.(*sched.BestFit)
+			bf.Prune, bf.PruneK = true, 32
+			fmt.Fprintf(w, "fleet-scale run (%d VM x PM pairs): candidate pruning on, PruneK 32\n", pairs)
+		}
+		return s, nil
 	}
-	mgrCfg := core.ManagerConfig{
-		World:      sc.World,
-		Scheduler:  bf,
-		RoundTicks: 10,
-		Admission:  core.AdmissionPolicy{Disabled: admitAll},
+	var opts sweep.RunOpts
+	if admitAll {
+		opts.Admission = &core.AdmissionPolicy{Disabled: true}
 	}
-	var runner *lifecycle.Runner
-	if sc.Script != nil {
-		runner = lifecycle.NewRunner(sc.Script)
-		mgrCfg.Lifecycle = runner
-	}
-	var faults *lifecycle.FaultRunner
-	if sc.Faults != nil {
-		faults = lifecycle.NewFaultRunner(sc.Faults)
-		mgrCfg.Faults = faults
-	}
-	mgr, err := core.NewManager(mgrCfg)
-	if err != nil {
-		return err
-	}
-	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "scenario %q: %d DCs, %d PMs, %d VMs, %d ticks\n",
-		name, sc.Inventory.NumDCs(), sc.Inventory.NumPMs(), len(sc.VMs), ticks)
-	if runner != nil {
-		fmt.Fprintf(w, "churn: %d scripted arrivals, admission %s\n",
-			len(sc.Script.Arrivals), map[bool]string{true: "disabled", false: "capacity gate"}[admitAll])
-	}
-	if faults != nil {
-		fmt.Fprintf(w, "faults: %d scripted events\n", len(sc.Faults.Events))
-	}
-	fmt.Fprintln(w, "tick  SLA    min    watts    PMs  VMs  migs  profit€")
-	var sumSLA, sumW float64
-	err = mgr.Run(ticks, func(st sim.TickSummary) {
-		sumSLA += st.AvgSLA
-		sumW += st.FacilityWatts
+	var started, churn, faults bool
+	opts.OnTick = func(sc *scenario.Scenario, st sim.TickSummary) {
+		if !started {
+			started, churn, faults = true, sc.Script != nil, sc.Faults != nil
+			fmt.Fprintf(w, "scenario %q: %d DCs, %d PMs, %d VMs, %d ticks\n",
+				name, sc.Inventory.NumDCs(), sc.Inventory.NumPMs(), len(sc.VMs), ticks)
+			if churn {
+				fmt.Fprintf(w, "churn: %d scripted arrivals, admission %s\n",
+					len(sc.Script.Arrivals), map[bool]string{true: "disabled", false: "capacity gate"}[admitAll])
+			}
+			if faults {
+				fmt.Fprintf(w, "faults: %d scripted events\n", len(sc.Faults.Events))
+			}
+			fmt.Fprintln(w, "tick  SLA    min    watts    PMs  VMs  migs  profit€")
+		}
 		if st.Tick%60 == 0 {
 			fmt.Fprintf(w, "%4d  %.3f  %.3f  %7.1f  %3d  %3d  %4d  %7.3f\n",
 				st.Tick, st.AvgSLA, st.MinSLA, st.FacilityWatts, st.ActivePMs,
 				sc.World.NumActiveVMs(), sc.World.TotalMigrations(), st.ProfitEUR)
 		}
-	})
+	}
+	run, err := sweep.RunSpec(spec, pol, nil, ticks, opts)
 	if err != nil {
 		return err
 	}
-	l := sc.World.Ledger()
 	fmt.Fprintf(w, "\nsummary: avg SLA %.4f | avg %.1f W | revenue %.3f€ energy %.3f€ penalties %.3f€ profit %.3f€ | %d migrations\n",
-		sumSLA/float64(ticks), sumW/float64(ticks),
-		l.Revenue(), l.EnergyCost(), l.Penalties(), l.Profit(), sc.World.TotalMigrations())
-	if runner != nil {
-		st := runner.Stats()
+		run.AvgSLA, run.AvgWatts, run.RevenueEUR, run.EnergyEUR, run.PenaltyEUR,
+		run.RevenueEUR-run.PenaltyEUR-run.EnergyEUR, run.Migrations)
+	if churn {
 		fmt.Fprintf(w, "churn: offered %d admitted %d rejected %d deferred %d departed %d | admit rate %.2f | mean time-to-place %.1f ticks\n",
-			st.Offered, st.Admitted, st.Rejected, st.Deferrals, st.Departed,
-			st.AdmissionRate(), st.MeanPlacementTicks())
+			run.OfferedVMs, run.AdmittedVMs, run.RejectedVMs, int(run.Obs["mdcsim_lifecycle_deferrals_total"]),
+			run.DepartedVMs, run.AdmissionRate, run.MeanPlaceTicks)
 	}
-	if faults != nil {
-		st := faults.Stats()
+	if faults {
 		fmt.Fprintf(w, "faults: %d crashes %d takedowns %d drains %d outages | %d interruptions (%d forced) | rehomed %d (mean %.1f max %d ticks) shed %d | availability %.4f | degraded %d ticks\n",
-			st.Crashes, st.Takedowns, st.DrainsStarted, st.OutageStarts,
-			st.Interruptions, st.ForcedEvictions,
-			st.Rehomed, st.MeanRehomeTicks(), st.MaxRehomeTicks, st.Shed,
-			st.Availability(), st.DegradedTicks)
+			run.Crashes, int(run.Obs["mdcsim_fault_takedowns_total"]),
+			int(run.Obs["mdcsim_fault_drains_started_total"]), int(run.Obs["mdcsim_fault_outage_starts_total"]),
+			run.Interruptions, run.ForcedEvictions,
+			run.RehomedVMs, run.MeanRehomeTicks, run.MaxRehomeTicks, run.ShedVMs,
+			run.Availability, run.DegradedTicks)
 	}
 	return nil
 }

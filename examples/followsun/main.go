@@ -13,10 +13,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -29,7 +29,7 @@ func main() {
 	}
 	world := sc.World
 
-	cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+	cost := sweep.CostModel(sc)
 	cost.LatencyOnly = true // pure follow-the-load, as in Figure 5
 	bf := sched.NewBestFit(cost, sched.NewObserved())
 	bf.MinGainEUR = 0.0003

@@ -12,11 +12,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/power"
 	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func main() {
 		if err := sc.World.PlaceInitial(sc.PileOn(0)); err != nil {
 			log.Fatal(err)
 		}
-		cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+		cost := sweep.CostModel(sc)
 		mgr, err := core.NewManager(core.ManagerConfig{
 			World:     sc.World,
 			Scheduler: sched.NewBestFit(cost, est),

@@ -11,11 +11,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/power"
 	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -49,7 +49,7 @@ func main() {
 
 	// 3. Wire the management loop: ML-enhanced Best-Fit deciding every
 	//    10 minutes over the Figure 3 profit objective.
-	cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+	cost := sweep.CostModel(sc)
 	manager, err := core.NewManager(core.ManagerConfig{
 		World:      sc.World,
 		Scheduler:  sched.NewBestFit(cost, sched.NewML(bundle)),

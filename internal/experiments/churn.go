@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -38,29 +36,18 @@ func Churn(seed uint64) (*Result, error) {
 	type setup struct {
 		name      string
 		admission *core.AdmissionPolicy
-		pol       sweep.Policy
-	}
-	mkOB := sweep.Policy{
-		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked()), nil
-		},
-	}
-	mkML := sweep.Policy{
-		NeedsBundle: true,
-		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-		},
+		policy    string // sweep registry name
 	}
 	setups := []setup{
-		{name: "BF-OB/admit-all", pol: mkOB,
+		{name: "BF-OB/admit-all", policy: "bf-ob",
 			admission: &core.AdmissionPolicy{Disabled: true}},
-		{name: "BF-OB/capacity", pol: mkOB,
+		{name: "BF-OB/capacity", policy: "bf-ob",
 			admission: &core.AdmissionPolicy{}},
-		{name: "BF-OB/tight-cap", pol: mkOB,
+		{name: "BF-OB/tight-cap", policy: "bf-ob",
 			admission: &core.AdmissionPolicy{TargetUtil: 0.4}},
-		{name: "BF+ML/capacity", pol: mkML,
+		{name: "BF+ML/capacity", policy: "bf-ml",
 			admission: &core.AdmissionPolicy{Bundle: bundle}},
-		{name: "BF+ML/cap+SLA", pol: mkML,
+		{name: "BF+ML/cap+SLA", policy: "bf-ml",
 			admission: &core.AdmissionPolicy{Bundle: bundle, MinPredictedSLA: 0.6}},
 	}
 
@@ -73,10 +60,8 @@ func Churn(seed uint64) (*Result, error) {
 	}
 	var slaSeries []report.Series
 	for _, su := range setups {
-		su.pol.Name = su.name
-		run, err := sweep.RunSpecOpts(spec, su.pol, bundle, ticks, sweep.RunOpts{
-			DefaultInitial: true,
-			Admission:      su.admission,
+		run, err := sweep.RunSpec(spec, registered(su.policy, su.name, nil), bundle, ticks, sweep.RunOpts{
+			Admission: su.admission,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("churn %s: %w", su.name, err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/model"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sweep"
@@ -26,20 +27,19 @@ func Delocation(seed uint64) (*Result, error) {
 	}
 	// Both variants start with everything in the home DC (DC 0's host).
 	pile := func(sc *scenario.Scenario) model.Placement { return sc.PileOn(0) }
-	static, err := RunPolicy(spec, func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		return &sched.Fixed{P: pile(sc)}, nil
-	}, pile, ticks)
+	static, err := sweep.RunSpec(spec, sweep.Policy{
+		Name: "fixed-DC", Initial: pile,
+		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
+			return &sched.Fixed{P: pile(sc)}, nil
+		},
+	}, bundle, ticks, sweep.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("delocation static: %w", err)
 	}
-	dynamic, err := RunPolicy(spec, func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(bundle)), nil
-	}, pile, ticks)
+	dynamic, err := sweep.RunSpec(spec, registered("bf-ml", "de-locating", pile), bundle, ticks, sweep.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("delocation dynamic: %w", err)
 	}
-	static.Policy = "fixed-DC"
-	dynamic.Policy = "de-locating"
 
 	perVMPerDay := (dynamic.ProfitEURh - static.ProfitEURh) * 24 / 5
 	res := &Result{Name: "Delocation", Metrics: map[string]float64{

@@ -2,8 +2,8 @@
 // evaluation (Section V). Each experiment is a pure function of a seed,
 // returning tables and series shaped like the paper's outputs; the bench
 // harness at the repository root regenerates them all. Experiments run
-// through the shared sweep cell-runner (internal/sweep), so one experiment
-// run and one sweep cell are the same code path.
+// registry policies through the shared sweep cell-runner (internal/sweep),
+// so one experiment run and one sweep cell are the same code path.
 //
 // Index (see DESIGN.md for the full mapping):
 //
@@ -22,12 +22,10 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -67,27 +65,16 @@ func TrainedBundle(seed uint64) (*predict.Bundle, error) {
 	return sweep.TrainedBundle(seed)
 }
 
-// RunPolicy executes a scheduler-managed run on a fresh scenario built
-// from the spec, through the sweep cell-runner. A nil initial leaves the
-// VMs unplaced until the first scheduling round, matching each figure's
-// hand-picked starting state.
-func RunPolicy(spec scenario.Spec, mkSched func(*scenario.Scenario) (sched.Scheduler, error),
-	initial func(*scenario.Scenario) model.Placement, ticks int) (*sweep.PolicyRun, error) {
-	pol := sweep.Policy{
-		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-			return mkSched(sc)
-		},
-		Initial: initial,
+// registered returns the sweep registry's policy name, relabelled for a
+// figure and started from initial (nil = HomePlacement), so an experiment
+// runs exactly the scheduler a sweep cell of that name runs.
+func registered(name, label string, initial func(*scenario.Scenario) model.Placement) sweep.Policy {
+	pol, err := sweep.PolicyByName(name)
+	if err != nil {
+		panic(err) // every caller names a policy the registry declares
 	}
-	return sweep.RunSpecOpts(spec, pol, nil, ticks, sweep.RunOpts{})
-}
-
-// newManager wires the standard management loop around a scheduler (for
-// the experiments that drive the loop tick by tick themselves).
-func newManager(sc *scenario.Scenario, s sched.Scheduler) (*core.Manager, error) {
-	return core.NewManager(core.ManagerConfig{
-		World: sc.World, Scheduler: s, RoundTicks: sweep.DefaultRoundTicks,
-	})
+	pol.Name, pol.Initial = label, initial
+	return pol
 }
 
 // summaryTable renders PolicyRuns side by side.

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -39,28 +37,17 @@ func Failures(seed uint64) (*Result, error) {
 		name      string
 		admission *core.AdmissionPolicy
 		degraded  *core.DegradedPolicy
-		pol       sweep.Policy
-	}
-	mkOB := sweep.Policy{
-		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked()), nil
-		},
-	}
-	mkML := sweep.Policy{
-		NeedsBundle: true,
-		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-		},
+		policy    string // sweep registry name
 	}
 	setups := []setup{
-		{name: "BF-OB", pol: mkOB,
+		{name: "BF-OB", policy: "bf-ob",
 			admission: &core.AdmissionPolicy{}},
-		{name: "BF-OB/shed", pol: mkOB,
+		{name: "BF-OB/shed", policy: "bf-ob",
 			admission: &core.AdmissionPolicy{},
 			degraded:  &core.DegradedPolicy{ShedAfterTicks: 30}},
-		{name: "BF+ML", pol: mkML,
+		{name: "BF+ML", policy: "bf-ml",
 			admission: &core.AdmissionPolicy{Bundle: bundle}},
-		{name: "BF+ML/shed", pol: mkML,
+		{name: "BF+ML/shed", policy: "bf-ml",
 			admission: &core.AdmissionPolicy{Bundle: bundle},
 			degraded:  &core.DegradedPolicy{ShedAfterTicks: 30}},
 	}
@@ -78,11 +65,9 @@ func Failures(seed uint64) (*Result, error) {
 		var series []report.Series
 		spec := scenario.MustPreset(preset, seed)
 		for _, su := range setups {
-			su.pol.Name = su.name
-			run, err := sweep.RunSpecOpts(spec, su.pol, bundle, ticks, sweep.RunOpts{
-				DefaultInitial: true,
-				Admission:      su.admission,
-				Degraded:       su.degraded,
+			run, err := sweep.RunSpec(spec, registered(su.policy, su.name, nil), bundle, ticks, sweep.RunOpts{
+				Admission: su.admission,
+				Degraded:  su.degraded,
 			})
 			if err != nil {
 				return t, nil, fmt.Errorf("failures %s/%s: %w", preset, su.name, err)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -29,18 +27,9 @@ func Figure4(seed uint64) (*Result, error) {
 		return nil, err
 	}
 	policies := []sweep.Policy{
-		{Name: "BF", Initial: initial,
-			Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(sweep.CostModel(sc), sched.NewObserved()), nil
-			}},
-		{Name: "BF-OB", Initial: initial,
-			Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked()), nil
-			}},
-		{Name: "BF+ML", Initial: initial, NeedsBundle: true,
-			Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-			}},
+		registered("bf", "BF", initial),
+		registered("bf-ob", "BF-OB", initial),
+		registered("bf-ml", "BF+ML", initial),
 	}
 	res := &Result{Name: "Figure4", Metrics: map[string]float64{}}
 	var runs []*sweep.PolicyRun
@@ -48,7 +37,7 @@ func Figure4(seed uint64) (*Result, error) {
 	slaChart.Caption = "Figure 4 (SLA over 24 h, per policy)"
 	pmChart.Caption = "Figure 4 (active PMs over 24 h, per policy)"
 	for _, pol := range policies {
-		run, err := sweep.RunSpec(spec, pol, bundle, ticks)
+		run, err := sweep.RunSpec(spec, pol, bundle, ticks, sweep.RunOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("figure4 %s: %w", pol.Name, err)
 		}

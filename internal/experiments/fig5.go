@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/model"
+	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -18,40 +19,36 @@ import (
 // afternoon, so the dominant load source rotates — and the placement must
 // rotate with it.
 func Figure5(seed uint64) (*Result, error) {
-	sc, err := scenario.Build(scenario.MustPreset(scenario.FollowLoad, seed))
-	if err != nil {
-		return nil, err
+	pol := sweep.Policy{
+		Name: "follow-the-load",
+		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
+			cost := sweep.CostModel(sc)
+			cost.LatencyOnly = true
+			s := sched.NewBestFit(cost, sched.NewObserved())
+			// Latency-only profits differ by fractions of a cent between
+			// adjacent DCs; the default hysteresis would freeze the tour.
+			s.MinGainEUR = 0.0003
+			return s, nil
+		},
+		Initial: func(*scenario.Scenario) model.Placement { return model.Placement{0: 0} },
 	}
-	cost := sweep.CostModel(sc)
-	cost.LatencyOnly = true
-	s := sched.NewBestFit(cost, sched.NewObserved())
-	// Latency-only profits differ by fractions of a cent between adjacent
-	// DCs; the default hysteresis would freeze the tour.
-	s.MinGainEUR = 0.0003
-	mgr, err := newManager(sc, s)
-	if err != nil {
-		return nil, err
-	}
-	if err := sc.World.PlaceInitial(model.Placement{0: 0}); err != nil {
-		return nil, err
-	}
-
 	ticks := 2 * model.TicksPerDay
-	var placementSeries, dominantSeries []float64
+	var dominantSeries []float64
 	colocated, moves, prevDC := 0, 0, model.DCID(0)
-	err = mgr.Run(ticks, func(st sim.TickSummary) {
-		dc := sc.World.State().DCOfVM(0)
-		truth, _ := sc.World.VMTruthAt(0)
-		dom, _ := truth.Load.DominantSource()
-		placementSeries = append(placementSeries, float64(dc))
-		dominantSeries = append(dominantSeries, float64(dom))
-		if int(dc) == int(dom) {
-			colocated++
-		}
-		if dc != prevDC {
-			moves++
-			prevDC = dc
-		}
+	run, err := sweep.RunSpec(scenario.MustPreset(scenario.FollowLoad, seed), pol, nil, ticks, sweep.RunOpts{
+		OnTick: func(sc *scenario.Scenario, _ sim.TickSummary) {
+			dc := sc.World.State().DCOfVM(0)
+			truth, _ := sc.World.VMTruthAt(0)
+			dom, _ := truth.Load.DominantSource()
+			dominantSeries = append(dominantSeries, float64(dom))
+			if int(dc) == int(dom) {
+				colocated++
+			}
+			if dc != prevDC {
+				moves++
+				prevDC = dc
+			}
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -64,7 +61,7 @@ func Figure5(seed uint64) (*Result, error) {
 	res.Charts = append(res.Charts, report.Chart{
 		Caption: "Figure 5 — VM placement (DC index) vs dominant load source over 48 h",
 		Series: []report.Series{
-			{Name: "hosting DC", Values: placementSeries},
+			{Name: "hosting DC", Values: run.DCSeries},
 			{Name: "dominant src", Values: dominantSeries},
 		},
 	})

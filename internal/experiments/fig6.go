@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -24,14 +22,7 @@ func Figure6(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol := sweep.Policy{
-		Name: "inter-DC BF+ML", NeedsBundle: true,
-		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-		},
-		Initial: func(sc *scenario.Scenario) model.Placement { return sc.HomePlacement() },
-	}
-	run, err := sweep.RunSpec(spec, pol, bundle, ticks)
+	run, err := sweep.RunSpec(spec, registered("bf-ml", "inter-DC BF+ML", nil), bundle, ticks, sweep.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("figure6: %w", err)
 	}

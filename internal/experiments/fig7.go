@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -35,24 +33,11 @@ func Figure7TableIII(seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	home := func(sc *scenario.Scenario) model.Placement { return sc.HomePlacement() }
-
-	static, err := sweep.RunSpec(spec, sweep.Policy{
-		Name: "Static-Global", Initial: home,
-		Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-			return &sched.Fixed{P: sc.HomePlacement()}, nil
-		},
-	}, bundle, ticks)
+	static, err := sweep.RunSpec(spec, registered("static", "Static-Global", nil), bundle, ticks, sweep.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("figure7 static: %w", err)
 	}
-
-	dynamic, err := sweep.RunSpec(spec, sweep.Policy{
-		Name: "Dynamic", Initial: home, NeedsBundle: true,
-		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-			return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-		},
-	}, bundle, ticks)
+	dynamic, err := sweep.RunSpec(spec, registered("bf-ml", "Dynamic", nil), bundle, ticks, sweep.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("figure7 dynamic: %w", err)
 	}

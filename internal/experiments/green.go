@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -29,22 +27,15 @@ func GreenEnergy(seed uint64) (*Result, error) {
 	ticks := 2 * model.TicksPerDay
 	spec := scenario.MustPreset(scenario.GreenSolar, seed)
 	base := spec.Pricing.Base
-	home := func(sc *scenario.Scenario) model.Placement { return sc.HomePlacement() }
 
 	run := func(dynamic bool) (*sweep.PolicyRun, float64, error) {
-		pol := sweep.Policy{Name: "static", Initial: home,
-			Make: func(sc *scenario.Scenario, _ *predict.Bundle) (sched.Scheduler, error) {
-				return &sched.Fixed{P: sc.HomePlacement()}, nil
-			}}
+		pol := registered("static", "static", nil)
 		if dynamic {
-			pol = sweep.Policy{Name: "follow-the-sun", Initial: home, NeedsBundle: true,
-				Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-					return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-				}}
+			pol = registered("bf-ml", "follow-the-sun", nil)
 		}
 		// Count ticks where vm0's host enjoys solar-discounted power.
 		sunlit := 0
-		pr, err := sweep.RunSpecOpts(spec, pol, bundle, ticks, sweep.RunOpts{
+		pr, err := sweep.RunSpec(spec, pol, bundle, ticks, sweep.RunOpts{
 			OnTick: func(sc *scenario.Scenario, st sim.TickSummary) {
 				if dc := sc.World.State().DCOfVM(0); dc >= 0 &&
 					sc.Topology.EnergyPriceAt(dc, st.Tick) < base[dc]*0.7 {

@@ -25,22 +25,10 @@ func Heuristics(seed uint64) (*Result, error) {
 	}
 	initial := func(sc *scenario.Scenario) model.Placement { return sc.PileOn(0) }
 	policies := []sweep.Policy{
-		{Name: "RoundRobin", Initial: initial,
-			Make: func(*scenario.Scenario, *predict.Bundle) (sched.Scheduler, error) {
-				return sched.RoundRobin{}, nil
-			}},
-		{Name: "FirstFit", Initial: initial, NeedsBundle: true,
-			Make: func(_ *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return &sched.FirstFit{Est: sched.NewML(b)}, nil
-			}},
-		{Name: "WorstFit", Initial: initial, NeedsBundle: true,
-			Make: func(_ *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return &sched.WorstFit{Est: sched.NewML(b)}, nil
-			}},
-		{Name: "BestFit+ML", Initial: initial, NeedsBundle: true,
-			Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-			}},
+		registered("roundrobin", "RoundRobin", initial),
+		registered("firstfit", "FirstFit", initial),
+		registered("worstfit", "WorstFit", initial),
+		registered("bf-ml", "BestFit+ML", initial),
 		{Name: "BestFit+ML-par", Initial: initial, NeedsBundle: true,
 			Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
 				return sweep.ParallelBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
@@ -49,7 +37,7 @@ func Heuristics(seed uint64) (*Result, error) {
 	res := &Result{Name: "Heuristics", Metrics: map[string]float64{}}
 	var runs []*sweep.PolicyRun
 	for _, pol := range policies {
-		run, err := sweep.RunSpec(spec, pol, bundle, ticks)
+		run, err := sweep.RunSpec(spec, pol, bundle, ticks, sweep.RunOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("heuristics %s: %w", pol.Name, err)
 		}

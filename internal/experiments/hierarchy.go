@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -68,18 +66,15 @@ func Hierarchy(seed uint64) (*Result, error) {
 }
 
 // runHierarchyPolicy runs the hierarchy preset resized to vms VMs and
-// pmsPerDC hosts per DC for 6 hours under the flat or the two-layer ML
-// scheduler, starting from the home placement.
+// pmsPerDC hosts per DC for 6 hours under the flat (bf-ml) or the
+// two-layer (hier-ml) ML scheduler, starting from the home placement.
 func runHierarchyPolicy(seed uint64, vms, pmsPerDC int, bundle *predict.Bundle, twoLayer bool) (*sweep.PolicyRun, error) {
 	spec := scenario.MustPreset(scenario.Hierarchy, seed)
 	spec.VMs = vms
 	spec.PMsPerDC = pmsPerDC
-	mk := func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		est := sched.NewML(bundle)
-		if twoLayer {
-			return core.NewHierarchical(sc.Inventory, sweep.CostModel(sc), est), nil
-		}
-		return sched.NewBestFit(sweep.CostModel(sc), est), nil
+	name := "bf-ml"
+	if twoLayer {
+		name = "hier-ml"
 	}
-	return RunPolicy(spec, mk, (*scenario.Scenario).HomePlacement, 360)
+	return sweep.RunSpec(spec, registered(name, name, nil), bundle, 360, sweep.RunOpts{})
 }

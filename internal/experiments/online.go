@@ -3,12 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -36,64 +34,43 @@ func OnlineLearning(seed uint64) (*Result, error) {
 	shifted.CPUCostFactor = 2.2
 
 	run := func(online bool) (*sweep.PolicyRun, *predict.Online, error) {
-		sc, err := scenario.Build(scenario.MustPreset(scenario.OnlineShift, seed))
-		if err != nil {
-			return nil, nil, err
-		}
-		world := sc.World
 		// Each run gets a private copy so runs cannot contaminate each other.
 		var updater *predict.Online
 		var bundle *predict.Bundle
+		var err error
+		name := "frozen-models"
 		if online {
+			name = "online-retrain"
 			updater, err = predict.NewOnline(base, predict.DefaultTrainConfig(seed), 4000, 120)
 			if err != nil {
 				return nil, nil, err
 			}
 			bundle = updater.Bundle
-		} else {
-			bundle, err = predict.CloneBundle(base)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		mgr, err := core.NewManager(core.ManagerConfig{
-			World:      world,
-			Scheduler:  sched.NewBestFit(sweep.CostModel(sc), sched.NewML(bundle)),
-			RoundTicks: sweep.DefaultRoundTicks,
-		})
-		if err != nil {
+		} else if bundle, err = predict.CloneBundle(base); err != nil {
 			return nil, nil, err
 		}
-		if err := world.PlaceInitial(sc.PileOn(0)); err != nil {
-			return nil, nil, err
-		}
-		pr := &sweep.PolicyRun{Cell: sweep.Cell{Ticks: ticks, MinSLA: 1}}
-		if online {
-			pr.Policy = "online-retrain"
-		} else {
-			pr.Policy = "frozen-models"
-		}
-		err = mgr.Run(ticks, func(st sim.TickSummary) {
-			if st.Tick == shiftTick {
-				world.SetParams(shifted)
-			}
-			pr.SLASeries = append(pr.SLASeries, st.AvgSLA)
-			pr.WattsSeries = append(pr.WattsSeries, st.FacilityWatts)
-			if st.AvgSLA < pr.MinSLA {
-				pr.MinSLA = st.AvgSLA
-			}
-			pr.Migrations += st.Migrations
-			if updater != nil {
-				updater.Observe(world)
-				if _, err := updater.MaybeRetrain(st.Tick); err != nil {
-					panic(err) // surfaced by the recover below
+		// The first failed refit stops retraining; the run finishes on the
+		// models it has and the error is returned after it.
+		var retrainErr error
+		pol := registered("bf-ml", name, func(sc *scenario.Scenario) model.Placement { return sc.PileOn(0) })
+		pr, err := sweep.RunSpec(scenario.MustPreset(scenario.OnlineShift, seed), pol, bundle, ticks, sweep.RunOpts{
+			OnTick: func(sc *scenario.Scenario, st sim.TickSummary) {
+				if st.Tick == shiftTick {
+					sc.World.SetParams(shifted)
 				}
-			}
+				if updater == nil || retrainErr != nil {
+					return
+				}
+				updater.Observe(sc.World)
+				_, retrainErr = updater.MaybeRetrain(st.Tick)
+			},
 		})
 		if err != nil {
 			return nil, nil, err
 		}
-		pr.AvgSLA = sliceMean(pr.SLASeries)
+		if retrainErr != nil {
+			return nil, nil, retrainErr
+		}
 		return pr, updater, nil
 	}
 

@@ -3,7 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/model"
+	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sweep"
@@ -20,18 +20,20 @@ func TestParallelMatchesSerialHeteroFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := scenario.MustPreset(scenario.HeteroFleet, testSeed)
-	initial := func(sc *scenario.Scenario) model.Placement { return sc.HomePlacement() }
 	const ticks = 3 * 60 // 18 scheduling rounds
 
-	serial, err := RunPolicy(spec, func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		return sched.NewBestFit(sweep.CostModel(sc), sched.NewML(bundle)), nil
-	}, initial, ticks)
+	serial, err := sweep.RunSpec(spec, registered("bf-ml", "serial", nil), bundle, ticks, sweep.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunPolicy(spec, func(sc *scenario.Scenario) (sched.Scheduler, error) {
-		return sweep.ParallelBestFit(sweep.CostModel(sc), sched.NewML(bundle)), nil
-	}, initial, ticks)
+	parallel, err := sweep.RunSpec(spec, sweep.Policy{
+		Name: "parallel", NeedsBundle: true,
+		Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
+			bf := sched.NewBestFit(sweep.CostModel(sc), sched.NewML(b))
+			bf.Workers = 3 // explicit, so the parallel path also runs on 1-core hosts
+			return bf, nil
+		},
+	}, bundle, ticks, sweep.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,16 +131,11 @@ func (o *Online) Observe(world *sim.World) {
 	}
 }
 
-// MaybeRetrain refits the bundle when the tick hits the retrain period and
-// the window holds enough data. It reports whether a refit happened.
+// MaybeRetrain refits the bundle when ShouldRetrain says a refit is due
+// and installs it through Adopt. It reports whether a refit happened.
 func (o *Online) MaybeRetrain(tick int) (bool, error) {
-	if o.RetrainEvery <= 0 || tick == 0 || tick%o.RetrainEvery != 0 {
+	if !o.ShouldRetrain(tick) {
 		return false, nil
-	}
-	for _, d := range o.Window.datasets() {
-		if d.Len() < 50 {
-			return false, nil // not enough fresh evidence yet
-		}
 	}
 	start := time.Now()
 	fresh, err := Train(o.Window, o.Train)
@@ -148,22 +143,7 @@ func (o *Online) MaybeRetrain(tick int) (bool, error) {
 		return false, fmt.Errorf("predict: online retrain at tick %d: %w", tick, err)
 	}
 	o.lastRetrainWall = time.Since(start)
-	o.lastRetrainTick = tick
-	// Publish the fresh bundle for concurrent readers first — fresh is
-	// complete and never mutated after this point, so Current callers flip
-	// from the old snapshot to the new one atomically.
-	o.cur.Store(fresh)
-	// Then swap models in place so existing estimators holding o.Bundle
-	// (single-goroutine callers like the experiment loops) see the refit.
-	o.Bundle.VMCPU = fresh.VMCPU
-	o.Bundle.VMMem = fresh.VMMem
-	o.Bundle.VMIn = fresh.VMIn
-	o.Bundle.VMOut = fresh.VMOut
-	o.Bundle.PMCPU = fresh.PMCPU
-	o.Bundle.VMRT = fresh.VMRT
-	o.Bundle.VMSLA = fresh.VMSLA
-	o.Bundle.Reports = fresh.Reports
-	o.retrains++
+	o.Adopt(fresh, tick)
 	return true, nil
 }
 
@@ -183,11 +163,13 @@ func (o *Online) ShouldRetrain(tick int) bool {
 	return true
 }
 
-// Adopt installs an externally trained bundle — a background retrainer's
-// result — with the same publication order as MaybeRetrain: the snapshot
-// first (fresh must not be mutated after this call), then the in-place
-// field swap for single-goroutine holders of o.Bundle. Call it from the
-// owner goroutine only.
+// Adopt installs a freshly trained bundle — MaybeRetrain's own refit or a
+// background retrainer's result. It publishes the snapshot for concurrent
+// readers first (fresh must not be mutated after this call), so Current
+// callers flip from the old snapshot to the new one atomically, then swaps
+// the models in place so single-goroutine holders of o.Bundle (the
+// experiment loops' estimators) see the refit. Call it from the owner
+// goroutine only.
 func (o *Online) Adopt(fresh *Bundle, tick int) {
 	o.lastRetrainTick = tick
 	o.cur.Store(fresh)

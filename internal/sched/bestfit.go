@@ -21,10 +21,9 @@ import (
 type BestFit struct {
 	Cost CostModel
 	Est  Estimator
-	// Parallel evaluates candidate hosts concurrently; the outcome is
-	// identical because each VM's candidate scores are independent.
-	Parallel bool
-	// Workers bounds candidate-evaluation parallelism.
+	// Workers > 1 evaluates candidate hosts on that many goroutines; the
+	// outcome is identical because each VM's candidate scores are
+	// independent. 0 or 1 scores serially.
 	Workers int
 	// MinGainEUR is the hysteresis threshold: a placed VM moves only when
 	// the best alternative beats staying by at least this much profit per
@@ -165,11 +164,8 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 	// both the Reset-time per-VM tables and the per-candidate profits —
 	// fans out over the same per-worker scratches.
 	workers := 0
-	if b.Parallel && (len(p.Hosts) > 1 || len(p.VMs) > 1) {
+	if b.Workers > 1 && (len(p.Hosts) > 1 || len(p.VMs) > 1) {
 		workers = b.Workers
-		if workers <= 0 {
-			workers = par.DefaultWorkers()
-		}
 		if cap(b.scratches) < workers {
 			b.scratches = make([]Scratch, workers)
 		}

@@ -24,52 +24,21 @@ func (f *FirstFit) Name() string { return "firstfit" }
 
 // Schedule implements Scheduler.
 func (f *FirstFit) Schedule(p *Problem) (model.Placement, error) {
-	if len(p.Hosts) == 0 {
-		return nil, fmt.Errorf("sched: no candidate hosts")
-	}
-	if f.Est == nil {
-		return nil, fmt.Errorf("sched: FirstFit needs an estimator")
-	}
-	avail := make([]model.Resources, len(p.Hosts))
-	for j, h := range p.Hosts {
-		avail[j] = h.Spec.Capacity.Sub(h.Resident).Max(model.Resources{})
-	}
-	// Descending demand, like the paper's ordered variants.
-	var s Scratch
-	reqs := make([]model.Resources, len(p.VMs))
-	order := make([]int, len(p.VMs))
-	ref := p.Hosts[0].Spec.Capacity
-	for i := range p.VMs {
-		reqs[i] = f.Est.Required(&p.VMs[i], &s).Max(model.Resources{}).Min(ref)
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return reqs[order[a]].Dominant(ref) > reqs[order[b]].Dominant(ref)
-	})
-	placement := make(model.Placement, len(p.VMs))
-	for _, i := range order {
-		chosen := -1
-		for j := range p.Hosts {
-			if reqs[i].FitsIn(avail[j]) {
+	return orderedPack(p, f.Est, "FirstFit", func(req model.Resources, avail []model.Resources) int {
+		for j := range avail {
+			if req.FitsIn(avail[j]) {
+				return j
+			}
+		}
+		// Nothing fits: overflow onto the emptiest host.
+		chosen := 0
+		for j := 1; j < len(avail); j++ {
+			if avail[j].CPUPct > avail[chosen].CPUPct {
 				chosen = j
-				break
 			}
 		}
-		if chosen < 0 {
-			// Nothing fits: overflow onto the emptiest host.
-			chosen = 0
-			best := avail[0].CPUPct
-			for j := 1; j < len(p.Hosts); j++ {
-				if avail[j].CPUPct > best {
-					best = avail[j].CPUPct
-					chosen = j
-				}
-			}
-		}
-		avail[chosen] = avail[chosen].Sub(reqs[i]).Max(model.Resources{})
-		placement[p.VMs[i].Spec.ID] = p.Hosts[chosen].Spec.ID
-	}
-	return placement, nil
+		return chosen
+	})
 }
 
 // RoundRobin deals VMs across hosts in rotation — the load-balancing
@@ -102,11 +71,30 @@ func (w *WorstFit) Name() string { return "worstfit" }
 
 // Schedule implements Scheduler.
 func (w *WorstFit) Schedule(p *Problem) (model.Placement, error) {
+	return orderedPack(p, w.Est, "WorstFit", func(req model.Resources, avail []model.Resources) int {
+		chosen := 0
+		bestFree := -1.0
+		for j := range avail {
+			if free := avail[j].Sub(req).CPUPct; free > bestFree {
+				bestFree = free
+				chosen = j
+			}
+		}
+		return chosen
+	})
+}
+
+// orderedPack is the one-pass packer FirstFit and WorstFit share: VMs in
+// descending dominant demand (stable, like the paper's ordered variants),
+// each placed on the host choose picks given its estimated requirement
+// and every host's remaining capacity, which then shrinks by it.
+func orderedPack(p *Problem, est Estimator, kind string,
+	choose func(req model.Resources, avail []model.Resources) int) (model.Placement, error) {
 	if len(p.Hosts) == 0 {
 		return nil, fmt.Errorf("sched: no candidate hosts")
 	}
-	if w.Est == nil {
-		return nil, fmt.Errorf("sched: WorstFit needs an estimator")
+	if est == nil {
+		return nil, fmt.Errorf("sched: %s needs an estimator", kind)
 	}
 	avail := make([]model.Resources, len(p.Hosts))
 	for j, h := range p.Hosts {
@@ -117,7 +105,7 @@ func (w *WorstFit) Schedule(p *Problem) (model.Placement, error) {
 	reqs := make([]model.Resources, len(p.VMs))
 	order := make([]int, len(p.VMs))
 	for i := range p.VMs {
-		reqs[i] = w.Est.Required(&p.VMs[i], &s).Max(model.Resources{}).Min(ref)
+		reqs[i] = est.Required(&p.VMs[i], &s).Max(model.Resources{}).Min(ref)
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool {
@@ -125,15 +113,7 @@ func (w *WorstFit) Schedule(p *Problem) (model.Placement, error) {
 	})
 	placement := make(model.Placement, len(p.VMs))
 	for _, i := range order {
-		chosen := 0
-		bestFree := -1.0
-		for j := range p.Hosts {
-			free := avail[j].Sub(reqs[i]).CPUPct
-			if free > bestFree {
-				bestFree = free
-				chosen = j
-			}
-		}
+		chosen := choose(reqs[i], avail)
 		avail[chosen] = avail[chosen].Sub(reqs[i]).Max(model.Resources{})
 		placement[p.VMs[i].Spec.ID] = p.Hosts[chosen].Spec.ID
 	}

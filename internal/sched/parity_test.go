@@ -398,7 +398,6 @@ func TestPlacementParityAllPresets(t *testing.T) {
 				}
 			}
 			par := sched.NewBestFit(cost, est)
-			par.Parallel = true
 			par.Workers = 3
 			got, err := par.Schedule(p)
 			if err != nil {

@@ -75,7 +75,6 @@ func TestPruneParityAllPresets(t *testing.T) {
 			// Parallel pruned scoring: same placements at a fixed worker count.
 			pp := sched.NewBestFit(cost, est)
 			pp.Prune = true
-			pp.Parallel = true
 			pp.Workers = 3
 			for pass, tc := range []struct {
 				p    *sched.Problem

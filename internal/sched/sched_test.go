@@ -222,7 +222,7 @@ func TestBestFitParallelMatchesSerial(t *testing.T) {
 	hosts := []HostInfo{mkHost(0, 0), mkHost(1, 1), mkHost(2, 2), mkHost(3, 3)}
 	serial := NewBestFit(paperCost(), NewObserved())
 	parallel := NewBestFit(paperCost(), NewObserved())
-	parallel.Parallel = true
+	parallel.Workers = 3
 	ps, err := serial.Schedule(&Problem{VMs: vms, Hosts: hosts})
 	if err != nil {
 		t.Fatal(err)

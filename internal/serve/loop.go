@@ -29,11 +29,11 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -305,8 +305,7 @@ func newLoop(cfg Config) (*loop, error) {
 	l.faults = lifecycle.NewFaultRunner(sc.Faults)
 
 	l.world.SetMetrics(l.met.Engine)
-	cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
-	l.bf = sched.NewBestFit(cost, sched.NewOverbooked())
+	l.bf = sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked())
 	l.bf.SetMetrics(l.met.Sched)
 	l.mgr, err = core.NewManager(core.ManagerConfig{
 		World:      sc.World,

@@ -32,7 +32,6 @@ func CostModel(sc *scenario.Scenario) sched.CostModel {
 // sched parity suite).
 func ParallelBestFit(cost sched.CostModel, est sched.Estimator) *sched.BestFit {
 	bf := sched.NewBestFit(cost, est)
-	bf.Parallel = true
 	bf.Workers = par.DefaultWorkers()
 	return bf
 }
@@ -54,9 +53,8 @@ type Policy struct {
 	// policies of a seed), so gate ML behaviour on NeedsBundle, never on
 	// bundle != nil.
 	Make func(sc *scenario.Scenario, bundle *predict.Bundle) (sched.Scheduler, error)
-	// Initial computes the starting placement for a cell. nil means the
-	// caller's default (matrix sweeps start from HomePlacement; the
-	// experiment wrapper starts unplaced, preserving each figure's setup).
+	// Initial computes the starting placement for a cell; nil means
+	// HomePlacement (every VM on a host of its home DC).
 	Initial func(sc *scenario.Scenario) model.Placement
 }
 

@@ -53,10 +53,6 @@ type PolicyRun struct {
 type RunOpts struct {
 	// RoundTicks overrides the scheduling period (0 = DefaultRoundTicks).
 	RoundTicks int
-	// DefaultInitial places HomePlacement when the policy has no Initial
-	// of its own (matrix sweeps set it; the experiment wrapper does not,
-	// so figures keep their hand-picked starting states).
-	DefaultInitial bool
 	// OnTick, when non-nil, observes every tick after the standard
 	// metrics are folded in — the hook experiment-specific series
 	// (e.g. the green-energy sunlit counter) ride on.
@@ -73,17 +69,14 @@ type RunOpts struct {
 	Degraded *core.DegradedPolicy
 }
 
-// RunSpec executes one cell: build the scenario, make the scheduler, run
-// the managed loop, collect metrics. See RunSpecOpts for the knobs.
-func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int) (*PolicyRun, error) {
-	return RunSpecOpts(spec, pol, bundle, ticks, RunOpts{DefaultInitial: true})
-}
-
-// RunSpecOpts is the sweep cell-runner every experiment and matrix cell
-// goes through: one scenario.Build and one core.Manager per call, nothing
-// shared with other cells except the read-only bundle. When the policy
-// needs a bundle and none is supplied, the per-seed cache provides one.
-func RunSpecOpts(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, opts RunOpts) (*PolicyRun, error) {
+// RunSpec is the cell-runner every matrix cell, paper experiment and
+// `mdcsim -scenario` run goes through: build the scenario, make the
+// scheduler, place the policy's Initial (nil = HomePlacement), run the
+// managed loop, collect metrics. One scenario.Build and one core.Manager
+// per call, nothing shared with other cells except the read-only bundle.
+// When the policy needs a bundle and none is supplied, the per-seed cache
+// provides one.
+func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, opts RunOpts) (*PolicyRun, error) {
 	if ticks <= 0 {
 		return nil, fmt.Errorf("sweep: ticks must be positive, got %d", ticks)
 	}
@@ -105,13 +98,11 @@ func RunSpecOpts(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks i
 		return nil, err
 	}
 	initial := pol.Initial
-	if initial == nil && opts.DefaultInitial {
+	if initial == nil {
 		initial = (*scenario.Scenario).HomePlacement
 	}
-	if initial != nil {
-		if err := sc.World.PlaceInitial(initial(sc)); err != nil {
-			return nil, err
-		}
+	if err := sc.World.PlaceInitial(initial(sc)); err != nil {
+		return nil, err
 	}
 	roundTicks := opts.RoundTicks
 	if roundTicks <= 0 {

@@ -253,8 +253,8 @@ func Run(m Matrix) (*Result, error) {
 			errs[i] = err
 			return
 		}
-		run, err := RunSpecOpts(spec, pols[pi], bundles[seed], m.Ticks,
-			RunOpts{RoundTicks: m.RoundTicks, DefaultInitial: true})
+		run, err := RunSpec(spec, pols[pi], bundles[seed], m.Ticks,
+			RunOpts{RoundTicks: m.RoundTicks})
 		if err != nil {
 			errs[i] = fmt.Errorf("sweep: cell %s/%s seed %d: %w", scns[si], pols[pi].Name, seed, err)
 			return

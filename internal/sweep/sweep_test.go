@@ -387,7 +387,7 @@ func TestRunSpecAutoTrainsBundle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunSpec(scenario.MustPreset(scenario.IntraDC, 42), pol, nil, 30)
+	run, err := RunSpec(scenario.MustPreset(scenario.IntraDC, 42), pol, nil, 30, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestHyperscaleSweepDeterminism(t *testing.T) {
 	cell := func(tickWorkers int) PolicyRun {
 		spec := scenario.MustPreset(scenario.HyperscaleFleet, 7)
 		spec.TickWorkers = tickWorkers
-		pr, err := RunSpecOpts(spec, pol, nil, 12, RunOpts{DefaultInitial: true})
+		pr, err := RunSpec(spec, pol, nil, 12, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,8 +471,7 @@ func TestSweepCellObsSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run, err := RunSpecOpts(scenario.MustPreset(tc.scenario, 5), pol, nil, ticks,
-				RunOpts{DefaultInitial: true})
+			run, err := RunSpec(scenario.MustPreset(tc.scenario, 5), pol, nil, ticks, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
