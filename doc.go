@@ -15,8 +15,8 @@
 //     degrade, shed) and the hierarchical two-layer scheduler.
 //   - internal/predict — the seven Table I datasets and predictor
 //     bundle, harvested from monitored runs; online retraining.
-//   - internal/ml — M5P model trees, linear regression, k-NN and bagged
-//     ensembles, written from scratch with flat zero-alloc inference.
+//   - internal/ml — M5P model trees, linear regression and k-NN, written
+//     from scratch with flat zero-alloc inference.
 //
 // The simulation substrate stands in for the paper's
 // Atom/VirtualBox/OpenNebula testbed:

@@ -101,12 +101,6 @@ func (inv *Inventory) VMIndex(id model.VMID) (int, bool) {
 	return i, ok
 }
 
-// PMAt returns the PM spec at a dense index.
-func (inv *Inventory) PMAt(i int) model.PMSpec { return inv.pms[i] }
-
-// VMAt returns the VM spec at a dense index.
-func (inv *Inventory) VMAt(i int) model.VMSpec { return inv.vms[i] }
-
 // PMsOfDC returns the PMs of one datacenter, in stable order.
 func (inv *Inventory) PMsOfDC(dc model.DCID) []model.PMID {
 	return inv.pmsOfDC[dc]
@@ -279,30 +273,6 @@ func removeVM(gs []model.VMID, vm model.VMID) []model.VMID {
 	return gs
 }
 
-// Occupation resolves how one PM's capacity splits among its guests given
-// each guest's required resources — fOccupation of Figure 3. When the sum
-// of requirements exceeds capacity, every guest receives a proportional
-// share per resource dimension (processor-sharing semantics); otherwise
-// each guest receives exactly what it requires.
-func Occupation(capacity model.Resources, required map[model.VMID]model.Resources) map[model.VMID]model.Resources {
-	grants := make(map[model.VMID]model.Resources, len(required))
-	var sum model.Resources
-	for _, r := range required {
-		sum = sum.Add(r)
-	}
-	shareCPU := shareFactor(sum.CPUPct, capacity.CPUPct)
-	shareMem := shareFactor(sum.MemMB, capacity.MemMB)
-	shareBW := shareFactor(sum.BWMbps, capacity.BWMbps)
-	for vm, r := range required {
-		grants[vm] = model.Resources{
-			CPUPct: r.CPUPct * shareCPU,
-			MemMB:  r.MemMB * shareMem,
-			BWMbps: r.BWMbps * shareBW,
-		}
-	}
-	return grants
-}
-
 func shareFactor(demand, capacity float64) float64 {
 	if demand <= capacity || demand <= 0 {
 		return 1
@@ -311,22 +281,13 @@ func shareFactor(demand, capacity float64) float64 {
 }
 
 // ShareFactors returns the per-dimension proportional-sharing factors of
-// fOccupation for a total demand against a capacity: 1 while the demand
-// fits, capacity/demand once it oversubscribes. It is the allocation-free
-// core of Occupation for callers that keep requirements in dense slices.
+// fOccupation (Figure 3) for a total demand against a capacity: 1 while
+// the demand fits, capacity/demand once it oversubscribes. Each guest is
+// granted its requirement scaled by these factors (processor-sharing
+// semantics), so an oversubscribed PM splits every dimension in
+// proportion to the guests' asks.
 func ShareFactors(capacity, demand model.Resources) (cpu, mem, bw float64) {
 	return shareFactor(demand.CPUPct, capacity.CPUPct),
 		shareFactor(demand.MemMB, capacity.MemMB),
 		shareFactor(demand.BWMbps, capacity.BWMbps)
-}
-
-// FreeCapacity returns how much of a PM's capacity remains after granting
-// the given requirements (clamped at zero when oversubscribed).
-func FreeCapacity(capacity model.Resources, required map[model.VMID]model.Resources) model.Resources {
-	var sum model.Resources
-	for _, r := range required {
-		sum = sum.Add(r)
-	}
-	free := capacity.Sub(sum)
-	return free.Max(model.Resources{})
 }

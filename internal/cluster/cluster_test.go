@@ -169,13 +169,28 @@ func TestActivePMs(t *testing.T) {
 	}
 }
 
+// occupation applies fOccupation to one PM: every guest's requirement
+// scaled by the PM's ShareFactors for the summed demand.
+func occupation(capacity model.Resources, required map[model.VMID]model.Resources) map[model.VMID]model.Resources {
+	var sum model.Resources
+	for _, r := range required {
+		sum = sum.Add(r)
+	}
+	cpu, mem, bw := ShareFactors(capacity, sum)
+	grants := make(map[model.VMID]model.Resources, len(required))
+	for vm, r := range required {
+		grants[vm] = model.Resources{CPUPct: r.CPUPct * cpu, MemMB: r.MemMB * mem, BWMbps: r.BWMbps * bw}
+	}
+	return grants
+}
+
 func TestOccupationUnderSubscribed(t *testing.T) {
 	cap := model.Resources{CPUPct: 400, MemMB: 4096, BWMbps: 100}
 	req := map[model.VMID]model.Resources{
 		0: {CPUPct: 100, MemMB: 512, BWMbps: 10},
 		1: {CPUPct: 200, MemMB: 1024, BWMbps: 20},
 	}
-	grants := Occupation(cap, req)
+	grants := occupation(cap, req)
 	for vm, r := range req {
 		if grants[vm] != r {
 			t.Fatalf("under-subscription should grant requirement: %v got %v", r, grants[vm])
@@ -189,7 +204,7 @@ func TestOccupationOverSubscribedProportional(t *testing.T) {
 		0: {CPUPct: 300, MemMB: 1000, BWMbps: 10},
 		1: {CPUPct: 500, MemMB: 1000, BWMbps: 10},
 	}
-	grants := Occupation(cap, req)
+	grants := occupation(cap, req)
 	// CPU oversubscribed 800 > 400: each gets half its ask.
 	if math.Abs(grants[0].CPUPct-150) > 1e-9 || math.Abs(grants[1].CPUPct-250) > 1e-9 {
 		t.Fatalf("CPU grants = %v / %v", grants[0].CPUPct, grants[1].CPUPct)
@@ -208,7 +223,7 @@ func TestOccupationPropertyNeverExceedsCapacity(t *testing.T) {
 			1: {CPUPct: float64(b % 900), MemMB: float64(c % 8000), BWMbps: float64(a % 300)},
 			2: {CPUPct: float64(c % 900), MemMB: float64(a % 8000), BWMbps: float64(b % 300)},
 		}
-		grants := Occupation(cap, req)
+		grants := occupation(cap, req)
 		var sum model.Resources
 		for _, g := range grants {
 			sum = sum.Add(g)
@@ -228,7 +243,7 @@ func TestOccupationPropertyGrantNeverExceedsAsk(t *testing.T) {
 			0: {CPUPct: float64(a % 1200), MemMB: float64(b % 9000), BWMbps: float64(a % 500)},
 			1: {CPUPct: float64(b % 1200), MemMB: float64(a % 9000), BWMbps: float64(b % 500)},
 		}
-		grants := Occupation(cap, req)
+		grants := occupation(cap, req)
 		for vm, g := range grants {
 			r := req[vm]
 			if g.CPUPct > r.CPUPct+1e-9 || g.MemMB > r.MemMB+1e-9 || g.BWMbps > r.BWMbps+1e-9 {
@@ -239,17 +254,6 @@ func TestOccupationPropertyGrantNeverExceedsAsk(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFreeCapacity(t *testing.T) {
-	cap := model.Resources{CPUPct: 400, MemMB: 4096, BWMbps: 100}
-	req := map[model.VMID]model.Resources{
-		0: {CPUPct: 300, MemMB: 5000, BWMbps: 40},
-	}
-	free := FreeCapacity(cap, req)
-	if free.CPUPct != 100 || free.MemMB != 0 || free.BWMbps != 60 {
-		t.Fatalf("FreeCapacity = %v", free)
 	}
 }
 

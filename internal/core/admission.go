@@ -32,10 +32,6 @@ type AdmissionPolicy struct {
 	// sizes arrivals with the ML resource models instead of the operator
 	// sizing formula, and the SLA gate becomes available.
 	Bundle *predict.Bundle
-	// MaxDeferTicks bounds how long an arrival may wait in the deferral
-	// queue before it is finally rejected (0 =
-	// lifecycle.DefaultMaxDeferTicks).
-	MaxDeferTicks int
 	// Rate is the optional token-bucket stage in front of every other
 	// gate (including Disabled's bypass): arrivals beyond the bucket are
 	// deferred — never dropped — until tokens refill or the deferral
@@ -57,14 +53,11 @@ func (p *AdmissionPolicy) targetUtil() float64 {
 }
 
 // deferOrReject is the deferral-deadline arm: capacity shortages defer
-// until the arrival has waited MaxDeferTicks since its arrival tick, then
-// reject.
+// until the arrival has waited lifecycle.DefaultMaxDeferTicks since its
+// arrival tick, then reject. The deadline is fixed because
+// scenario.Build's slot bound and serve's drain bound both assume it.
 func (p *AdmissionPolicy) deferOrReject(tick int, o *lifecycle.Offer) lifecycle.Decision {
-	deadline := p.MaxDeferTicks
-	if deadline <= 0 {
-		deadline = lifecycle.DefaultMaxDeferTicks
-	}
-	if tick-o.Arrival.ArriveTick >= deadline {
+	if tick-o.Arrival.ArriveTick >= lifecycle.DefaultMaxDeferTicks {
 		return lifecycle.Reject
 	}
 	return lifecycle.Defer

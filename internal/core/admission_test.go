@@ -100,10 +100,7 @@ func TestManagedChurnDeterminism(t *testing.T) {
 // arrival can fit under defers every offer until the deadline passes,
 // then rejects it, and the fleet population never grows.
 func TestAdmissionCapacityGate(t *testing.T) {
-	sc, runner, mgr := churnManager(t, scenario.ChurnStorm, 11, AdmissionPolicy{
-		TargetUtil:    0.0001,
-		MaxDeferTicks: 5,
-	})
+	sc, runner, mgr := churnManager(t, scenario.ChurnStorm, 11, AdmissionPolicy{TargetUtil: 0.0001})
 	staticN := len(sc.VMs)
 	if err := mgr.Run(300, nil); err != nil {
 		t.Fatal(err)

@@ -71,31 +71,6 @@ func TestManagerRunsRounds(t *testing.T) {
 	}
 }
 
-func TestManagerMovableFilter(t *testing.T) {
-	sc := testScenario(t, scenario.Spec{VMs: 3, PMsPerDC: 1, DCs: 2})
-	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewManager(ManagerConfig{
-		World:      sc.World,
-		Scheduler:  sched.NewBestFit(costFor(sc), sched.NewObserved()),
-		RoundTicks: 5,
-		Movable:    func(id model.VMID) bool { return id != 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := m.BuildProblem()
-	if len(p.VMs) != 2 {
-		t.Fatalf("movable filter ignored: %d VMs", len(p.VMs))
-	}
-	for _, vm := range p.VMs {
-		if vm.Spec.ID == 0 {
-			t.Fatal("filtered VM still present")
-		}
-	}
-}
-
 func TestBuildProblemCarriesMonitoredState(t *testing.T) {
 	sc := testScenario(t, scenario.Spec{VMs: 2, PMsPerDC: 1, DCs: 2})
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {

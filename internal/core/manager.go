@@ -22,8 +22,6 @@ type ManagerConfig struct {
 	Scheduler sched.Scheduler
 	// RoundTicks is the scheduling period in ticks (paper: every 10 min).
 	RoundTicks int
-	// Movable filters which VMs participate in rounds (nil = all).
-	Movable func(model.VMID) bool
 	// Lifecycle drives dynamic VM arrivals and departures through the
 	// admission controller (nil = the classic fixed population).
 	Lifecycle *lifecycle.Runner
@@ -45,9 +43,6 @@ type ManagerConfig struct {
 // headroom) and, optionally, long-homeless dynamic VMs are shed instead
 // of thrashing the deferral queue forever.
 type DegradedPolicy struct {
-	// Util is the capacity fraction above which committed requirements
-	// mean "degraded" (0 = 1.0, i.e. nominal surviving capacity).
-	Util float64
 	// ShedAfterTicks retires a dynamic VM that has been homeless that long
 	// while the fleet is degraded (0 = never shed; keep deferring).
 	ShedAfterTicks int
@@ -164,9 +159,6 @@ func (m *Manager) BuildProblem() *sched.Problem {
 			continue // retired slot under workload churn
 		}
 		spec := w.VMSpecAt(i)
-		if m.cfg.Movable != nil && !m.cfg.Movable(spec.ID) {
-			continue
-		}
 		info := sched.VMInfo{
 			Spec:      spec,
 			Current:   model.NoPM,
@@ -378,11 +370,7 @@ func (m *Manager) stepFaults(tick int) error {
 	// the next world tick zeroes an unhosted VM's requirement.
 	fleet := fleetCommitmentOf(w)
 	need := fleet.committed.Add(m.prunePendingCommits()).Add(m.pruneRehomes())
-	util := m.cfg.Degraded.Util
-	if util <= 0 {
-		util = 1.0
-	}
-	m.degraded = !need.FitsIn(fleet.total.Scale(util))
+	m.degraded = !need.FitsIn(fleet.total)
 	return nil
 }
 

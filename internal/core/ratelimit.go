@@ -6,8 +6,8 @@ package core
 // An arrival finding the bucket empty is DEFERRED, not dropped — it goes
 // back into the lifecycle deferral queue and retries next tick, so a
 // burst storm is smeared over the refill rate instead of rejected (only
-// the deferral deadline, MaxDeferTicks, can turn starvation into a
-// rejection). Refill is driven by virtual ticks, never the wall clock,
+// the deferral deadline, lifecycle.DefaultMaxDeferTicks, can turn
+// starvation into a rejection). Refill is driven by virtual ticks, never the wall clock,
 // so rate-limited runs stay bit-identical across reruns.
 //
 // The zero value is unusable; set RatePerTick > 0. A RateLimit is owned
@@ -67,6 +67,3 @@ func (r *RateLimit) Take() bool {
 	r.tokens--
 	return true
 }
-
-// Tokens returns the current bucket level.
-func (r *RateLimit) Tokens() float64 { return r.tokens }

@@ -71,9 +71,11 @@ func TestRateLimitBurstStormDefersNotDrops(t *testing.T) {
 		RoundTicks: 10,
 		Lifecycle:  runner,
 		Admission: AdmissionPolicy{
-			TargetUtil:    4,   // capacity never binds: the bucket is the only gate
-			MaxDeferTicks: 200, // far beyond the smear window: nothing may time out
-			Rate:          rl,
+			// Capacity never binds: the bucket is the only gate. The wave
+			// clears within 5 ticks, well inside the 30-tick deferral
+			// deadline, so nothing may time out.
+			TargetUtil: 4,
+			Rate:       rl,
 		},
 	})
 	if err != nil {

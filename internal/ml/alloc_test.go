@@ -46,12 +46,6 @@ func TestInferenceZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bagged, err := TrainBagged(d, BaggingConfig{Members: 5, Seed: 3}, func(sub *Dataset) (Regressor, error) {
-		return TrainM5P(sub, DefaultM5PConfig(4))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	cases := []struct {
 		name    string
@@ -61,7 +55,6 @@ func TestInferenceZeroAlloc(t *testing.T) {
 		{"m5p", func(x []float64, _ *Buf) float64 { return m5p.Predict(x) }, m5p.Predict},
 		{"knn-brute", knnBrute.PredictBuf, knnBrute.Predict},
 		{"knn-kdtree", knnTree.PredictBuf, knnTree.Predict},
-		{"bagged-m5p", bagged.PredictBuf, bagged.Predict},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

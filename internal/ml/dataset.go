@@ -177,15 +177,6 @@ func (s *Standardizer) ApplyInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// ApplyDataset transforms a whole dataset.
-func (s *Standardizer) ApplyDataset(d *Dataset) *Dataset {
-	out := &Dataset{Names: d.Names, X: make([][]float64, d.Len()), Y: append([]float64(nil), d.Y...)}
-	for i, row := range d.X {
-		out.X[i] = s.Apply(row)
-	}
-	return out
-}
-
 // Regressor is anything that maps a feature row to a numeric prediction.
 type Regressor interface {
 	Predict(x []float64) float64

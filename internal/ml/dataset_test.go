@@ -128,10 +128,6 @@ func TestStandardizer(t *testing.T) {
 	if math.Abs(z[0]-1) > 1e-12 || z[1] != 0 {
 		t.Fatalf("Apply = %v", z)
 	}
-	ds := s.ApplyDataset(d)
-	if math.Abs(ds.X[0][0]+1) > 1e-12 {
-		t.Fatalf("ApplyDataset = %v", ds.X)
-	}
 }
 
 func TestStandardizerEmpty(t *testing.T) {
@@ -173,33 +169,5 @@ func TestEvaluateReport(t *testing.T) {
 	}
 	if len(rep.String()) == 0 {
 		t.Fatal("empty report string")
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	d := piecewiseData(300, 20, 0.2)
-	corr, mae, err := CrossValidate(d, 5, func(train *Dataset) (Regressor, error) {
-		return TrainM5P(train, DefaultM5PConfig(4))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if corr < 0.95 {
-		t.Fatalf("cv correlation = %v", corr)
-	}
-	if mae > 2 {
-		t.Fatalf("cv MAE = %v", mae)
-	}
-}
-
-func TestCrossValidateErrors(t *testing.T) {
-	d := piecewiseData(10, 21, 0)
-	if _, _, err := CrossValidate(d, 1, nil); err == nil {
-		t.Fatal("accepted 1 fold")
-	}
-	small := NewDataset([]string{"x"})
-	small.Add([]float64{1}, 1)
-	if _, _, err := CrossValidate(small, 5, nil); err == nil {
-		t.Fatal("accepted folds > rows")
 	}
 }

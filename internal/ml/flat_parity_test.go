@@ -2,8 +2,7 @@ package ml
 
 // Flat-layout parity: the kd-tree became an implicit leaf-bucketed index
 // over one contiguous coordinate array, M5P inference became an iterative
-// walk over dense node columns, and Bagged grew a devirtualized member
-// view. None of that may change a single prediction. This file keeps the
+// walk over dense node columns. None of that may change a single prediction. This file keeps the
 // pre-refactor implementations — the one-point-per-node pointer kd-tree
 // and the recursive pointer-walk M5P inference — as oracles and proves
 // the flat layouts reproduce them bit for bit on randomized datasets.
@@ -389,55 +388,6 @@ func TestFlatM5PMatchesPointerOracle(t *testing.T) {
 	}
 }
 
-// TestBaggedDevirtualizedPathMatchesGeneric proves the typed fast path of
-// a homogeneous model-tree ensemble returns exactly the generic
-// interface-dispatch average, and that heterogeneous ensembles keep using
-// the generic path with identical results.
-func TestBaggedDevirtualizedPathMatchesGeneric(t *testing.T) {
-	d := sparseParityData(500, 31)
-	bag, err := TrainBagged(d, BaggingConfig{Members: 7, Seed: 5}, func(sub *Dataset) (Regressor, error) {
-		return TrainM5P(sub, DefaultM5PConfig(4))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bag.m5ps) != len(bag.Members) {
-		t.Fatal("homogeneous M5P ensemble not devirtualized")
-	}
-	mixed, err := TrainBagged(d, BaggingConfig{Members: 4, Seed: 6}, func(sub *Dataset) (Regressor, error) {
-		if sub.Len()%2 == 0 {
-			return TrainLinear(sub, 0)
-		}
-		return TrainM5P(sub, DefaultM5PConfig(4))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := rng.New(32, 0)
-	var buf Buf
-	for i := 0; i < 200; i++ {
-		x := make([]float64, d.Width())
-		for j := range x {
-			x[j] = s.Uniform(-2, 310)
-		}
-		for _, b := range []*Bagged{bag, mixed} {
-			// The generic reference: interface dispatch in member order.
-			sum := 0.0
-			for _, m := range b.Members {
-				sum += PredictBuffered(m, x, &buf)
-			}
-			want := sum / float64(len(b.Members))
-			if got := b.PredictBuf(x, &buf); got != want {
-				t.Fatalf("query %d: PredictBuf %v != member-loop %v", i, got, want)
-			}
-			if got := b.Predict(x); got != want {
-				t.Fatalf("query %d: Predict %v != member-loop %v", i, got, want)
-			}
-		}
-	}
-}
-
 // TestFlatLayoutsZeroAllocOnSparseShapes extends the allocation gate to
 // the dataset shape that exercises the new layouts hardest: sparse
 // mostly-constant columns (deep, unbalanced trees; long parent walks;
@@ -452,18 +402,12 @@ func TestFlatLayoutsZeroAllocOnSparseShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bag, err := TrainBagged(d, BaggingConfig{Members: 5, Seed: 9}, func(sub *Dataset) (Regressor, error) {
-		return TrainM5P(sub, DefaultM5PConfig(4))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	queries := [][]float64{
 		{10, 5, 50, 0, 0}, {250, 25, 380, 0.8, 350}, {100, 10, 5, 0, 120},
 	}
 	var buf Buf
 	for _, q := range queries { // warm the scratch
-		if math.IsNaN(knn.PredictBuf(q, &buf) + m5p.Predict(q) + bag.PredictBuf(q, &buf)) {
+		if math.IsNaN(knn.PredictBuf(q, &buf) + m5p.Predict(q)) {
 			t.Fatal("NaN prediction")
 		}
 	}
@@ -471,7 +415,6 @@ func TestFlatLayoutsZeroAllocOnSparseShapes(t *testing.T) {
 		for _, q := range queries {
 			knn.PredictBuf(q, &buf)
 			m5p.Predict(q)
-			bag.PredictBuf(q, &buf)
 		}
 	})
 	if allocs != 0 {

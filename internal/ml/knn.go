@@ -114,30 +114,6 @@ func (k *KNN) PredictBatchBuf(xs []float64, n int, out []float64, b *Buf) {
 	}
 }
 
-// Neighbors exposes the raw nearest neighbours (index, squared distance)
-// for diagnostics and tests.
-func (k *KNN) Neighbors(x []float64) []neighborInfo {
-	var b Buf
-	b.row = k.std.Apply(x)
-	if k.tree != nil {
-		k.tree.search(b.row, k.cfg.K, &b)
-	} else {
-		k.bruteSearch(b.row, &b)
-	}
-	nb := b.heap.sortedInto(nil)
-	out := make([]neighborInfo, len(nb))
-	for i, n := range nb {
-		out[i] = neighborInfo{Index: n.idx, Dist2: n.d2, Y: k.y[n.idx]}
-	}
-	return out
-}
-
-type neighborInfo struct {
-	Index int
-	Dist2 float64
-	Y     float64
-}
-
 type neighbor struct {
 	idx int
 	d2  float64

@@ -9,6 +9,19 @@ import (
 	"repro/internal/rng"
 )
 
+// neighbors returns a query's K nearest training rows, nearest first: the
+// heap PredictBuf blends, exposed so tests can compare searches.
+func neighbors(k *KNN, x []float64) []neighbor {
+	var b Buf
+	b.row = k.std.Apply(x)
+	if k.tree != nil {
+		k.tree.search(b.row, k.cfg.K, &b)
+	} else {
+		k.bruteSearch(b.row, &b)
+	}
+	return b.heap.sortedInto(nil)
+}
+
 func knnData(n int, seed uint64) *Dataset {
 	s := rng.New(seed, 0)
 	d := NewDataset([]string{"x0", "x1"})
@@ -51,10 +64,10 @@ func TestKNNBruteEqualsKDTree(t *testing.T) {
 		pt := tree.Predict(q)
 		if math.Abs(pb-pt) > 1e-9 {
 			// Allow differences only from exact distance ties.
-			nb := brute.Neighbors(q)
-			nt := tree.Neighbors(q)
-			db := nb[len(nb)-1].Dist2
-			dt := nt[len(nt)-1].Dist2
+			nb := neighbors(brute, q)
+			nt := neighbors(tree, q)
+			db := nb[len(nb)-1].d2
+			dt := nt[len(nt)-1].d2
 			if math.Abs(db-dt) > 1e-9 {
 				t.Fatalf("brute %v != kdtree %v at %v", pb, pt, q)
 			}
@@ -68,11 +81,11 @@ func TestKNNNeighborsSortedAscending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb := k.Neighbors([]float64{5, 5})
+	nb := neighbors(k, []float64{5, 5})
 	if len(nb) != 6 {
 		t.Fatalf("got %d neighbours", len(nb))
 	}
-	if !sort.SliceIsSorted(nb, func(i, j int) bool { return nb[i].Dist2 < nb[j].Dist2 }) {
+	if !sort.SliceIsSorted(nb, func(i, j int) bool { return nb[i].d2 < nb[j].d2 }) {
 		t.Fatalf("neighbours not ascending: %+v", nb)
 	}
 }
@@ -170,14 +183,14 @@ func TestKDTreePropertyMatchesBrute(t *testing.T) {
 		s := rng.New(seed, 77)
 		for i := 0; i < 20; i++ {
 			q := []float64{s.Uniform(0, 10), s.Uniform(0, 10)}
-			nb := brute.Neighbors(q)
-			nt := tree.Neighbors(q)
+			nb := neighbors(brute, q)
+			nt := neighbors(tree, q)
 			if len(nb) != len(nt) {
 				return false
 			}
 			// Distances must agree (indices may differ on exact ties).
 			for j := range nb {
-				if math.Abs(nb[j].Dist2-nt[j].Dist2) > 1e-9 {
+				if math.Abs(nb[j].d2-nt[j].d2) > 1e-9 {
 					return false
 				}
 			}

@@ -454,9 +454,6 @@ func (m *M5P) predictRaw(x []float64) float64 {
 	return m.lmPredict(id, x)
 }
 
-// NumNodes returns the total node count of the flat layout.
-func (m *M5P) NumNodes() int { return len(m.feature) }
-
 // NumLeaves returns the number of leaf linear models.
 func (m *M5P) NumLeaves() int {
 	leaves := 0

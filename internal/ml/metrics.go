@@ -44,34 +44,3 @@ func (r Report) String() string {
 		r.Name, r.Method, r.Correlation, r.MAE, r.Unit, r.ErrStdDev, r.Unit,
 		r.NTrain, r.NTest, r.RangeLo, r.RangeHi)
 }
-
-// CrossValidate runs f-fold cross validation with the trainer function and
-// returns the mean correlation and MAE across folds. Rows are assigned to
-// folds round-robin; callers wanting shuffled folds should shuffle first.
-func CrossValidate(d *Dataset, folds int, train func(*Dataset) (Regressor, error)) (corr, mae float64, err error) {
-	if folds < 2 {
-		return 0, 0, fmt.Errorf("ml: need >= 2 folds, got %d", folds)
-	}
-	if d.Len() < folds {
-		return 0, 0, fmt.Errorf("ml: %d rows cannot fill %d folds", d.Len(), folds)
-	}
-	var sumCorr, sumMAE float64
-	for f := 0; f < folds; f++ {
-		var trIdx, teIdx []int
-		for i := 0; i < d.Len(); i++ {
-			if i%folds == f {
-				teIdx = append(teIdx, i)
-			} else {
-				trIdx = append(trIdx, i)
-			}
-		}
-		m, terr := train(d.Subset(trIdx))
-		if terr != nil {
-			return 0, 0, terr
-		}
-		rep := Evaluate(m, d.Subset(teIdx))
-		sumCorr += rep.Correlation
-		sumMAE += rep.MAE
-	}
-	return sumCorr / float64(folds), sumMAE / float64(folds), nil
-}

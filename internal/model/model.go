@@ -80,11 +80,6 @@ func (r Resources) Min(s Resources) Resources {
 	return Resources{minF(r.CPUPct, s.CPUPct), minF(r.MemMB, s.MemMB), minF(r.BWMbps, s.BWMbps)}
 }
 
-// Clamp returns r with every component clamped to [0, limit component].
-func (r Resources) Clamp(limit Resources) Resources {
-	return r.Max(Resources{}).Min(limit)
-}
-
 // FitsIn reports whether r fits within capacity c component-wise.
 func (r Resources) FitsIn(c Resources) bool {
 	return r.CPUPct <= c.CPUPct && r.MemMB <= c.MemMB && r.BWMbps <= c.BWMbps

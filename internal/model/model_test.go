@@ -63,16 +63,6 @@ func TestResourcesDominant(t *testing.T) {
 	}
 }
 
-func TestResourcesClamp(t *testing.T) {
-	lim := Resources{CPUPct: 400, MemMB: 1024, BWMbps: 10}
-	r := Resources{CPUPct: -5, MemMB: 2048, BWMbps: 5}
-	got := r.Clamp(lim)
-	want := Resources{CPUPct: 0, MemMB: 1024, BWMbps: 5}
-	if got != want {
-		t.Fatalf("Clamp = %v, want %v", got, want)
-	}
-}
-
 func TestResourcesAddCommutativeProperty(t *testing.T) {
 	f := func(a, b Resources) bool {
 		x, y := a.Add(b), b.Add(a)

@@ -5,13 +5,11 @@
 // overhead adds noise, and the monitors themselves occasionally eat up to
 // half an Atom CPU thread. This package turns the simulator's ground truth
 // into that imperfect view: windowed averages with multiplicative noise and
-// occasional monitor-load spikes, plus EWMA smoothing and the "resources
-// used in the last 10 minutes" estimator the non-ML Best-Fit relies on.
+// occasional monitor-load spikes, plus the "resources used in the last
+// 10 minutes" estimator the non-ML Best-Fit relies on.
 package monitor
 
 import (
-	"fmt"
-
 	"repro/internal/model"
 	"repro/internal/rng"
 )
@@ -169,20 +167,6 @@ func (o *Observer) WindowAvgVM(vm model.VMID) (model.Resources, bool) {
 	return sum.Scale(1 / float64(r.n)), true
 }
 
-// WindowMaxVM returns the element-wise max observed usage over the window,
-// a more conservative sizing estimate.
-func (o *Observer) WindowMaxVM(vm model.VMID) (model.Resources, bool) {
-	r := o.history[vm]
-	if r == nil || r.n == 0 {
-		return model.Resources{}, false
-	}
-	mx := r.at(0).Usage
-	for k := 1; k < r.n; k++ {
-		mx = mx.Max(r.at(k).Usage)
-	}
-	return mx, true
-}
-
 // WindowAvgLoad returns the window-mean request rate and request-weighted
 // per-request characteristics for a VM — the per-round gateway statistics
 // a scheduler should size against rather than one noisy tick.
@@ -229,19 +213,6 @@ func (o *Observer) LastPM(pm model.PMID) (model.Resources, bool) {
 	return r.last(), true
 }
 
-// WindowAvgPM returns the mean observed aggregate usage of a PM.
-func (o *Observer) WindowAvgPM(pm model.PMID) (model.Resources, bool) {
-	r := o.pmHist[pm]
-	if r == nil || r.n == 0 {
-		return model.Resources{}, false
-	}
-	var sum model.Resources
-	for k := 0; k < r.n; k++ {
-		sum = sum.Add(r.at(k))
-	}
-	return sum.Scale(1 / float64(r.n)), true
-}
-
 func (o *Observer) noisyResources(r model.Resources) model.Resources {
 	return model.Resources{
 		CPUPct: o.noisyScalar(r.CPUPct),
@@ -272,35 +243,3 @@ func clamp01(v float64) float64 {
 	}
 	return v
 }
-
-// EWMA is an exponentially weighted moving average, the classic reactive
-// forecaster used as a lightweight load predictor.
-// The zero value is unusable; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA builds an EWMA with smoothing factor alpha in (0, 1]; larger
-// alpha weights recent samples more.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("monitor: EWMA alpha %v outside (0,1]", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Add folds a new observation and returns the updated average.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current smoothed value (0 before any sample).
-func (e *EWMA) Value() float64 { return e.value }

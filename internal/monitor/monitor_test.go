@@ -65,20 +65,16 @@ func TestWindowAverageAndMax(t *testing.T) {
 	if !ok || math.Abs(avg.CPUPct-300) > 1e-9 {
 		t.Fatalf("WindowAvgVM = %v, %v", avg, ok)
 	}
-	mx, ok := o.WindowMaxVM(0)
-	if !ok || mx.CPUPct != 400 {
-		t.Fatalf("WindowMaxVM = %v", mx)
-	}
 	last, ok := o.LastVM(0)
 	if !ok || last.Usage.CPUPct != 400 || last.Tick != 3 {
 		t.Fatalf("LastVM = %+v", last)
 	}
 }
 
-func TestWindowMaxEmpty(t *testing.T) {
+func TestWindowEmpty(t *testing.T) {
 	o := NewObserver(NoiseConfig{}, 3, nil)
-	if _, ok := o.WindowMaxVM(9); ok {
-		t.Fatal("empty max reported ok")
+	if _, ok := o.WindowAvgLoad(9); ok {
+		t.Fatal("empty load window reported ok")
 	}
 	if _, ok := o.LastVM(9); ok {
 		t.Fatal("empty last reported ok")
@@ -95,9 +91,9 @@ func TestObservePMSpikes(t *testing.T) {
 	if obs.CPUPct > 150 {
 		t.Fatalf("spike exceeds configured magnitude: %v", obs.CPUPct)
 	}
-	avg, ok := o.WindowAvgPM(0)
-	if !ok || avg.CPUPct <= 100 {
-		t.Fatalf("PM window avg = %v", avg)
+	last, ok := o.LastPM(0)
+	if !ok || last != obs {
+		t.Fatalf("PM window last = %v, want the spiked %v", last, obs)
 	}
 }
 
@@ -107,7 +103,7 @@ func TestObservePMNoSpike(t *testing.T) {
 	if obs.CPUPct != 100 {
 		t.Fatalf("spike fired at probability 0: %v", obs.CPUPct)
 	}
-	if _, ok := o.WindowAvgPM(42); ok {
+	if _, ok := o.LastPM(42); ok {
 		t.Fatal("ghost PM window reported ok")
 	}
 }
@@ -116,41 +112,6 @@ func TestWindowDefaulting(t *testing.T) {
 	o := NewObserver(NoiseConfig{}, 0, nil)
 	if o.Window() != 10 {
 		t.Fatalf("default window = %d, want 10", o.Window())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	if _, err := NewEWMA(0); err == nil {
-		t.Fatal("accepted alpha 0")
-	}
-	if _, err := NewEWMA(1.5); err == nil {
-		t.Fatal("accepted alpha > 1")
-	}
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Value() != 0 {
-		t.Fatal("initial value not 0")
-	}
-	if got := e.Add(10); got != 10 {
-		t.Fatalf("first Add = %v", got)
-	}
-	if got := e.Add(20); math.Abs(got-15) > 1e-12 {
-		t.Fatalf("second Add = %v", got)
-	}
-	if got := e.Add(15); math.Abs(got-15) > 1e-12 {
-		t.Fatalf("third Add = %v", got)
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e, _ := NewEWMA(0.3)
-	for i := 0; i < 100; i++ {
-		e.Add(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-9 {
-		t.Fatalf("EWMA did not converge: %v", e.Value())
 	}
 }
 

@@ -15,24 +15,18 @@ import (
 
 // Topology describes the geography of the multi-DC system.
 type Topology struct {
-	names     []string
-	prices    []float64   // EUR per kWh at each DC (static base)
-	latDCDC   [][]float64 // seconds, symmetric, zero diagonal
-	bandwidth float64     // inter-DC line, megabits per second
-	schedule  PriceSchedule
+	names    []string
+	prices   []float64   // EUR per kWh at each DC (static base)
+	latDCDC  [][]float64 // seconds, symmetric, zero diagonal
+	schedule PriceSchedule
 }
 
-// Option mutates a Topology under construction.
-type Option func(*Topology)
-
-// WithBandwidth overrides the inter-DC line capacity in Mbps.
-func WithBandwidth(mbps float64) Option {
-	return func(t *Topology) { t.bandwidth = mbps }
-}
+// lineMbps is the inter-DC line capacity: 10 Gbps, the paper's assumption.
+const lineMbps = 10_000
 
 // New builds a topology from DC names, electricity prices (EUR/kWh) and a
 // symmetric DC-to-DC latency matrix in seconds.
-func New(names []string, pricesEURkWh []float64, latSeconds [][]float64, opts ...Option) (*Topology, error) {
+func New(names []string, pricesEURkWh []float64, latSeconds [][]float64) (*Topology, error) {
 	n := len(names)
 	if n == 0 {
 		return nil, fmt.Errorf("network: need at least one DC")
@@ -58,16 +52,12 @@ func New(names []string, pricesEURkWh []float64, latSeconds [][]float64, opts ..
 		}
 	}
 	t := &Topology{
-		names:     append([]string(nil), names...),
-		prices:    append([]float64(nil), pricesEURkWh...),
-		bandwidth: 10_000, // 10 Gbps in Mbps, the paper's assumption
+		names:  append([]string(nil), names...),
+		prices: append([]float64(nil), pricesEURkWh...),
 	}
 	t.latDCDC = make([][]float64, n)
 	for i := range latSeconds {
 		t.latDCDC[i] = append([]float64(nil), latSeconds[i]...)
-	}
-	for _, o := range opts {
-		o(t)
 	}
 	return t, nil
 }
@@ -128,17 +118,6 @@ func (t *Topology) Name(dc model.DCID) string { return t.names[dc] }
 // EnergyPrice returns the electricity price at a DC in EUR/kWh.
 func (t *Topology) EnergyPrice(dc model.DCID) float64 { return t.prices[dc] }
 
-// CheapestDC returns the DC with the lowest electricity price.
-func (t *Topology) CheapestDC() model.DCID {
-	best := 0
-	for i := 1; i < len(t.prices); i++ {
-		if t.prices[i] < t.prices[best] {
-			best = i
-		}
-	}
-	return model.DCID(best)
-}
-
 // LatencyDCDC returns the one-way latency between two DCs in seconds.
 func (t *Topology) LatencyDCDC(a, b model.DCID) float64 { return t.latDCDC[a][b] }
 
@@ -149,9 +128,6 @@ func (t *Topology) LatencyDCDC(a, b model.DCID) float64 { return t.latDCDC[a][b]
 func (t *Topology) LatencyClientDC(loc model.LocationID, dc model.DCID) float64 {
 	return t.latDCDC[loc][dc]
 }
-
-// BandwidthMbps returns the inter-DC line capacity.
-func (t *Topology) BandwidthMbps() float64 { return t.bandwidth }
 
 // FreezeRestoreOverhead is the fixed VM freeze+restore time in seconds added
 // to every migration on top of the image transfer.
@@ -165,21 +141,9 @@ func (t *Topology) MigrationDuration(imageGB float64, from, to model.DCID) float
 		imageGB = 0
 	}
 	bits := imageGB * 8 * 1000 // gigabits -> megabits
-	transfer := bits / t.bandwidth
+	transfer := bits / lineMbps
 	rtt := 2 * t.latDCDC[from][to]
 	return FreezeRestoreOverhead + transfer + rtt
-}
-
-// NearestDC returns the DC with the smallest latency to the given source
-// location, excluding none. Ties resolve to the lowest index.
-func (t *Topology) NearestDC(loc model.LocationID) model.DCID {
-	best := 0
-	for i := 1; i < len(t.names); i++ {
-		if t.latDCDC[loc][i] < t.latDCDC[loc][best] {
-			best = i
-		}
-	}
-	return model.DCID(best)
 }
 
 // MeanLatencyFrom returns the request-weighted mean transport latency a VM

@@ -43,17 +43,6 @@ func TestPaperTopologyTableII(t *testing.T) {
 			t.Errorf("self latency not zero for %d", i)
 		}
 	}
-	if top.BandwidthMbps() != 10_000 {
-		t.Fatalf("bandwidth = %v, want 10 Gbps", top.BandwidthMbps())
-	}
-}
-
-func TestCheapestDC(t *testing.T) {
-	top := PaperTopology()
-	// Boston (0.1120) is the cheapest in Table II.
-	if got := top.CheapestDC(); got != 3 {
-		t.Fatalf("CheapestDC = %v, want Boston(3)", got)
-	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -108,16 +97,6 @@ func TestMigrationDurationGrowsWithImage(t *testing.T) {
 	}
 }
 
-func TestNearestDC(t *testing.T) {
-	top := PaperTopology()
-	// Each location's nearest DC is itself (0 latency).
-	for i := 0; i < 4; i++ {
-		if got := top.NearestDC(model.LocationID(i)); got != model.DCID(i) {
-			t.Errorf("NearestDC(%d) = %v", i, got)
-		}
-	}
-}
-
 func TestMeanLatencyFrom(t *testing.T) {
 	top := PaperTopology()
 	loads := model.LoadVector{
@@ -134,23 +113,6 @@ func TestMeanLatencyFrom(t *testing.T) {
 	}
 	if top.MeanLatencyFrom(0, model.LoadVector{{}, {}, {}, {}}) != 0 {
 		t.Fatal("no-load latency should be 0")
-	}
-}
-
-func TestWithBandwidth(t *testing.T) {
-	top, err := New([]string{"a", "b"}, []float64{0.1, 0.2},
-		[][]float64{{0, 0.1}, {0.1, 0}}, WithBandwidth(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.BandwidthMbps() != 1000 {
-		t.Fatalf("bandwidth = %v", top.BandwidthMbps())
-	}
-	// Slower line -> longer migration.
-	fast := PaperTopology().MigrationDuration(4, 0, 1)
-	slow := top.MigrationDuration(4, 0, 1)
-	if slow <= fast {
-		t.Fatal("lower bandwidth should slow migration")
 	}
 }
 

@@ -13,12 +13,6 @@ import (
 // computation".
 type PriceSchedule func(dc model.DCID, tick int) float64
 
-// WithPriceSchedule installs a time-varying price model; EnergyPriceAt
-// consults it, while EnergyPrice keeps returning the static base price.
-func WithPriceSchedule(ps PriceSchedule) Option {
-	return func(t *Topology) { t.schedule = ps }
-}
-
 // SetPriceSchedule installs or replaces the price schedule after
 // construction.
 func (t *Topology) SetPriceSchedule(ps PriceSchedule) { t.schedule = ps }
@@ -42,19 +36,6 @@ func (t *Topology) EnergyPricesAt(tick int, dst []float64) []float64 {
 		dst = append(dst, t.EnergyPriceAt(model.DCID(dc), tick))
 	}
 	return dst
-}
-
-// CheapestDCAt returns the DC with the lowest price at the given tick.
-func (t *Topology) CheapestDCAt(tick int) model.DCID {
-	best := model.DCID(0)
-	bestP := t.EnergyPriceAt(0, tick)
-	for i := 1; i < len(t.prices); i++ {
-		if p := t.EnergyPriceAt(model.DCID(i), tick); p < bestP {
-			bestP = p
-			best = model.DCID(i)
-		}
-	}
-	return best
 }
 
 // SolarPricing builds a price schedule where each DC's price dips while
@@ -93,38 +74,4 @@ func solarIrradiance(localHour float64) float64 {
 		return 0
 	}
 	return math.Sin((localHour - 6) / 12 * math.Pi)
-}
-
-// WindPricing builds a schedule with pseudo-random per-DC wind fronts:
-// multi-hour windows during which a DC's price drops by dip. The windows
-// are deterministic in (dc, day) so experiments stay reproducible.
-func WindPricing(base []float64, dip float64) PriceSchedule {
-	if dip < 0 {
-		dip = 0
-	}
-	if dip > 1 {
-		dip = 1
-	}
-	return func(dc model.DCID, tick int) float64 {
-		if int(dc) >= len(base) {
-			return 0
-		}
-		// A simple deterministic hash spreads fronts across DCs and days.
-		day := tick / model.TicksPerDay
-		hour := (tick % model.TicksPerDay) / model.TicksPerHour
-		h := uint64(dc)*2654435761 + uint64(day)*40503 + 977
-		start := int(h % 24)
-		length := 4 + int((h>>8)%8) // 4..11 hour fronts
-		inFront := false
-		for k := 0; k < length; k++ {
-			if (start+k)%24 == hour {
-				inFront = true
-				break
-			}
-		}
-		if inFront {
-			return base[dc] * (1 - dip)
-		}
-		return base[dc]
-	}
 }

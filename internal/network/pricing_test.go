@@ -67,53 +67,23 @@ func TestSolarIrradianceEnvelope(t *testing.T) {
 	}
 }
 
-func TestWindPricingDeterministicAndBounded(t *testing.T) {
-	base := []float64{0.10, 0.15}
-	ps := WindPricing(base, 0.8)
-	sawDiscount, sawFull := false, false
-	for tick := 0; tick < 3*model.TicksPerDay; tick += 30 {
-		for dc := 0; dc < 2; dc++ {
-			p := ps(model.DCID(dc), tick)
-			if p != ps(model.DCID(dc), tick) {
-				t.Fatal("wind pricing not deterministic")
-			}
-			full := base[dc]
-			disc := base[dc] * 0.2
-			switch {
-			case math.Abs(p-full) < 1e-12:
-				sawFull = true
-			case math.Abs(p-disc) < 1e-12:
-				sawDiscount = true
-			default:
-				t.Fatalf("price %v is neither full %v nor discounted %v", p, full, disc)
-			}
-		}
-	}
-	if !sawDiscount || !sawFull {
-		t.Fatal("wind fronts should alternate discounted and full prices")
-	}
-	if WindPricing(base, 0.5)(9, 0) != 0 {
-		t.Fatal("out-of-range DC should price at 0")
-	}
-}
-
-func TestCheapestDCAtFollowsSchedule(t *testing.T) {
+func TestEnergyPriceAtFollowsSchedule(t *testing.T) {
 	top := PaperTopology()
-	// Static: Boston (3) is cheapest.
-	if top.CheapestDCAt(0) != 3 {
-		t.Fatal("static cheapest wrong")
-	}
-	// Make Barcelona free at tick 100.
+	// Make Barcelona nearly free at tick 100 only.
 	top.SetPriceSchedule(func(dc model.DCID, tick int) float64 {
 		if dc == 2 && tick == 100 {
 			return 0.001
 		}
 		return top.EnergyPrice(dc)
 	})
-	if top.CheapestDCAt(100) != 2 {
+	if top.EnergyPriceAt(2, 100) != 0.001 {
 		t.Fatal("schedule ignored")
 	}
-	if top.CheapestDCAt(99) != 3 {
+	if top.EnergyPriceAt(2, 99) != top.EnergyPrice(2) {
 		t.Fatal("schedule leaked to other ticks")
+	}
+	prices := top.EnergyPricesAt(100, nil)
+	if len(prices) != 4 || prices[2] != 0.001 || prices[3] != top.EnergyPrice(3) {
+		t.Fatalf("EnergyPricesAt(100) = %v", prices)
 	}
 }

@@ -126,39 +126,6 @@ func ForEachChunkWorker(n, workers int, fn func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// ForEachChunked invokes fn(lo, hi) over contiguous, disjoint chunks
-// covering [0, n). It suits loops whose per-index cost is tiny, where
-// handing out single indices would be all scheduling overhead.
-func ForEachChunked(n, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // Map applies fn to every element of in using up to workers goroutines and
 // returns the outputs in input order.
 func Map[T, U any](in []T, workers int, fn func(T) U) []U {

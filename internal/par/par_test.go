@@ -70,26 +70,6 @@ func TestForEachZeroAndNegativeN(t *testing.T) {
 	}
 }
 
-func TestForEachChunkedCoversRangeOnce(t *testing.T) {
-	for _, workers := range []int{0, 1, 3, 16} {
-		n := 1000
-		seen := make([]int32, n)
-		ForEachChunked(n, workers, func(lo, hi int) {
-			if lo < 0 || hi > n || lo >= hi {
-				t.Errorf("bad chunk [%d,%d)", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&seen[i], 1)
-			}
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
-			}
-		}
-	}
-}
-
 func TestMapOrderPreserved(t *testing.T) {
 	in := make([]int, 257)
 	for i := range in {

@@ -9,8 +9,6 @@
 // cooling per two watts of IT load).
 package power
 
-import "fmt"
-
 // Model converts a machine's CPU activity into watts.
 type Model interface {
 	// Watts returns instantaneous IT power (without cooling) for a machine
@@ -47,36 +45,6 @@ func (Atom) Watts(cpuPct float64) float64 {
 	return interpolateCurve(AtomCurve[:], cpuPct)
 }
 
-// Custom is a power model built from an arbitrary per-active-core-count
-// curve; index 0 is idle-on power. It supports modelling heterogeneous
-// hardware generations in the same multi-DC system.
-type Custom struct {
-	Curve []float64 // watts at 0, 1, 2, ... active cores
-}
-
-// NewCustom validates and builds a Custom model. The curve must have at
-// least two points (idle and one core) and be non-decreasing.
-func NewCustom(curve []float64) (Custom, error) {
-	if len(curve) < 2 {
-		return Custom{}, fmt.Errorf("power: curve needs >= 2 points, got %d", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
-			return Custom{}, fmt.Errorf("power: curve must be non-decreasing at index %d", i)
-		}
-	}
-	c := Custom{Curve: append([]float64(nil), curve...)}
-	return c, nil
-}
-
-// Cores returns the number of cores the curve describes.
-func (c Custom) Cores() int { return len(c.Curve) - 1 }
-
-// Watts interpolates the curve at the given CPU activity.
-func (c Custom) Watts(cpuPct float64) float64 {
-	return interpolateCurve(c.Curve, cpuPct)
-}
-
 // CurveModel is the devirtualisation cache hook for hot loops: models that
 // are pure piecewise-linear curves expose their points once, and callers
 // evaluate with Interpolate instead of paying an interface dispatch per
@@ -91,11 +59,8 @@ type CurveModel interface {
 // CurvePoints implements CurveModel.
 func (Atom) CurvePoints() []float64 { return AtomCurve[:] }
 
-// CurvePoints implements CurveModel.
-func (c Custom) CurvePoints() []float64 { return c.Curve }
-
 // Interpolate evaluates a per-active-core-count curve at the given CPU
-// activity — exactly the arithmetic behind Atom.Watts and Custom.Watts.
+// activity — exactly the arithmetic behind Atom.Watts.
 func Interpolate(curve []float64, cpuPct float64) float64 {
 	return interpolateCurve(curve, cpuPct)
 }
@@ -128,51 +93,4 @@ func EnergyEUR(facilityWatts, hours, eurPerKWh float64) float64 {
 	return facilityWatts / 1000 * hours * eurPerKWh
 }
 
-// Accountant integrates a fleet's energy use tick by tick.
-// The zero value is ready to use.
-type Accountant struct {
-	wattHours float64 // facility watt-hours accumulated
-	costEUR   float64
-	ticks     int
-}
-
-// Observe folds in one tick of operation: the facility watts drawn during
-// the tick and the electricity price ruling at that machine's location.
-func (a *Accountant) Observe(facilityWatts, eurPerKWh float64, d float64) {
-	// d is the tick length in hours.
-	a.wattHours += facilityWatts * d
-	a.costEUR += EnergyEUR(facilityWatts, d, eurPerKWh)
-}
-
-// Tick marks the end of a simulation tick (used for averaging).
-func (a *Accountant) Tick() { a.ticks++ }
-
-// WattHours returns accumulated facility watt-hours.
-func (a *Accountant) WattHours() float64 { return a.wattHours }
-
-// CostEUR returns accumulated energy cost in euros.
-func (a *Accountant) CostEUR() float64 { return a.costEUR }
-
-// AvgWatts returns the mean facility draw per tick observed so far.
-func (a *Accountant) AvgWatts(tickHours float64) float64 {
-	if a.ticks == 0 {
-		return 0
-	}
-	return a.wattHours / (float64(a.ticks) * tickHours)
-}
-
-// ActiveCores returns how many cores ceil-wise a CPU load keeps busy,
-// clamped to the core count; useful for reporting.
-func ActiveCores(m Model, cpuPct float64) int {
-	if cpuPct <= 0 {
-		return 0
-	}
-	cores := int((cpuPct + 99.999) / 100)
-	if cores > m.Cores() {
-		cores = m.Cores()
-	}
-	return cores
-}
-
 var _ CurveModel = Atom{}
-var _ CurveModel = Custom{}

@@ -65,34 +65,6 @@ func TestConsolidationIsCheaper(t *testing.T) {
 	}
 }
 
-func TestCustomValidation(t *testing.T) {
-	if _, err := NewCustom([]float64{10}); err == nil {
-		t.Fatal("accepted single-point curve")
-	}
-	if _, err := NewCustom([]float64{10, 9}); err == nil {
-		t.Fatal("accepted decreasing curve")
-	}
-	c, err := NewCustom([]float64{50, 80, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Cores() != 2 {
-		t.Fatalf("Cores = %d", c.Cores())
-	}
-	if got := c.Watts(50); math.Abs(got-65) > 1e-9 {
-		t.Fatalf("Watts(50) = %v", got)
-	}
-}
-
-func TestCustomCopiesCurve(t *testing.T) {
-	in := []float64{10, 20}
-	c, _ := NewCustom(in)
-	in[0] = 999
-	if c.Watts(0) != 10 {
-		t.Fatal("NewCustom aliased caller slice")
-	}
-}
-
 func TestFacilityWatts(t *testing.T) {
 	a := Atom{}
 	got := FacilityWatts(a, 400)
@@ -105,53 +77,6 @@ func TestEnergyEUR(t *testing.T) {
 	// 1000 facility watts for 2 hours at 0.15 EUR/kWh = 0.3 EUR.
 	if got := EnergyEUR(1000, 2, 0.15); math.Abs(got-0.3) > 1e-12 {
 		t.Fatalf("EnergyEUR = %v", got)
-	}
-}
-
-func TestAccountant(t *testing.T) {
-	var acc Accountant
-	tickHours := 1.0 / 60
-	// Two ticks at 60 facility watts, price 0.10.
-	for i := 0; i < 2; i++ {
-		acc.Observe(60, 0.10, tickHours)
-		acc.Tick()
-	}
-	if wh := acc.WattHours(); math.Abs(wh-2) > 1e-9 {
-		t.Fatalf("WattHours = %v", wh)
-	}
-	if avg := acc.AvgWatts(tickHours); math.Abs(avg-60) > 1e-9 {
-		t.Fatalf("AvgWatts = %v", avg)
-	}
-	wantCost := 60.0 / 1000 * (2.0 / 60) * 0.10
-	if c := acc.CostEUR(); math.Abs(c-wantCost) > 1e-12 {
-		t.Fatalf("CostEUR = %v, want %v", c, wantCost)
-	}
-}
-
-func TestAccountantZero(t *testing.T) {
-	var acc Accountant
-	if acc.AvgWatts(1.0/60) != 0 {
-		t.Fatal("AvgWatts of empty accountant should be 0")
-	}
-}
-
-func TestActiveCores(t *testing.T) {
-	a := Atom{}
-	tests := []struct {
-		cpu  float64
-		want int
-	}{
-		{0, 0},
-		{1, 1},
-		{100, 1},
-		{101, 2},
-		{400, 4},
-		{900, 4},
-	}
-	for _, tc := range tests {
-		if got := ActiveCores(a, tc.cpu); got != tc.want {
-			t.Errorf("ActiveCores(%v) = %d, want %d", tc.cpu, got, tc.want)
-		}
 	}
 }
 

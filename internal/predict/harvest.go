@@ -221,16 +221,3 @@ func (h *Harvest) Clone() *Harvest {
 	}
 	return out
 }
-
-// Sizes reports the dataset sizes in Table I order.
-func (h *Harvest) Sizes() map[string]int {
-	return map[string]int{
-		"VMCPU": h.VMCPU.Len(),
-		"VMMem": h.VMMem.Len(),
-		"VMIn":  h.VMIn.Len(),
-		"VMOut": h.VMOut.Len(),
-		"PMCPU": h.PMCPU.Len(),
-		"VMRT":  h.VMRT.Len(),
-		"VMSLA": h.VMSLA.Len(),
-	}
-}

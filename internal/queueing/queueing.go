@@ -121,16 +121,6 @@ func BandwidthNeedMbps(rps, bytesIn, bytesOut float64) float64 {
 	return rps * (bytesIn + bytesOut) * 8 / 1e6
 }
 
-// Utilisation returns rho = lambda/mu for the demand under the grant,
-// clamped to [0, +inf). Values above 1 indicate overload.
-func Utilisation(d Demand, g Grant) float64 {
-	mu := ServiceCapacityRPS(g.CPUPct, d.CPUTimeReq)
-	if math.IsInf(mu, 1) || mu <= 0 {
-		return 0
-	}
-	return d.RPS / mu
-}
-
 // CPURequiredPct returns the CPU (percent of one core) needed to serve the
 // demand at the target utilisation (e.g. 0.7 keeps RT ~3.3x service time).
 func CPURequiredPct(d Demand, targetRho float64) float64 {

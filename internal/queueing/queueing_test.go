@@ -118,14 +118,6 @@ func TestServiceCapacity(t *testing.T) {
 	}
 }
 
-func TestUtilisation(t *testing.T) {
-	d := Demand{RPS: 50, CPUTimeReq: 0.01}
-	g := Grant{CPUPct: 100} // mu = 100
-	if got := Utilisation(d, g); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("Utilisation = %v", got)
-	}
-}
-
 func TestCPURequiredPct(t *testing.T) {
 	d := Demand{RPS: 70, CPUTimeReq: 0.01}
 	// 70 rps * 0.01 s = 0.7 cores at rho=1; at rho 0.7 -> 1 core = 100%.

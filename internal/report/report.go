@@ -184,30 +184,3 @@ func minMax(xs []float64) (lo, hi float64) {
 	}
 	return lo, hi
 }
-
-// SeriesCSV renders several aligned series as CSV columns with a tick
-// index column. Shorter series pad with empty cells.
-func SeriesCSV(series []Series) string {
-	var b strings.Builder
-	b.WriteString("tick")
-	maxLen := 0
-	for _, s := range series {
-		fmt.Fprintf(&b, ",%s", s.Name)
-		if len(s.Values) > maxLen {
-			maxLen = len(s.Values)
-		}
-	}
-	b.WriteByte('\n')
-	for i := 0; i < maxLen; i++ {
-		fmt.Fprintf(&b, "%d", i)
-		for _, s := range series {
-			if i < len(s.Values) {
-				fmt.Fprintf(&b, ",%g", s.Values[i])
-			} else {
-				b.WriteByte(',')
-			}
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

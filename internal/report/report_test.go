@@ -90,51 +90,6 @@ func TestDownsampleShortInput(t *testing.T) {
 	}
 }
 
-func TestSeriesCSV(t *testing.T) {
-	out := SeriesCSV([]Series{
-		{Name: "a", Values: []float64{1, 2}},
-		{Name: "b", Values: []float64{5}},
-	})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if lines[0] != "tick,a,b" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if lines[1] != "0,1,5" {
-		t.Fatalf("row 0 = %q", lines[1])
-	}
-	if lines[2] != "1,2," {
-		t.Fatalf("row 1 should pad short series: %q", lines[2])
-	}
-}
-
-func TestSeriesCSVEmpty(t *testing.T) {
-	// No series at all: just the tick header, no rows.
-	if out := SeriesCSV(nil); out != "tick\n" {
-		t.Fatalf("SeriesCSV(nil) = %q", out)
-	}
-	// Series present but all empty: header names them, still no rows.
-	out := SeriesCSV([]Series{{Name: "a"}, {Name: "b"}})
-	if out != "tick,a,b\n" {
-		t.Fatalf("all-empty series = %q", out)
-	}
-}
-
-func TestSeriesCSVNaN(t *testing.T) {
-	// NaN cells must survive the round trip as literal NaN (the token
-	// CSV consumers like pandas parse natively), not poison the export.
-	out := SeriesCSV([]Series{{Name: "sla", Values: []float64{1, math.NaN(), 0.5}}})
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("expected header+3 rows, got %q", out)
-	}
-	if lines[2] != "1,NaN" {
-		t.Fatalf("NaN row = %q", lines[2])
-	}
-	if lines[1] != "0,1" || lines[3] != "2,0.5" {
-		t.Fatalf("neighbour rows corrupted: %q / %q", lines[1], lines[3])
-	}
-}
-
 func TestTableCSVEmpty(t *testing.T) {
 	// Headers only: one header line, nothing else.
 	tab := Table{Headers: []string{"a", "b"}}

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -128,6 +131,65 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 	if _, _, err := OpenJournal(dir); err == nil {
 		t.Fatal("mid-file corruption accepted as a torn tail")
 	}
+}
+
+// FuzzOpenJournal feeds arbitrary bytes to the restore path as a journal
+// file. OpenJournal must never panic. When it succeeds, the entries it
+// returns end at a tick barrier (or are empty), the file has been cut to
+// exactly the bytes of those entries with Digest the FNV-1a of those
+// bytes, and opening the journal again returns the same entries and
+// digest.
+func FuzzOpenJournal(f *testing.F) {
+	f.Add([]byte(journalTwoTicks))
+	f.Add([]byte(journalTwoTicks + `{"k":"ev","e":{"seq":9,"ki`))
+	f.Add([]byte(journalTwoTicks + "{\"k\":\"ev\",broken}\n"))
+	f.Add([]byte(journalTwoTicks + `{"k":"ev","e":{"seq":3,"kind":"offer","offer":{"name":"b","home_dc":1}}}` + "\n"))
+	f.Add([]byte(`{"k":"ev",corrupt}` + "\n" + journalTwoTicks))
+	f.Add([]byte("null\n{\"K\":\"tick\"}\n\n"))
+	f.Add([]byte("{}\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := writeJournalFile(t, dir, string(data))
+		j, prior, err := OpenJournal(dir)
+		if err != nil {
+			return // refused cleanly
+		}
+		digest := j.Digest()
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(prior); n > 0 && prior[n-1].Kind != "tick" {
+			t.Fatalf("entries end at %q, not a tick barrier", prior[n-1].Kind)
+		}
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("file %q is not a prefix of the input %q", kept, data)
+		}
+		if n := bytes.Count(kept, []byte("\n")); n != len(prior) {
+			t.Fatalf("file keeps %d lines for %d entries", n, len(prior))
+		}
+		h := fnv.New64a()
+		h.Write(kept)
+		if digest != h.Sum64() {
+			t.Fatalf("digest %016x, FNV-1a of the kept bytes %016x", digest, h.Sum64())
+		}
+
+		j2, again, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatalf("reopening the cut journal: %v", err)
+		}
+		defer j2.Close()
+		if (len(again) > 0 || len(prior) > 0) && !reflect.DeepEqual(again, prior) {
+			t.Fatalf("reopen returned %+v, first open %+v", again, prior)
+		}
+		if j2.Digest() != digest {
+			t.Fatalf("reopen digest %016x, first open %016x", j2.Digest(), digest)
+		}
+	})
 }
 
 // TestCheckpointRoundTripAndCompatibility covers the checkpoint file:

@@ -305,7 +305,11 @@ func newLoop(cfg Config) (*loop, error) {
 	l.faults = lifecycle.NewFaultRunner(sc.Faults)
 
 	l.world.SetMetrics(l.met.Engine)
-	l.bf = sched.NewBestFit(sweep.CostModel(sc), sched.NewOverbooked())
+	// Profit is scored over one scheduling period, so the horizon follows
+	// the configured period rather than sweep's default.
+	cost := sweep.CostModel(sc)
+	cost.HorizonHours = float64(cfg.RoundTicks) / float64(model.TicksPerHour)
+	l.bf = sched.NewBestFit(cost, sched.NewOverbooked())
 	l.bf.SetMetrics(l.met.Sched)
 	l.mgr, err = core.NewManager(core.ManagerConfig{
 		World:      sc.World,

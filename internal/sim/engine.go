@@ -39,7 +39,6 @@ type World struct {
 	tick    int
 	stepped bool
 	ledger  sla.Ledger
-	energy  power.Accountant
 
 	migrated int // total migrations started
 	// migratedAtLastStep snapshots migrated at the end of each Step so the
@@ -253,17 +252,8 @@ func NewWorld(cfg Config) (*World, error) {
 	return e, nil
 }
 
-// SetTickWorkers sets the worker count for the per-DC parallel resolution
-// phase of Step. n <= 1 runs the tick serially (the zero-alloc path);
-// results are byte-identical at any worker count.
-func (e *World) SetTickWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// TickWorkers returns the current tick worker count.
+// TickWorkers returns the tick worker count (Config.TickWorkers, at
+// least 1).
 func (e *World) TickWorkers() int { return e.workers }
 
 // --- static views -----------------------------------------------------------
@@ -303,9 +293,6 @@ func (e *World) Ledger() sla.Ledger { return e.ledger }
 // TotalMigrations returns the number of migrations started since t=0.
 func (e *World) TotalMigrations() int { return e.migrated }
 
-// AvgFacilityWatts returns the mean facility draw per tick so far.
-func (e *World) AvgFacilityWatts() float64 { return e.energy.AvgWatts(TickHours) }
-
 // NumVMs returns the dense VM index space size (the slot high-water
 // mark). Under workload churn some slots in [0, NumVMs()) are inactive —
 // iterate with ActiveVM, or use NumActiveVMs for the live count.
@@ -313,9 +300,6 @@ func (e *World) NumVMs() int { return e.nVM }
 
 // NumPMs returns the dense PM index space size.
 func (e *World) NumPMs() int { return e.nPM }
-
-// NumLocations returns the number of client locations (topology DCs).
-func (e *World) NumLocations() int { return e.nLoc }
 
 // VMSpecAt returns the VM spec at a dense index.
 func (e *World) VMSpecAt(i int) model.VMSpec { return e.vmSpecs[i] }
@@ -712,7 +696,6 @@ func (e *World) Step() TickSummary {
 		sum.ActivePMs++
 		priceKWh := e.cfg.Topology.EnergyPriceAt(dc, e.tick)
 		e.ledger.AddEnergy(power.EnergyEUR(e.pmFacWatts[j], TickHours, priceKWh))
-		e.energy.Observe(e.pmFacWatts[j], priceKWh, TickHours)
 		e.obs.ObservePM(e.tick, e.pmSpecs[j].ID, e.pmUsage[j])
 	}
 
@@ -772,7 +755,6 @@ func (e *World) Step() TickSummary {
 	sum.Migrations = e.migrated - e.migratedAtLastStep
 	e.migratedAtLastStep = e.migrated
 	e.ledger.Tick()
-	e.energy.Tick()
 	sum.EnergyEUR = e.ledger.EnergyCost()
 	sum.PenaltyEUR = e.ledger.Penalties()
 	sum.ProfitEUR = e.ledger.Profit()

@@ -66,7 +66,7 @@ func TestEngineDenseAccessors(t *testing.T) {
 	if !ok || truth.Host != eng.PMSpecAt(j).ID {
 		t.Fatalf("truth host %v != index host", truth.Host)
 	}
-	if len(truth.Load) != eng.NumLocations() || len(truth.RTBySource) != eng.NumLocations() {
-		t.Fatalf("truth rows sized %d/%d, want %d", len(truth.Load), len(truth.RTBySource), eng.NumLocations())
+	if len(truth.Load) != eng.Topology().NumDCs() || len(truth.RTBySource) != eng.Topology().NumDCs() {
+		t.Fatalf("truth rows sized %d/%d, want %d", len(truth.Load), len(truth.RTBySource), eng.Topology().NumDCs())
 	}
 }

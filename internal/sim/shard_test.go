@@ -132,14 +132,16 @@ func TestShardedTickDeterminism(t *testing.T) {
 	}
 }
 
-// TestTickWorkersSetter covers the runtime knob: an engine reconfigured
-// mid-run must keep producing the serial run's bytes.
-func TestTickWorkersSetter(t *testing.T) {
-	mk := func() *sim.World {
+// TestShardedStepMatchesSerial compares every tick's summary of a serial
+// world and a second world built with Spec.TickWorkers 3, on a fleet
+// other than runFingerprint's.
+func TestShardedStepMatchesSerial(t *testing.T) {
+	mk := func(workers int) *sim.World {
 		sc, err := scenario.Build(scenario.Spec{
-			Name: "shard-setter", Seed: 7,
+			Name: "shard-serial", Seed: 7,
 			DCs: 4, PMsPerDC: 2, VMs: 10,
 			LoadScale: 1.2, NoiseSD: 0.2,
+			TickWorkers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -149,15 +151,8 @@ func TestTickWorkersSetter(t *testing.T) {
 		}
 		return sc.World
 	}
-	a, b := mk(), mk()
-	if got := b.TickWorkers(); got != 1 {
-		t.Fatalf("default TickWorkers = %d, want 1", got)
-	}
-	b.SetTickWorkers(3)
+	a, b := mk(1), mk(3)
 	for tick := 0; tick < 12; tick++ {
-		if tick == 6 {
-			b.SetTickWorkers(2) // reconfigure mid-run
-		}
 		sa, sb := a.Step(), b.Step()
 		if sa != sb {
 			t.Fatalf("tick %d: serial %+v != sharded %+v", tick, sa, sb)

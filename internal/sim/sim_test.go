@@ -322,7 +322,7 @@ func TestLedgerConsistency(t *testing.T) {
 	if l.Ticks() != 30 {
 		t.Fatalf("ticks = %d", l.Ticks())
 	}
-	if sc.World.AvgFacilityWatts() <= 0 {
-		t.Fatal("no average watts recorded")
+	if last.FacilityWatts <= 0 {
+		t.Fatal("no facility watts recorded")
 	}
 }

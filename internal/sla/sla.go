@@ -3,11 +3,7 @@
 // and the provider's pricing constants.
 package sla
 
-import (
-	"math"
-
-	"repro/internal/model"
-)
+import "repro/internal/model"
 
 // DefaultPriceEURh is the customer price of one VM-hour, taken from the
 // paper's Amazon-EC2-like pricing: 0.17 EUR per VM-hour.
@@ -111,17 +107,4 @@ func (l *Ledger) Merge(o Ledger) {
 	l.penalties += o.penalties
 	l.energy += o.energy
 	l.ticks += o.ticks
-}
-
-// InverseFulfilment returns the largest response time that still yields the
-// given fulfilment level under terms t. It is the planning dual of
-// Fulfilment: schedulers use it to translate an SLA target into an RT
-// budget. lvl is clamped to [0, 1].
-func InverseFulfilment(t model.SLATerms, lvl float64) float64 {
-	lvl = math.Max(0, math.Min(1, lvl))
-	if lvl >= 1 {
-		return t.RT0
-	}
-	// SLA = 1 - (rt-RT0)/((alpha-1)*RT0)  =>  rt = RT0 + (1-SLA)(alpha-1)RT0
-	return t.RT0 + (1-lvl)*(t.Alpha-1)*t.RT0
 }

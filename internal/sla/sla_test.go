@@ -3,7 +3,6 @@ package sla
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/model"
 )
@@ -97,32 +96,6 @@ func TestLedgerZeroTicks(t *testing.T) {
 	var l Ledger
 	if l.AvgProfitPerHour(1.0/60) != 0 {
 		t.Fatal("empty ledger avg should be 0")
-	}
-}
-
-func TestInverseFulfilmentRoundTrip(t *testing.T) {
-	terms := model.SLATerms{RT0: 0.1, Alpha: 10}
-	f := func(raw float64) bool {
-		lvl := math.Mod(math.Abs(raw), 1.0)
-		rt := InverseFulfilment(terms, lvl)
-		back := terms.Fulfilment(rt)
-		return math.Abs(back-lvl) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInverseFulfilmentEdges(t *testing.T) {
-	terms := model.SLATerms{RT0: 0.1, Alpha: 10}
-	if got := InverseFulfilment(terms, 1); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("InverseFulfilment(1) = %v", got)
-	}
-	if got := InverseFulfilment(terms, 0); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("InverseFulfilment(0) = %v", got)
-	}
-	if got := InverseFulfilment(terms, 2); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("InverseFulfilment clamps above 1: %v", got)
 	}
 }
 

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -48,23 +47,6 @@ func Sum(xs []float64) float64 {
 		s += x
 	}
 	return s
-}
-
-// MinMax returns the extrema of xs. It returns (0, 0) for an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
 }
 
 // Correlation returns the Pearson correlation coefficient between xs and
@@ -111,43 +93,6 @@ func ErrStdDev(pred, truth []float64) float64 {
 		errs[i] = pred[i] - truth[i]
 	}
 	return StdDev(errs)
-}
-
-// RMSE returns the root mean squared error between predictions and truth.
-func RMSE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) || len(pred) == 0 {
-		return 0
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - truth[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(pred)))
-}
-
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Welford accumulates count, mean and variance in one pass with constant
@@ -227,53 +172,4 @@ func (w *Welford) Merge(o Welford) {
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
 		w.n, w.Mean(), w.StdDev(), w.min, w.max)
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); values outside the
-// range are clamped into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of recorded observations.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the share of observations landing in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }

@@ -84,49 +84,6 @@ func TestMAEAndErrStdDev(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	pred := []float64{0, 0}
-	truth := []float64{3, 4}
-	if r := RMSE(pred, truth); !almostEq(r, math.Sqrt(12.5), 1e-12) {
-		t.Fatalf("RMSE = %v", r)
-	}
-	if RMSE(nil, nil) != 0 {
-		t.Fatal("empty RMSE should be 0")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 0})
-	if lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = %v, %v", lo, hi)
-	}
-	lo, hi = MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Fatalf("MinMax(nil) = %v, %v", lo, hi)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	tests := []struct {
-		p, want float64
-	}{
-		{0, 15},
-		{100, 50},
-		{50, 35},
-		{25, 20},
-	}
-	for _, tc := range tests {
-		if got := Percentile(xs, tc.p); !almostEq(got, tc.want, 1e-9) {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	// Input must not be reordered.
-	if xs[0] != 15 || xs[4] != 50 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	xs := []float64{1.5, 2.5, 3.5, -4, 10, 0.25}
 	var w Welford
@@ -189,37 +146,6 @@ func TestWelfordMergeEqualsSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// bins: [0,2): -1,0,1.9 -> 3 ; [2,4): 2 ; [4,6): 5 ; [8,10): 9.99,10,42 -> 3
-	want := []int{3, 1, 1, 0, 3}
-	for i, c := range want {
-		if h.Counts[i] != c {
-			t.Fatalf("bin %d = %d, want %d (all: %v)", i, h.Counts[i], c, h.Counts)
-		}
-	}
-	if !almostEq(h.BinCenter(0), 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-	if !almostEq(h.Fraction(0), 3.0/8.0, 1e-12) {
-		t.Fatalf("Fraction(0) = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramDegenerateConstruction(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid bounds and bins get repaired
-	h.Add(5)
-	if h.Total() != 1 {
-		t.Fatal("degenerate histogram unusable")
 	}
 }
 

@@ -51,8 +51,6 @@ type PolicyRun struct {
 
 // RunOpts tunes one cell execution beyond the (spec, policy, ticks) key.
 type RunOpts struct {
-	// RoundTicks overrides the scheduling period (0 = DefaultRoundTicks).
-	RoundTicks int
 	// OnTick, when non-nil, observes every tick after the standard
 	// metrics are folded in — the hook experiment-specific series
 	// (e.g. the green-energy sunlit counter) ride on.
@@ -64,8 +62,7 @@ type RunOpts struct {
 	// admission is an explicit opt-in.
 	Admission *core.AdmissionPolicy
 	// Degraded overrides the graceful-degradation policy of fault
-	// scenarios (nil = core defaults: nominal surviving capacity, never
-	// shed).
+	// scenarios (nil = core defaults: never shed).
 	Degraded *core.DegradedPolicy
 }
 
@@ -104,10 +101,6 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 	if err := sc.World.PlaceInitial(initial(sc)); err != nil {
 		return nil, err
 	}
-	roundTicks := opts.RoundTicks
-	if roundTicks <= 0 {
-		roundTicks = DefaultRoundTicks
-	}
 	// Every cell carries its own registry, so cells stay share-nothing and
 	// the deterministic snapshot is per-(scenario, policy, seed).
 	reg := obs.NewRegistry()
@@ -120,7 +113,7 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 	}
 	lifeMet := lifecycle.NewMetrics(reg)
 	mgrCfg := core.ManagerConfig{
-		World: sc.World, Scheduler: s, RoundTicks: roundTicks,
+		World: sc.World, Scheduler: s, RoundTicks: DefaultRoundTicks,
 	}
 	var runner *lifecycle.Runner
 	if sc.Script != nil {

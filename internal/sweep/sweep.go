@@ -37,8 +37,6 @@ type Matrix struct {
 	Seeds []uint64
 	// Ticks is the simulated length of every cell.
 	Ticks int
-	// RoundTicks overrides the scheduling period (0 = DefaultRoundTicks).
-	RoundTicks int
 	// Workers bounds cell-level parallelism (<= 0 = GOMAXPROCS).
 	Workers int
 }
@@ -253,8 +251,7 @@ func Run(m Matrix) (*Result, error) {
 			errs[i] = err
 			return
 		}
-		run, err := RunSpec(spec, pols[pi], bundles[seed], m.Ticks,
-			RunOpts{RoundTicks: m.RoundTicks})
+		run, err := RunSpec(spec, pols[pi], bundles[seed], m.Ticks, RunOpts{})
 		if err != nil {
 			errs[i] = fmt.Errorf("sweep: cell %s/%s seed %d: %w", scns[si], pols[pi].Name, seed, err)
 			return
@@ -269,10 +266,7 @@ func Run(m Matrix) (*Result, error) {
 
 	res := &Result{
 		Scenarios: scns, Policies: m.Policies, Seeds: m.Seeds,
-		Ticks: m.Ticks, RoundTicks: m.RoundTicks, Cells: cells,
-	}
-	if res.RoundTicks <= 0 {
-		res.RoundTicks = DefaultRoundTicks
+		Ticks: m.Ticks, RoundTicks: DefaultRoundTicks, Cells: cells,
 	}
 	buf := make([]float64, 0, nK)
 	metric := func(si, pi int, get func(*Cell) float64) Stat {
