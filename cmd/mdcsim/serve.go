@@ -37,7 +37,6 @@ func runServe(args []string) error {
 	scenarioName := fs.String("scenario", scenario.ServeBase, "scenario preset to serve on")
 	seed := fs.Uint64("seed", 42, "root seed for all stochastic components")
 	queueDepth := fs.Int("queue-depth", 64, "intake queue bound; a full queue answers 429")
-	roundTicks := fs.Int("round-ticks", 10, "scheduling round period in ticks")
 	rate := fs.Float64("rate", 0, "token-bucket admission rate per tick (0 = unlimited)")
 	burst := fs.Float64("burst", 0, "token-bucket burst size (0 = rate)")
 	tickEvery := fs.Duration("tick-every", time.Second, "wall-clock tick period (serve mode)")
@@ -70,7 +69,6 @@ func runServe(args []string) error {
 		Scenario:        *scenarioName,
 		Seed:            *seed,
 		QueueDepth:      *queueDepth,
-		RoundTicks:      *roundTicks,
 		RatePerTick:     *rate,
 		Burst:           *burst,
 		TickEvery:       *tickEvery,

@@ -45,8 +45,6 @@ type Config struct {
 	// QueueDepth bounds the intake queue; a full queue answers 429
 	// (default 64). Events stay in the queue until the next tick barrier.
 	QueueDepth int
-	// RoundTicks is the scheduling period (default 10, the paper's value).
-	RoundTicks int
 	// RatePerTick/Burst put a token-bucket rate limiter in front of the
 	// admission gates (0 = unlimited).
 	RatePerTick float64
@@ -104,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.RoundTicks <= 0 {
-		c.RoundTicks = 10
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -178,7 +173,8 @@ type loop struct {
 	calib   *Calibration
 	retr    *Retrainer // wall-clock mode only
 	journal *Journal
-	bf      *sched.BestFit // the manager's scheduler, kept for round-phase spans
+	life    *lifecycle.Metrics
+	rounds  roundStater // the manager's scheduler, for round-phase spans (nil = none)
 	met     *serveMetrics
 	tr      *obs.Tracer // nil = tracing off
 
@@ -216,6 +212,10 @@ type loop struct {
 	placeBuf []placeEntry
 }
 
+// roundStater is a scheduler that reports its last round's phase
+// breakdown.
+type roundStater interface{ LastRoundStats() sched.RoundStats }
+
 // placeEntry is one VM's host on a round-tick log line.
 type placeEntry struct {
 	id   model.VMID
@@ -248,15 +248,6 @@ func newLoop(cfg Config) (*loop, error) {
 		lastCheckpointTick: -1,
 		logDigest:          fnvOffset,
 	}
-	reg := obs.NewRegistry()
-	l.met = newServeMetrics(reg)
-	l.met.LastCheckpoint.Set(-1)
-	reg.GaugeFunc("mdcsim_serve_queue_depth",
-		"Events waiting in the bounded intake queue.",
-		func() float64 { return float64(len(l.events)) })
-	reg.GaugeFunc("mdcsim_serve_queue_cap",
-		"Intake queue capacity — the service's intake memory bound.",
-		func() float64 { return float64(cap(l.events)) })
 	if cfg.TraceSample > 0 {
 		l.tr = obs.NewTracer(0, cfg.TraceSample)
 	}
@@ -289,42 +280,41 @@ func newLoop(cfg Config) (*loop, error) {
 	}
 	l.calib = NewCalibration(cfg.CalibWindow)
 
-	pol := core.AdmissionPolicy{
+	adm := core.AdmissionPolicy{
 		Bundle:          l.bundle,
 		MinPredictedSLA: cfg.MinPredictedSLA,
 	}
 	if cfg.RatePerTick > 0 {
-		pol.Rate = &core.RateLimit{RatePerTick: cfg.RatePerTick, Burst: cfg.Burst}
+		adm.Rate = &core.RateLimit{RatePerTick: cfg.RatePerTick, Burst: cfg.Burst}
 	}
-	script := sc.Script
-	if script == nil {
-		script = &lifecycle.Script{}
+	// Offers and faults arrive over HTTP, so serve runs both runners even
+	// on a preset that scripts neither.
+	if sc.Script == nil {
+		sc.Script = &lifecycle.Script{}
 	}
-	l.runner = lifecycle.NewRunner(script)
-	l.runner.OnResolve = l.onResolve
-	l.faults = lifecycle.NewFaultRunner(sc.Faults)
-
-	l.world.SetMetrics(l.met.Engine)
-	// Profit is scored over one scheduling period, so the horizon follows
-	// the configured period rather than sweep's default.
-	cost := sweep.CostModel(sc)
-	cost.HorizonHours = float64(cfg.RoundTicks) / float64(model.TicksPerHour)
-	l.bf = sched.NewBestFit(cost, sched.NewOverbooked())
-	l.bf.SetMetrics(l.met.Sched)
-	l.mgr, err = core.NewManager(core.ManagerConfig{
-		World:      sc.World,
-		Scheduler:  l.bf,
-		RoundTicks: cfg.RoundTicks,
-		Lifecycle:  l.runner,
-		Admission:  pol,
-		Faults:     l.faults,
-	})
+	if sc.Faults == nil {
+		sc.Faults = &lifecycle.FaultScript{}
+	}
+	pol, err := sweep.PolicyByName("bf-ob")
 	if err != nil {
 		return nil, err
 	}
-	if err := l.world.PlaceInitial(sc.HomePlacement()); err != nil {
+	run, err := sweep.NewManagedRun(sc, pol, l.bundle, sweep.RunOpts{Admission: &adm})
+	if err != nil {
 		return nil, err
 	}
+	l.mgr, l.runner, l.faults, l.life = run.Manager, run.Lifecycle, run.Faults, run.Life
+	l.runner.OnResolve = l.onResolve
+	l.rounds, _ = run.Scheduler.(roundStater)
+
+	l.met = newServeMetrics(run.Registry)
+	l.met.LastCheckpoint.Set(-1)
+	run.Registry.GaugeFunc("mdcsim_serve_queue_depth",
+		"Events waiting in the bounded intake queue.",
+		func() float64 { return float64(len(l.events)) })
+	run.Registry.GaugeFunc("mdcsim_serve_queue_cap",
+		"Intake queue capacity — the service's intake memory bound.",
+		func() float64 { return float64(cap(l.events)) })
 
 	if cfg.Dir != "" {
 		journal, prior, err := OpenJournal(cfg.Dir)
@@ -463,12 +453,12 @@ func (l *loop) execTick(batch []Event) error {
 	}
 	l.met.Ticks.Inc()
 	l.met.EventsApplied.Add(uint64(len(batch)))
-	l.met.Life.Observe(l.runner.Stats(), l.faults.Stats())
-	if l.tr != nil && l.mgr.Rounds() > l.prevRounds {
+	l.life.Observe(l.runner.Stats(), l.faults.Stats())
+	if l.tr != nil && l.rounds != nil && l.mgr.Rounds() > l.prevRounds {
 		// A scheduling round ran inside mgr.Step; synthesize its phase
 		// spans backwards from now out of the RoundStats nanoseconds.
 		end := time.Now()
-		rs := l.bf.LastRoundStats()
+		rs := l.rounds.LastRoundStats()
 		for _, p := range [...]struct {
 			name string
 			ns   int64
@@ -862,7 +852,7 @@ func (l *loop) checkpointNow() error {
 	cp := Checkpoint{
 		Scenario:    l.cfg.Scenario,
 		Seed:        l.cfg.Seed,
-		RoundTicks:  l.cfg.RoundTicks,
+		RoundTicks:  sweep.DefaultRoundTicks,
 		TickWorkers: l.cfg.TickWorkers,
 		Tick:        l.world.Tick(),
 		Entries:     l.journal.Entries(),
@@ -892,7 +882,7 @@ func (l *loop) checkpointNow() error {
 func (l *loop) drainAndStop() error {
 	l.draining.Store(true)
 	l.publish() // make the flag visible to health checks immediately
-	maxTicks := lifecycle.DefaultMaxDeferTicks + 2*l.cfg.RoundTicks + 2
+	maxTicks := lifecycle.DefaultMaxDeferTicks + 2*sweep.DefaultRoundTicks + 2
 	for i := 0; i < maxTicks; i++ {
 		if l.fatalErr != nil {
 			break
@@ -951,7 +941,7 @@ func (l *loop) restore(prior []entry) error {
 		return err
 	}
 	if hasCP {
-		if err := cp.Compatible(l.cfg.Scenario, l.cfg.Seed, l.cfg.RoundTicks); err != nil {
+		if err := cp.Compatible(l.cfg.Scenario, l.cfg.Seed, sweep.DefaultRoundTicks); err != nil {
 			return err
 		}
 		l.lastCheckpointTick = cp.Tick

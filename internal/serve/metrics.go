@@ -1,15 +1,10 @@
 package serve
 
-import (
-	"repro/internal/lifecycle"
-	"repro/internal/obs"
-	"repro/internal/sched"
-	"repro/internal/sim"
-)
+import "repro/internal/obs"
 
-// serveMetrics is every sink the placement service feeds: the service's
-// own loop/journal/retrain families plus the engine, scheduler and
-// lifecycle families wired through the same registry. The loop goroutine
+// serveMetrics is the service's own loop/journal/retrain families. They
+// register on the managed run's registry, next to its engine, scheduler
+// and lifecycle families, so /metrics serves all of them. The loop goroutine
 // owns all recording except Rejected429 (HTTP handlers, atomic) and the
 // GaugeFuncs (scrape-time reads of values that are already race-safe).
 type serveMetrics struct {
@@ -31,14 +26,10 @@ type serveMetrics struct {
 	JournalEntries *obs.Gauge
 	JournalBytes   *obs.Gauge
 	LastCheckpoint *obs.Gauge
-
-	Engine *sim.EngineMetrics
-	Sched  *sched.Metrics
-	Life   *lifecycle.Metrics
 }
 
-// newServeMetrics registers the full service metric surface on one
-// registry, including the process runtime gauges.
+// newServeMetrics registers the service families and the process runtime
+// gauges on r.
 func newServeMetrics(r *obs.Registry) *serveMetrics {
 	m := &serveMetrics{
 		reg: r,
@@ -70,9 +61,6 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 			"Bytes in the write-ahead journal."),
 		LastCheckpoint: r.Gauge("mdcsim_serve_last_checkpoint_tick",
 			"Tick certified by the latest checkpoint (-1 before any)."),
-		Engine: sim.NewEngineMetrics(r),
-		Sched:  sched.NewSchedMetrics(r),
-		Life:   lifecycle.NewMetrics(r),
 	}
 	obs.RegisterRuntime(r)
 	return m

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/sweep"
 )
 
 // newTestServer starts a service plus an HTTP front end and returns a
@@ -223,30 +221,5 @@ func TestServeDrainingRefusesOffers(t *testing.T) {
 	}
 	if _, err := c.Health(); err != nil {
 		t.Fatalf("health after shutdown: %v", err)
-	}
-}
-
-// TestProfitHorizonFollowsRoundTicks pins the scheduler's profit horizon
-// to the configured scheduling period: one round of RoundTicks minutes.
-// At the default period it is bit-identical to sweep's horizon, which
-// keeps the replay digests unchanged.
-func TestProfitHorizonFollowsRoundTicks(t *testing.T) {
-	for _, tc := range []struct {
-		roundTicks int
-		want       float64
-	}{
-		{5, 5.0 / 60},
-		{0, sweep.HorizonHours},
-	} {
-		s, err := New(Config{Seed: 9, RoundTicks: tc.roundTicks})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.loop.bf.Cost.HorizonHours; got != tc.want {
-			t.Errorf("RoundTicks %d: horizon %v hours, want %v", tc.roundTicks, got, tc.want)
-		}
-		if err := s.Shutdown(t.Context()); err != nil {
-			t.Fatal(err)
-		}
 	}
 }

@@ -66,29 +66,38 @@ type RunOpts struct {
 	Degraded *core.DegradedPolicy
 }
 
-// RunSpec is the cell-runner every matrix cell, paper experiment and
-// `mdcsim -scenario` run goes through: build the scenario, make the
-// scheduler, place the policy's Initial (nil = HomePlacement), run the
-// managed loop, collect metrics. One scenario.Build and one core.Manager
-// per call, nothing shared with other cells except the read-only bundle.
-// When the policy needs a bundle and none is supplied, the per-seed cache
-// provides one.
-func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, opts RunOpts) (*PolicyRun, error) {
-	if ticks <= 0 {
-		return nil, fmt.Errorf("sweep: ticks must be positive, got %d", ticks)
-	}
+// ManagedRun is one assembled managed run: a scenario's world driven by
+// a registry policy's scheduler through one core.Manager, with the
+// engine, scheduler and lifecycle metric families on one registry.
+// NewManagedRun builds it; RunSpec steps it as a sweep cell, serve as a
+// placement service.
+type ManagedRun struct {
+	Manager   *core.Manager
+	Scheduler sched.Scheduler
+	// Lifecycle and Faults are non-nil exactly when the scenario carries
+	// a Script and Faults respectively.
+	Lifecycle *lifecycle.Runner
+	Faults    *lifecycle.FaultRunner
+	// Registry is the run's own metric registry; callers may register
+	// further families on it.
+	Registry *obs.Registry
+	Engine   *sim.EngineMetrics
+	Sched    *sched.Metrics // nil when the scheduler records no round stats
+	Life     *lifecycle.Metrics
+}
+
+// NewManagedRun assembles the managed run on a freshly built scenario:
+// make the scheduler with the policy's Make, place the policy's Initial
+// (nil = HomePlacement), put the engine, scheduler and lifecycle families
+// on a new registry, and attach a lifecycle.Runner / FaultRunner exactly
+// when the scenario carries a Script / Faults. A policy that needs a
+// bundle must be given one.
+func NewManagedRun(sc *scenario.Scenario, pol Policy, bundle *predict.Bundle, opts RunOpts) (*ManagedRun, error) {
 	if pol.Make == nil {
 		return nil, fmt.Errorf("sweep: policy %q has no Make", pol.Name)
 	}
 	if pol.NeedsBundle && bundle == nil {
-		var err error
-		if bundle, err = TrainedBundle(spec.Seed); err != nil {
-			return nil, err
-		}
-	}
-	sc, err := scenario.Build(spec)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: policy %q needs a predictor bundle", pol.Name)
 	}
 	s, err := pol.Make(sc, bundle)
 	if err != nil {
@@ -101,37 +110,62 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 	if err := sc.World.PlaceInitial(initial(sc)); err != nil {
 		return nil, err
 	}
-	// Every cell carries its own registry, so cells stay share-nothing and
-	// the deterministic snapshot is per-(scenario, policy, seed).
 	reg := obs.NewRegistry()
-	engMet := sim.NewEngineMetrics(reg)
-	sc.World.SetMetrics(engMet)
-	var schedMet *sched.Metrics
-	if ms, ok := s.(interface{ SetMetrics(*sched.Metrics) }); ok {
-		schedMet = sched.NewSchedMetrics(reg)
-		ms.SetMetrics(schedMet)
+	r := &ManagedRun{
+		Scheduler: s,
+		Registry:  reg,
+		Engine:    sim.NewEngineMetrics(reg),
+		Life:      lifecycle.NewMetrics(reg),
 	}
-	lifeMet := lifecycle.NewMetrics(reg)
-	mgrCfg := core.ManagerConfig{
+	sc.World.SetMetrics(r.Engine)
+	if ms, ok := s.(interface{ SetMetrics(*sched.Metrics) }); ok {
+		r.Sched = sched.NewSchedMetrics(reg)
+		ms.SetMetrics(r.Sched)
+	}
+	cfg := core.ManagerConfig{
 		World: sc.World, Scheduler: s, RoundTicks: DefaultRoundTicks,
 	}
-	var runner *lifecycle.Runner
 	if sc.Script != nil {
-		runner = lifecycle.NewRunner(sc.Script)
-		mgrCfg.Lifecycle = runner
+		r.Lifecycle = lifecycle.NewRunner(sc.Script)
+		cfg.Lifecycle = r.Lifecycle
 		if opts.Admission != nil {
-			mgrCfg.Admission = *opts.Admission
+			cfg.Admission = *opts.Admission
 		}
 	}
-	var faults *lifecycle.FaultRunner
 	if sc.Faults != nil {
-		faults = lifecycle.NewFaultRunner(sc.Faults)
-		mgrCfg.Faults = faults
+		r.Faults = lifecycle.NewFaultRunner(sc.Faults)
+		cfg.Faults = r.Faults
 		if opts.Degraded != nil {
-			mgrCfg.Degraded = *opts.Degraded
+			cfg.Degraded = *opts.Degraded
 		}
 	}
-	mgr, err := core.NewManager(mgrCfg)
+	if r.Manager, err = core.NewManager(cfg); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// RunSpec is the cell-runner every matrix cell, paper experiment and
+// `mdcsim -scenario` run goes through: build the scenario, assemble the
+// run with NewManagedRun, step it, and fold its ticks into the cell
+// record. One scenario.Build and one core.Manager per call, nothing
+// shared with other cells except the read-only bundle. When the policy needs a bundle and
+// none is supplied, the per-seed cache provides one.
+func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, opts RunOpts) (*PolicyRun, error) {
+	if ticks <= 0 {
+		return nil, fmt.Errorf("sweep: ticks must be positive, got %d", ticks)
+	}
+	if pol.NeedsBundle && bundle == nil {
+		var err error
+		if bundle, err = TrainedBundle(spec.Seed); err != nil {
+			return nil, err
+		}
+	}
+	sc, err := scenario.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	r, err := NewManagedRun(sc, pol, bundle, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -140,10 +174,10 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 		Ticks: ticks, MinSLA: 1, AdmissionRate: 1, Availability: 1,
 	}}
 	if run.Policy == "" {
-		run.Policy = s.Name()
+		run.Policy = r.Scheduler.Name()
 	}
 	var sumSLA, sumWatts, sumActive float64
-	err = mgr.Run(ticks, func(st sim.TickSummary) {
+	err = r.Manager.Run(ticks, func(st sim.TickSummary) {
 		sumSLA += st.AvgSLA
 		sumWatts += st.FacilityWatts
 		sumActive += float64(st.ActivePMs)
@@ -171,18 +205,18 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 	run.RevenueEUR = ledger.Revenue()
 	run.EnergyEUR = ledger.EnergyCost()
 	run.PenaltyEUR = ledger.Penalties()
-	run.Rounds = mgr.Rounds()
+	run.Rounds = r.Manager.Rounds()
 	if run.Rounds > 0 {
-		run.RoundMS = mgr.RoundWall().Seconds() * 1e3 / float64(run.Rounds)
+		run.RoundMS = r.Manager.RoundWall().Seconds() * 1e3 / float64(run.Rounds)
 	}
-	if schedMet != nil {
-		run.FillMS = schedMet.FillSeconds.Mean() * 1e3
-		run.ScoreMS = schedMet.ScoreSeconds.Mean() * 1e3
-		run.ReduceMS = schedMet.ReduceSeconds.Mean() * 1e3
+	if r.Sched != nil {
+		run.FillMS = r.Sched.FillSeconds.Mean() * 1e3
+		run.ScoreMS = r.Sched.ScoreSeconds.Mean() * 1e3
+		run.ReduceMS = r.Sched.ReduceSeconds.Mean() * 1e3
 	}
 	var lifeStats lifecycle.Stats
-	if runner != nil {
-		lifeStats = runner.Stats()
+	if r.Lifecycle != nil {
+		lifeStats = r.Lifecycle.Stats()
 		run.OfferedVMs = lifeStats.Offered
 		run.AdmittedVMs = lifeStats.Admitted
 		run.RejectedVMs = lifeStats.Rejected
@@ -191,8 +225,8 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 		run.MeanPlaceTicks = lifeStats.MeanPlacementTicks()
 	}
 	var faultStats lifecycle.FaultStats
-	if faults != nil {
-		faultStats = faults.Stats()
+	if r.Faults != nil {
+		faultStats = r.Faults.Stats()
 		run.Crashes = faultStats.Crashes
 		run.ForcedEvictions = faultStats.ForcedEvictions
 		run.Interruptions = faultStats.Interruptions
@@ -203,8 +237,8 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 		run.MaxRehomeTicks = faultStats.MaxRehomeTicks
 		run.Availability = faultStats.Availability()
 	}
-	lifeMet.Observe(lifeStats, faultStats)
-	run.Obs = reg.DeterministicSnapshot()
+	r.Life.Observe(lifeStats, faultStats)
+	run.Obs = r.Registry.DeterministicSnapshot()
 	// Round counters read the scheduler's own series; a scheduler that
 	// registers none (no round stats) reads as zero.
 	for _, c := range []struct {
@@ -218,7 +252,7 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 	} {
 		*c.col = int(run.Obs[c.series])
 	}
-	run.EngineTicks = int(engMet.Ticks.Value())
-	run.TickMS = engMet.TickSeconds.Mean() * 1e3
+	run.EngineTicks = int(r.Engine.Ticks.Value())
+	run.TickMS = r.Engine.TickSeconds.Mean() * 1e3
 	return run, nil
 }
