@@ -20,7 +20,6 @@ import (
 	"repro/internal/ml"
 	"repro/internal/model"
 	"repro/internal/network"
-	"repro/internal/power"
 	"repro/internal/predict"
 	"repro/internal/rng"
 	"repro/internal/scenario"
@@ -291,7 +290,7 @@ func BenchmarkEngineTick(b *testing.B) {
 // parallel candidate evaluation (the hpc ablation).
 func BenchmarkBestFitRound(b *testing.B) {
 	problem := syntheticProblem(24, 16)
-	cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
+	cost := sched.NewCostModel(network.PaperTopology(), 1.0/6)
 	for _, mode := range []struct {
 		name    string
 		workers int
@@ -323,7 +322,7 @@ func BenchmarkScheduleRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	paperCost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
+	paperCost := sched.NewCostModel(network.PaperTopology(), 1.0/6)
 	for _, size := range []struct {
 		name   string
 		setup  func(b *testing.B) (*sched.Problem, sched.CostModel)
@@ -406,7 +405,7 @@ func scenarioProblem(b *testing.B, name string) (*sched.Problem, sched.CostModel
 	if len(p.VMs) == 0 || len(p.Hosts) == 0 {
 		b.Fatalf("%s: empty problem", name)
 	}
-	return p, sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+	return p, sched.NewCostModel(sc.Topology, 1.0/6)
 }
 
 // BenchmarkSLAQuery measures the SLA estimation path a (VM, DC) table
@@ -474,7 +473,7 @@ func BenchmarkChurn(b *testing.B) {
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 		b.Fatal(err)
 	}
-	cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+	cost := sched.NewCostModel(sc.Topology, 1.0/6)
 	mgr, err := core.NewManager(core.ManagerConfig{
 		World:      sc.World,
 		Scheduler:  sched.NewBestFit(cost, sched.NewOverbooked()),
@@ -538,7 +537,7 @@ func BenchmarkFailover(b *testing.B) {
 	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
 		b.Fatal(err)
 	}
-	cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+	cost := sched.NewCostModel(sc.Topology, 1.0/6)
 	fr := lifecycle.NewFaultRunner(nil)
 	mgr, err := core.NewManager(core.ManagerConfig{
 		World:      sc.World,

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -27,7 +26,7 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			sc.World.SetMetrics(sim.NewEngineMetrics(obs.NewRegistry()))
-			cost := sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+			cost := sched.NewCostModel(sc.Topology, 1.0/6)
 			mgr, err := core.NewManager(core.ManagerConfig{
 				World:      sc.World,
 				Scheduler:  sched.NewBestFit(cost, sched.NewOverbooked()),

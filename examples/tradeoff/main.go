@@ -60,7 +60,7 @@ func minWatts(terms model.SLATerms, rps, cpuTime, target float64) float64 {
 			queueing.Grant{CPUPct: grant},
 		)
 		if terms.Fulfilment(rt) >= target {
-			return power.FacilityWatts(power.Atom{}, grant)
+			return power.FacilityWatts(grant)
 		}
 	}
 	return -1
@@ -70,7 +70,7 @@ func minWatts(terms model.SLATerms, rps, cpuTime, target float64) float64 {
 func grantForWatts(watts float64) float64 {
 	best := 0.0
 	for grant := 0.0; grant <= 400; grant += 1 {
-		if power.FacilityWatts(power.Atom{}, grant) <= watts {
+		if power.FacilityWatts(grant) <= watts {
 			best = grant
 		}
 	}

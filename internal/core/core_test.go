@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -26,7 +25,7 @@ func testScenario(t *testing.T, spec scenario.Spec) *scenario.Scenario {
 }
 
 func costFor(sc *scenario.Scenario) sched.CostModel {
-	return sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+	return sched.NewCostModel(sc.Topology, 1.0/6)
 }
 
 func TestNewManagerValidation(t *testing.T) {

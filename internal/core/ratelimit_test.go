@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/lifecycle"
-	"repro/internal/power"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 )
@@ -67,7 +66,7 @@ func TestRateLimitBurstStormDefersNotDrops(t *testing.T) {
 	rl := &RateLimit{RatePerTick: 2, Burst: 4}
 	mgr, err := NewManager(ManagerConfig{
 		World:      sc.World,
-		Scheduler:  sched.NewBestFit(sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6), sched.NewOverbooked()),
+		Scheduler:  sched.NewBestFit(sched.NewCostModel(sc.Topology, 1.0/6), sched.NewOverbooked()),
 		RoundTicks: 10,
 		Lifecycle:  runner,
 		Admission: AdmissionPolicy{

@@ -44,7 +44,7 @@ func Figure8(seed uint64) (*Result, error) {
 		lvl := terms.Fulfilment(rt)
 		// Energy: the host share attributable to this grant level, cooling
 		// included (a host running this VM alone at this CPU level).
-		watts := power.FacilityWatts(power.Atom{}, grant)
+		watts := power.FacilityWatts(grant)
 		return sweepCell{load, grant, lvl, watts}
 	})
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/network"
-	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -33,7 +32,7 @@ func SchedulerScaling(seed uint64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, sweep.HorizonHours)
+		cost := sched.NewCostModel(network.PaperTopology(), sweep.HorizonHours)
 		est := sched.NewObserved()
 
 		bf := sched.NewBestFit(cost, est)

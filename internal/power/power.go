@@ -9,17 +9,6 @@
 // cooling per two watts of IT load).
 package power
 
-// Model converts a machine's CPU activity into watts.
-type Model interface {
-	// Watts returns instantaneous IT power (without cooling) for a machine
-	// running the given total CPU load, in percent of one core (0..Cores*100).
-	// A powered-off machine is handled by the caller; Watts(0) is the
-	// idle-but-on floor.
-	Watts(cpuPct float64) float64
-	// Cores returns the number of physical cores the curve describes.
-	Cores() int
-}
-
 // CoolingFactor scales IT watts to facility watts: "for each 2 watts
 // consumed by the machine, an extra watt is required for cooling".
 const CoolingFactor = 1.5
@@ -32,59 +21,32 @@ const CoolingFactor = 1.5
 // reported ~175.9 facility watts: 4 x 29.3 x 1.5.
 var AtomCurve = [5]float64{28.2, 29.1, 30.4, 31.3, 31.8}
 
-// Atom is the paper's host power model.
-type Atom struct{}
-
-// Cores returns 4.
-func (Atom) Cores() int { return 4 }
-
-// Watts interpolates the measured per-core-count points piecewise linearly
-// so that fractional core activity (e.g. 150% CPU = 1.5 active cores) has a
-// defined, monotone consumption.
-func (Atom) Watts(cpuPct float64) float64 {
-	return interpolateCurve(AtomCurve[:], cpuPct)
-}
-
-// CurveModel is the devirtualisation cache hook for hot loops: models that
-// are pure piecewise-linear curves expose their points once, and callers
-// evaluate with Interpolate instead of paying an interface dispatch per
-// candidate assignment.
-type CurveModel interface {
-	Model
-	// CurvePoints returns the watts-at-k-active-cores points (index 0 =
-	// idle-on). Callers must not mutate the returned slice.
-	CurvePoints() []float64
-}
-
-// CurvePoints implements CurveModel.
-func (Atom) CurvePoints() []float64 { return AtomCurve[:] }
-
-// Interpolate evaluates a per-active-core-count curve at the given CPU
-// activity — exactly the arithmetic behind Atom.Watts.
-func Interpolate(curve []float64, cpuPct float64) float64 {
-	return interpolateCurve(curve, cpuPct)
-}
-
-func interpolateCurve(curve []float64, cpuPct float64) float64 {
-	maxCores := float64(len(curve) - 1)
+// Watts returns the instantaneous IT power (without cooling) of an Atom
+// host running the given total CPU load, in percent of one core
+// (0..400). It interpolates AtomCurve piecewise linearly so that
+// fractional core activity (e.g. 150% CPU = 1.5 active cores) has a
+// defined, monotone consumption. A powered-off machine is handled by the
+// caller; Watts(0) is the idle-but-on floor.
+func Watts(cpuPct float64) float64 {
+	const maxCores = float64(len(AtomCurve) - 1)
 	cores := cpuPct / 100
 	if cores <= 0 {
-		return curve[0]
+		return AtomCurve[0]
 	}
 	if cores >= maxCores {
-		return curve[len(curve)-1]
+		return AtomCurve[len(AtomCurve)-1]
 	}
 	lo := int(cores)
 	frac := cores - float64(lo)
-	return curve[lo]*(1-frac) + curve[lo+1]*frac
+	return AtomCurve[lo]*(1-frac) + AtomCurve[lo+1]*frac
 }
 
 // FacilityWatts returns the machine's total draw including cooling overhead
 // for a powered-on machine under the given CPU activity. Off machines draw
 // nothing; that case belongs to the caller because "off" is a scheduling
 // state, not a load level.
-func FacilityWatts(m Model, cpuPct float64) float64 {
-	return m.Watts(cpuPct) * CoolingFactor
+func FacilityWatts(cpuPct float64) float64 {
+	return Watts(cpuPct) * CoolingFactor
 }
 
 // EnergyEUR returns the cost of running one machine at the given facility
@@ -92,5 +54,3 @@ func FacilityWatts(m Model, cpuPct float64) float64 {
 func EnergyEUR(facilityWatts, hours, eurPerKWh float64) float64 {
 	return facilityWatts / 1000 * hours * eurPerKWh
 }
-
-var _ CurveModel = Atom{}

@@ -7,7 +7,6 @@ import (
 )
 
 func TestAtomMeasuredPoints(t *testing.T) {
-	a := Atom{}
 	tests := []struct {
 		cpu, want float64
 	}{
@@ -20,31 +19,29 @@ func TestAtomMeasuredPoints(t *testing.T) {
 		{-10, 28.2}, // negative clamps to idle
 	}
 	for _, tc := range tests {
-		if got := a.Watts(tc.cpu); math.Abs(got-tc.want) > 1e-9 {
+		if got := Watts(tc.cpu); math.Abs(got-tc.want) > 1e-9 {
 			t.Errorf("Watts(%v) = %v, want %v", tc.cpu, got, tc.want)
 		}
 	}
 }
 
 func TestAtomInterpolationMidpoints(t *testing.T) {
-	a := Atom{}
-	if got := a.Watts(150); math.Abs(got-(29.1+30.4)/2) > 1e-9 {
+	if got := Watts(150); math.Abs(got-(29.1+30.4)/2) > 1e-9 {
 		t.Fatalf("Watts(150) = %v", got)
 	}
-	if got := a.Watts(50); math.Abs(got-(28.2+29.1)/2) > 1e-9 {
+	if got := Watts(50); math.Abs(got-(28.2+29.1)/2) > 1e-9 {
 		t.Fatalf("Watts(50) = %v", got)
 	}
 }
 
 func TestAtomMonotoneProperty(t *testing.T) {
-	a := Atom{}
 	f := func(x, y float64) bool {
 		cx := math.Mod(math.Abs(x), 450)
 		cy := math.Mod(math.Abs(y), 450)
 		if cx > cy {
 			cx, cy = cy, cx
 		}
-		return a.Watts(cx) <= a.Watts(cy)+1e-12
+		return Watts(cx) <= Watts(cy)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -54,9 +51,8 @@ func TestAtomMonotoneProperty(t *testing.T) {
 func TestConsolidationIsCheaper(t *testing.T) {
 	// The core economic fact: two machines at one core each burn much more
 	// than one machine at two cores.
-	a := Atom{}
-	two := 2 * a.Watts(100)
-	one := a.Watts(200)
+	two := 2 * Watts(100)
+	one := Watts(200)
 	if one >= two {
 		t.Fatalf("consolidation not cheaper: 1x200%%=%vW vs 2x100%%=%vW", one, two)
 	}
@@ -66,8 +62,7 @@ func TestConsolidationIsCheaper(t *testing.T) {
 }
 
 func TestFacilityWatts(t *testing.T) {
-	a := Atom{}
-	got := FacilityWatts(a, 400)
+	got := FacilityWatts(400)
 	if math.Abs(got-31.8*1.5) > 1e-9 {
 		t.Fatalf("FacilityWatts = %v", got)
 	}
@@ -83,8 +78,7 @@ func TestEnergyEUR(t *testing.T) {
 func TestTableIIIStaticPowerBallpark(t *testing.T) {
 	// Four nearly idle machines with cooling should land near the paper's
 	// 175.9 W static figure.
-	a := Atom{}
-	watts := 4 * FacilityWatts(a, 30) // ~30% of one core each
+	watts := 4 * FacilityWatts(30) // ~30% of one core each
 	if watts < 165 || watts < 0 || watts > 185 {
 		t.Fatalf("static fleet facility watts = %v, want ~175", watts)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/model"
+	"repro/internal/power"
 	"repro/internal/predict"
 )
 
@@ -101,7 +102,7 @@ func (s *Scratch) marginalWatts(r *Round, i, j int, vmCPU float64) float64 {
 	s.eMisses++
 	newPM := r.est.PMCPU(guests+1, sumCPU+vmCPU, sumRPS+r.vms[i].Total.RPS, s)
 	newPM = clampF(newPM, 0, cap)
-	w := r.facilityWatts(newPM) - r.hWattsBefore[j]
+	w := power.FacilityWatts(newPM) - r.hWattsBefore[j]
 	*e = energyKey{sumCPU: sumCPU, sumRPS: sumRPS, cap: cap, vmCPU: vmCPU, guests: guests, epoch: s.eEpoch}
 	s.eLast, s.eLastW = *e, w
 	s.eWatts[slot] = w

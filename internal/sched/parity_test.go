@@ -128,9 +128,9 @@ func (r *refRound) profit(i, j int) float64 {
 		if host.guests > 0 {
 			prevPM := r.est.PMCPU(host.guests, host.sumCPU, host.sumRPS, nil)
 			prevPM = refClamp(prevPM, 0, host.info.Spec.Capacity.CPUPct)
-			wattsBefore = power.FacilityWatts(r.cost.Power, prevPM)
+			wattsBefore = power.FacilityWatts(prevPM)
 		}
-		wattsAfter := power.FacilityWatts(r.cost.Power, newPM)
+		wattsAfter := power.FacilityWatts(newPM)
 		marginal := wattsAfter - wattsBefore
 		profit -= power.EnergyEUR(marginal, r.cost.HorizonHours, r.cost.Top.EnergyPriceAt(hostDC, r.tick))
 	}
@@ -316,7 +316,7 @@ func parityCost(t *testing.T, name string, seed uint64) sched.CostModel {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sched.NewCostModel(sc.Topology, power.Atom{}, 1.0/6)
+	return sched.NewCostModel(sc.Topology, 1.0/6)
 }
 
 // --- the parity suites ---

@@ -72,8 +72,7 @@ type Scheduler interface {
 
 // CostModel carries the economics of Figure 3's objective function.
 type CostModel struct {
-	Top   *network.Topology
-	Power power.Model
+	Top *network.Topology
 	// HorizonHours is the revenue/energy horizon of one decision — the
 	// scheduling round length (paper: 10 minutes).
 	HorizonHours float64
@@ -87,10 +86,11 @@ type CostModel struct {
 	LatencyOnly bool
 }
 
-// NewCostModel returns the full objective of the paper's evaluation.
-func NewCostModel(top *network.Topology, pm power.Model, horizonHours float64) CostModel {
+// NewCostModel returns the full objective of the paper's evaluation; host
+// power is the paper's Atom curve (package power).
+func NewCostModel(top *network.Topology, horizonHours float64) CostModel {
 	return CostModel{
-		Top: top, Power: pm, HorizonHours: horizonHours,
+		Top: top, HorizonHours: horizonHours,
 		EnergyAware: true, MigrationAware: true,
 	}
 }
@@ -99,9 +99,6 @@ func NewCostModel(top *network.Topology, pm power.Model, horizonHours float64) C
 func (c *CostModel) Validate() error {
 	if c.Top == nil {
 		return fmt.Errorf("sched: CostModel.Top is nil")
-	}
-	if c.Power == nil {
-		return fmt.Errorf("sched: CostModel.Power is nil")
 	}
 	if c.HorizonHours <= 0 {
 		return fmt.Errorf("sched: non-positive horizon %v", c.HorizonHours)
@@ -158,7 +155,6 @@ type Round struct {
 
 	idx       map[model.PMID]int
 	maxCap    model.Resources // largest host capacity, caps requirements
-	curve     []float64       // power fast path (nil: interface dispatch)
 	needWatts bool
 	gen       uint64 // Reset counter, invalidates scratch-level memos
 	scratch   Scratch
@@ -379,12 +375,7 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 		r.fillIdx(list, &r.scratch)
 	}
 
-	// Power: grab the raw curve when the model exposes one, then prime the
-	// per-host baseline watts.
-	r.curve = nil
-	if cm, ok := cost.Power.(power.CurveModel); ok {
-		r.curve = cm.CurvePoints()
-	}
+	// Prime the per-host baseline watts.
 	r.needWatts = cost.EnergyAware && !cost.LatencyOnly
 	if r.needWatts {
 		for j := 0; j < nH; j++ {
@@ -437,15 +428,6 @@ func (r *Round) Latency(i int, dc model.DCID) float64 {
 	return r.latVMDC[i*r.nDC+int(dc)]
 }
 
-// facilityWatts is power.FacilityWatts through the cached curve when the
-// model exposes one (identical arithmetic, no interface dispatch).
-func (r *Round) facilityWatts(cpuPct float64) float64 {
-	if r.curve != nil {
-		return power.Interpolate(r.curve, cpuPct) * power.CoolingFactor
-	}
-	return power.FacilityWatts(r.cost.Power, cpuPct)
-}
-
 // recomputeWattsBefore refreshes host j's powered-on baseline draw; called
 // whenever the tentative population of j changes.
 func (r *Round) recomputeWattsBefore(j int) {
@@ -455,7 +437,7 @@ func (r *Round) recomputeWattsBefore(j int) {
 	}
 	prevPM := r.est.PMCPU(r.hGuests[j], r.hSumCPU[j], r.hSumRPS[j], &r.scratch)
 	prevPM = clampF(prevPM, 0, r.hCapCPU[j])
-	r.hWattsBefore[j] = r.facilityWatts(prevPM)
+	r.hWattsBefore[j] = power.FacilityWatts(prevPM)
 }
 
 // Profit scores placing VM i on host j given the current tentative state —

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/network"
-	"repro/internal/power"
 )
 
 // fakeEstimator gives tests full control over requirements and SLA.
@@ -48,7 +47,7 @@ func (f *fakeEstimator) PMCPU(nGuests int, sumCPU, sumRPS float64, _ *Scratch) f
 }
 
 func paperCost() CostModel {
-	return NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
+	return NewCostModel(network.PaperTopology(), 1.0/6)
 }
 
 func mkVM(id int, homeDC int, rps float64, srcDC int) VMInfo {
@@ -410,7 +409,7 @@ func TestCostModelValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Fatal("accepted empty cost model")
 	}
-	c = NewCostModel(network.PaperTopology(), power.Atom{}, 0)
+	c = NewCostModel(network.PaperTopology(), 0)
 	if err := c.Validate(); err == nil {
 		t.Fatal("accepted zero horizon")
 	}

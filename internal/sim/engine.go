@@ -149,9 +149,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Inventory == nil || cfg.Topology == nil || cfg.Generator == nil {
 		return nil, fmt.Errorf("sim: inventory, topology and generator are required")
 	}
-	if cfg.Power == nil {
-		cfg.Power = power.Atom{}
-	}
 	if cfg.Params == (Params{}) {
 		cfg.Params = DefaultParams()
 	}
@@ -822,8 +819,8 @@ func (e *World) resolvePM(j int) {
 		pmCPU = pmSpec.Capacity.CPUPct
 	}
 	e.pmUsage[j] = model.Resources{CPUPct: pmCPU, MemMB: sumMem, BWMbps: sumBW}
-	e.pmITWatts[j] = e.cfg.Power.Watts(pmCPU)
-	e.pmFacWatts[j] = power.FacilityWatts(e.cfg.Power, pmCPU)
+	e.pmITWatts[j] = power.Watts(pmCPU)
+	e.pmFacWatts[j] = e.pmITWatts[j] * power.CoolingFactor
 }
 
 // resolveVM computes the hidden behaviour of one hosted VM for this tick.

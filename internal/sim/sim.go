@@ -22,7 +22,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/monitor"
 	"repro/internal/network"
-	"repro/internal/power"
 )
 
 // Params are the ground-truth behavioural constants of the simulated fleet.
@@ -96,7 +95,6 @@ type Config struct {
 	Inventory *cluster.Inventory
 	Topology  *network.Topology
 	Generator Workload
-	Power     power.Model
 	Params    Params
 	Noise     monitor.NoiseConfig
 	Seed      uint64

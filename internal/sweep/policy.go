@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/par"
-	"repro/internal/power"
 	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -22,7 +21,7 @@ const HorizonHours = float64(DefaultRoundTicks) / 60
 
 // CostModel builds the standard Figure 3 objective for a scenario.
 func CostModel(sc *scenario.Scenario) sched.CostModel {
-	return sched.NewCostModel(sc.Topology, power.Atom{}, HorizonHours)
+	return sched.NewCostModel(sc.Topology, HorizonHours)
 }
 
 // ParallelBestFit builds the ML Best-Fit with concurrent candidate

@@ -6,7 +6,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/sched"
 )
 
@@ -15,7 +14,7 @@ import (
 // with metric sinks attached must stay allocation-free once warmed,
 // exactly like the uninstrumented contract in TestScheduleSteadyStateAllocs.
 func TestScheduleSteadyStateAllocsWithMetrics(t *testing.T) {
-	cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
+	cost := sched.NewCostModel(network.PaperTopology(), 1.0/6)
 	problem := syntheticProblem(24, 16)
 	bf := sched.NewBestFit(cost, sched.NewOverbooked())
 	reg := obs.NewRegistry()

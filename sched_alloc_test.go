@@ -6,7 +6,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/network"
-	"repro/internal/power"
 	"repro/internal/sched"
 )
 
@@ -19,7 +18,7 @@ func TestScheduleSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
+	cost := sched.NewCostModel(network.PaperTopology(), 1.0/6)
 	for _, tc := range []struct {
 		name string
 		est  sched.Estimator
@@ -65,7 +64,7 @@ func TestScheduleChurnAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := sched.NewCostModel(network.PaperTopology(), power.Atom{}, 1.0/6)
+	cost := sched.NewCostModel(network.PaperTopology(), 1.0/6)
 	bf := sched.NewBestFit(cost, sched.NewML(bundle))
 	big := syntheticProblem(30, 16)
 	mid := syntheticProblem(22, 16)
