@@ -454,37 +454,6 @@ func (m *M5P) predictRaw(x []float64) float64 {
 	return m.lmPredict(id, x)
 }
 
-// NumLeaves returns the number of leaf linear models.
-func (m *M5P) NumLeaves() int {
-	leaves := 0
-	for _, f := range m.feature {
-		if f < 0 {
-			leaves++
-		}
-	}
-	return leaves
-}
-
-// Depth returns the maximum depth of the tree (a single leaf has depth 1).
-func (m *M5P) Depth() int {
-	if len(m.feature) == 0 {
-		return 0
-	}
-	// depth[id] is one more than its parent's; records are appended so a
-	// parent always precedes its children and one forward pass suffices.
-	best := 0
-	depth := make([]int, len(m.feature))
-	for id := range m.feature {
-		if p := m.parent[id]; p >= 0 {
-			depth[id] = depth[p] + 1
-		}
-		if depth[id] > best {
-			best = depth[id]
-		}
-	}
-	return best + 1
-}
-
 // String renders the tree structure for debugging.
 func (m *M5P) String() string {
 	var b strings.Builder

@@ -43,8 +43,8 @@ func TestM5PLearnsPiecewiseLinear(t *testing.T) {
 	if rep.MAE > 0.5 {
 		t.Fatalf("MAE = %v", rep.MAE)
 	}
-	if m.NumLeaves() < 2 {
-		t.Fatalf("tree did not split: %d leaves", m.NumLeaves())
+	if numLeaves(m) < 2 {
+		t.Fatalf("tree did not split: %d leaves", numLeaves(m))
 	}
 }
 
@@ -79,8 +79,8 @@ func TestM5PPureLinearCollapses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumLeaves() > 3 {
-		t.Fatalf("pruning left %d leaves on linear data", m.NumLeaves())
+	if numLeaves(m) > 3 {
+		t.Fatalf("pruning left %d leaves on linear data", numLeaves(m))
 	}
 	if got := m.Predict([]float64{50}); math.Abs(got-157) > 1.5 {
 		t.Fatalf("Predict(50) = %v, want ~157", got)
@@ -94,8 +94,8 @@ func TestM5PMinLeafRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With MinLeaf=50 of 100 rows, at most one split is possible.
-	if m.NumLeaves() > 2 {
-		t.Fatalf("MinLeaf violated: %d leaves", m.NumLeaves())
+	if numLeaves(m) > 2 {
+		t.Fatalf("MinLeaf violated: %d leaves", numLeaves(m))
 	}
 }
 
@@ -128,8 +128,8 @@ func TestM5PPruningReducesLeaves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pruned.NumLeaves() > unpruned.NumLeaves() {
-		t.Fatalf("pruning grew the tree: %d > %d", pruned.NumLeaves(), unpruned.NumLeaves())
+	if numLeaves(pruned) > numLeaves(unpruned) {
+		t.Fatalf("pruning grew the tree: %d > %d", numLeaves(pruned), numLeaves(unpruned))
 	}
 }
 
@@ -159,8 +159,8 @@ func TestM5PConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumLeaves() != 1 {
-		t.Fatalf("constant target grew %d leaves", m.NumLeaves())
+	if numLeaves(m) != 1 {
+		t.Fatalf("constant target grew %d leaves", numLeaves(m))
 	}
 	if got := m.Predict([]float64{0.5}); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("Predict = %v", got)
@@ -177,8 +177,8 @@ func TestM5PDuplicateFeatureValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumLeaves() != 1 {
-		t.Fatalf("split on constant feature: %d leaves", m.NumLeaves())
+	if numLeaves(m) != 1 {
+		t.Fatalf("split on constant feature: %d leaves", numLeaves(m))
 	}
 }
 
@@ -188,7 +188,7 @@ func TestM5PDepthAndString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Depth() < 1 {
+	if treeDepth(m) < 1 {
 		t.Fatal("depth < 1")
 	}
 	if s := m.String(); len(s) == 0 {
@@ -230,4 +230,35 @@ func TestSDFromMoments(t *testing.T) {
 	if v := sdFromMoments(1e8, 1e8*1e8/4-1e-6, 4); math.IsNaN(v) {
 		t.Fatal("sd NaN on cancellation")
 	}
+}
+
+// numLeaves counts the tree's leaf linear models.
+func numLeaves(m *M5P) int {
+	leaves := 0
+	for _, f := range m.feature {
+		if f < 0 {
+			leaves++
+		}
+	}
+	return leaves
+}
+
+// treeDepth is the maximum depth of the tree (a single leaf has depth 1).
+func treeDepth(m *M5P) int {
+	if len(m.feature) == 0 {
+		return 0
+	}
+	// depth[id] is one more than its parent's; records are appended so a
+	// parent always precedes its children and one forward pass suffices.
+	best := 0
+	depth := make([]int, len(m.feature))
+	for id := range m.feature {
+		if p := m.parent[id]; p >= 0 {
+			depth[id] = depth[p] + 1
+		}
+		if depth[id] > best {
+			best = depth[id]
+		}
+	}
+	return best + 1
 }

@@ -37,9 +37,9 @@ func TestM5PRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumLeaves() != m.NumLeaves() || back.Depth() != m.Depth() {
+	if numLeaves(&back) != numLeaves(m) || treeDepth(&back) != treeDepth(m) {
 		t.Fatalf("tree shape changed: %d/%d leaves, %d/%d depth",
-			m.NumLeaves(), back.NumLeaves(), m.Depth(), back.Depth())
+			numLeaves(m), numLeaves(&back), treeDepth(m), treeDepth(&back))
 	}
 	s := rng.New(1, 1)
 	for i := 0; i < 200; i++ {

@@ -118,9 +118,6 @@ func (t *Topology) Name(dc model.DCID) string { return t.names[dc] }
 // EnergyPrice returns the electricity price at a DC in EUR/kWh.
 func (t *Topology) EnergyPrice(dc model.DCID) float64 { return t.prices[dc] }
 
-// LatencyDCDC returns the one-way latency between two DCs in seconds.
-func (t *Topology) LatencyDCDC(a, b model.DCID) float64 { return t.latDCDC[a][b] }
-
 // LatencyClientDC returns the transport latency experienced by clients of
 // location loc when their VM is hosted at DC dc. Client requests enter the
 // system through their local DC's ISP (the paper's gateway model), so the

@@ -31,15 +31,15 @@ func TestPaperTopologyTableII(t *testing.T) {
 		{1, 2, 250}, {1, 3, 380}, {2, 3, 90},
 	}
 	for _, c := range checks {
-		if got := top.LatencyDCDC(c.a, c.b); math.Abs(got-c.ms/1000) > 1e-12 {
-			t.Errorf("LatencyDCDC(%v,%v) = %v, want %v", c.a, c.b, got, c.ms/1000)
+		if got := top.latDCDC[c.a][c.b]; math.Abs(got-c.ms/1000) > 1e-12 {
+			t.Errorf("latency %v-%v = %v, want %v", c.a, c.b, got, c.ms/1000)
 		}
-		if top.LatencyDCDC(c.b, c.a) != top.LatencyDCDC(c.a, c.b) {
+		if top.latDCDC[c.b][c.a] != top.latDCDC[c.a][c.b] {
 			t.Errorf("latency not symmetric for %v-%v", c.a, c.b)
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if top.LatencyDCDC(model.DCID(i), model.DCID(i)) != 0 {
+		if top.latDCDC[model.DCID(i)][model.DCID(i)] != 0 {
 			t.Errorf("self latency not zero for %d", i)
 		}
 	}
@@ -120,7 +120,7 @@ func TestLatencyClientDCEqualsDCDC(t *testing.T) {
 	top := PaperTopology()
 	for l := 0; l < 4; l++ {
 		for d := 0; d < 4; d++ {
-			if top.LatencyClientDC(model.LocationID(l), model.DCID(d)) != top.LatencyDCDC(model.DCID(l), model.DCID(d)) {
+			if top.LatencyClientDC(model.LocationID(l), model.DCID(d)) != top.latDCDC[model.DCID(l)][model.DCID(d)] {
 				t.Fatalf("client latency mismatch at %d,%d", l, d)
 			}
 		}

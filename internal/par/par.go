@@ -144,44 +144,3 @@ func MapIdx[T, U any](in []T, workers int, fn func(int, T) U) []U {
 	})
 	return out
 }
-
-// Reduce folds the per-worker partial results of fn into a single value.
-// fn computes a partial result over its index range; merge combines two
-// partials and must be associative.
-func Reduce[A any](n, workers int, fn func(lo, hi int) A, merge func(A, A) A) A {
-	var zero A
-	if n <= 0 {
-		return zero
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return fn(0, n)
-	}
-	chunk := (n + workers - 1) / workers
-	nchunks := (n + chunk - 1) / chunk
-	partials := make([]A, nchunks)
-	var wg sync.WaitGroup
-	for c := 0; c < nchunks; c++ {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(c, lo, hi int) {
-			defer wg.Done()
-			partials[c] = fn(lo, hi)
-		}(c, lo, hi)
-	}
-	wg.Wait()
-	acc := partials[0]
-	for _, p := range partials[1:] {
-		acc = merge(acc, p)
-	}
-	return acc
-}

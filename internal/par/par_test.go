@@ -3,7 +3,6 @@ package par
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -98,49 +97,6 @@ func TestMapIdx(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatalf("out = %v", out)
 		}
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	n := 10000
-	sum := Reduce(n, 8, func(lo, hi int) int64 {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += int64(i)
-		}
-		return s
-	}, func(a, b int64) int64 { return a + b })
-	want := int64(n) * int64(n-1) / 2
-	if sum != want {
-		t.Fatalf("Reduce = %d, want %d", sum, want)
-	}
-}
-
-func TestReduceEmpty(t *testing.T) {
-	got := Reduce(0, 4, func(lo, hi int) int { return 1 }, func(a, b int) int { return a + b })
-	if got != 0 {
-		t.Fatalf("Reduce(0) = %d", got)
-	}
-}
-
-func TestReduceMatchesSerialProperty(t *testing.T) {
-	f := func(xs []int8, workers uint8) bool {
-		w := int(workers%8) + 1
-		par := Reduce(len(xs), w, func(lo, hi int) int64 {
-			var s int64
-			for i := lo; i < hi; i++ {
-				s += int64(xs[i])
-			}
-			return s
-		}, func(a, b int64) int64 { return a + b })
-		var serial int64
-		for _, x := range xs {
-			serial += int64(x)
-		}
-		return par == serial
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -118,7 +118,7 @@ func TestGlobalTopologyExtendsPaperTopology(t *testing.T) {
 			t.Fatalf("DC %d price differs", a)
 		}
 		for b := 0; b < paper.NumDCs(); b++ {
-			if paper.LatencyDCDC(model.DCID(a), model.DCID(b)) != global.LatencyDCDC(model.DCID(a), model.DCID(b)) {
+			if paper.LatencyClientDC(model.LocationID(a), model.DCID(b)) != global.LatencyClientDC(model.LocationID(a), model.DCID(b)) {
 				t.Fatalf("latency [%d][%d] differs", a, b)
 			}
 		}

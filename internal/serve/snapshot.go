@@ -25,12 +25,11 @@ type VMStatus struct {
 
 // VM status values.
 const (
-	StatusPending   = "pending"
-	StatusAdmitted  = "admitted"
-	StatusPlaced    = "placed"
-	StatusRejected  = "rejected"
-	StatusDeparted  = "departed"
-	StatusDuplicate = "duplicate"
+	StatusPending  = "pending"
+	StatusAdmitted = "admitted"
+	StatusPlaced   = "placed"
+	StatusRejected = "rejected"
+	StatusDeparted = "departed"
 )
 
 // Snapshot is the read side of the single-writer split: the engine loop

@@ -1,17 +1,9 @@
 // Package sla implements the business side of the paper's model: the
 // SLA(RT) fulfilment function (Section III-C), revenue, migration penalty
-// and the provider's pricing constants.
+// and the profit ledger.
 package sla
 
 import "repro/internal/model"
-
-// DefaultPriceEURh is the customer price of one VM-hour, taken from the
-// paper's Amazon-EC2-like pricing: 0.17 EUR per VM-hour.
-const DefaultPriceEURh = 0.17
-
-// Fulfilment evaluates SLA(RT) for the given terms; it simply forwards to
-// model.SLATerms so all packages share one definition.
-func Fulfilment(t model.SLATerms, rt float64) float64 { return t.Fulfilment(rt) }
 
 // WeightedFulfilment computes the SLA level of a VM whose clients sit at
 // several locations: the per-source fulfilments weighted by each source's
@@ -100,11 +92,3 @@ func (l *Ledger) AvgProfitPerHour(tickHours float64) float64 {
 
 // Ticks returns how many ticks have been accounted.
 func (l *Ledger) Ticks() int { return l.ticks }
-
-// Merge folds another ledger into l.
-func (l *Ledger) Merge(o Ledger) {
-	l.revenue += o.revenue
-	l.penalties += o.penalties
-	l.energy += o.energy
-	l.ticks += o.ticks
-}

@@ -76,32 +76,9 @@ func TestLedger(t *testing.T) {
 	}
 }
 
-func TestLedgerMerge(t *testing.T) {
-	var a, b Ledger
-	a.AddRevenue(1)
-	a.Tick()
-	b.AddEnergy(0.5)
-	b.AddPenalty(0.1)
-	b.Tick()
-	a.Merge(b)
-	if a.Ticks() != 2 {
-		t.Fatalf("merged ticks = %d", a.Ticks())
-	}
-	if math.Abs(a.Profit()-0.4) > 1e-12 {
-		t.Fatalf("merged profit = %v", a.Profit())
-	}
-}
-
 func TestLedgerZeroTicks(t *testing.T) {
 	var l Ledger
 	if l.AvgProfitPerHour(1.0/60) != 0 {
 		t.Fatal("empty ledger avg should be 0")
-	}
-}
-
-func TestFulfilmentForwarding(t *testing.T) {
-	terms := model.DefaultSLATerms
-	if Fulfilment(terms, 0.05) != terms.Fulfilment(0.05) {
-		t.Fatal("Fulfilment does not forward")
 	}
 }

@@ -40,15 +40,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Correlation returns the Pearson correlation coefficient between xs and
 // ys, the headline quality figure of Table I. It returns 0 when either
 // series is constant or the lengths differ.
@@ -123,9 +114,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the number of observations folded in.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -145,29 +133,6 @@ func (w *Welford) Min() float64 { return w.min }
 
 // Max returns the largest observation seen (0 if none).
 func (w *Welford) Max() float64 { return w.max }
-
-// Merge folds another accumulator into w (parallel reduction).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	mean := w.mean + d*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	mn, mx := w.min, w.max
-	if o.min < mn {
-		mn = o.min
-	}
-	if o.max > mx {
-		mx = o.max
-	}
-	*w = Welford{n: n, mean: mean, m2: m2, min: mn, max: mx}
-}
 
 func (w *Welford) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",

@@ -90,8 +90,8 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
+	if w.n != len(xs) {
+		t.Fatalf("n = %d", w.n)
 	}
 	if !almostEq(w.Mean(), Mean(xs), 1e-12) {
 		t.Fatalf("Mean = %v, want %v", w.Mean(), Mean(xs))
@@ -101,59 +101,5 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	}
 	if w.Min() != -4 || w.Max() != 10 {
 		t.Fatalf("Min/Max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordMergeEqualsSequential(t *testing.T) {
-	clean := func(xs []float64) []float64 {
-		out := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				continue
-			}
-			// Bound magnitudes: Welford squares deviations, so values near
-			// MaxFloat64 overflow in any formulation.
-			out = append(out, math.Mod(x, 1e6))
-		}
-		return out
-	}
-	f := func(ra, rb []float64) bool {
-		a, b := clean(ra), clean(rb)
-		var all Welford
-		for _, x := range a {
-			all.Add(x)
-		}
-		for _, x := range b {
-			all.Add(x)
-		}
-		var wa, wb Welford
-		for _, x := range a {
-			wa.Add(x)
-		}
-		for _, x := range b {
-			wb.Add(x)
-		}
-		wa.Merge(wb)
-		if wa.N() != all.N() {
-			return false
-		}
-		if all.N() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Mean()))
-		return almostEq(wa.Mean(), all.Mean(), 1e-9*scale) &&
-			almostEq(wa.Variance(), all.Variance(), 1e-6*math.Max(1, all.Variance()))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if Sum([]float64{1, 2, 3.5}) != 6.5 {
-		t.Fatal("Sum wrong")
-	}
-	if Sum(nil) != 0 {
-		t.Fatal("Sum(nil) wrong")
 	}
 }
