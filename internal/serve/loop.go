@@ -174,7 +174,7 @@ type loop struct {
 	retr    *Retrainer // wall-clock mode only
 	journal *Journal
 	life    *lifecycle.Metrics
-	rounds  roundStater // the manager's scheduler, for round-phase spans (nil = none)
+	bf      *sched.BestFit // the manager's scheduler, kept for round-phase spans
 	met     *serveMetrics
 	tr      *obs.Tracer // nil = tracing off
 
@@ -211,10 +211,6 @@ type loop struct {
 	// placeBuf is appendLog's reusable round-tick placement listing.
 	placeBuf []placeEntry
 }
-
-// roundStater is a scheduler that reports its last round's phase
-// breakdown.
-type roundStater interface{ LastRoundStats() sched.RoundStats }
 
 // placeEntry is one VM's host on a round-tick log line.
 type placeEntry struct {
@@ -305,7 +301,7 @@ func newLoop(cfg Config) (*loop, error) {
 	}
 	l.mgr, l.runner, l.faults, l.life = run.Manager, run.Lifecycle, run.Faults, run.Life
 	l.runner.OnResolve = l.onResolve
-	l.rounds, _ = run.Scheduler.(roundStater)
+	l.bf = run.Scheduler.(*sched.BestFit)
 
 	l.met = newServeMetrics(run.Registry)
 	l.met.LastCheckpoint.Set(-1)
@@ -454,11 +450,11 @@ func (l *loop) execTick(batch []Event) error {
 	l.met.Ticks.Inc()
 	l.met.EventsApplied.Add(uint64(len(batch)))
 	l.life.Observe(l.runner.Stats(), l.faults.Stats())
-	if l.tr != nil && l.rounds != nil && l.mgr.Rounds() > l.prevRounds {
+	if l.tr != nil && l.mgr.Rounds() > l.prevRounds {
 		// A scheduling round ran inside mgr.Step; synthesize its phase
 		// spans backwards from now out of the RoundStats nanoseconds.
 		end := time.Now()
-		rs := l.rounds.LastRoundStats()
+		rs := l.bf.LastRoundStats()
 		for _, p := range [...]struct {
 			name string
 			ns   int64

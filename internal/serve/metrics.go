@@ -4,9 +4,10 @@ import "repro/internal/obs"
 
 // serveMetrics is the service's own loop/journal/retrain families. They
 // register on the managed run's registry, next to its engine, scheduler
-// and lifecycle families, so /metrics serves all of them. The loop goroutine
-// owns all recording except Rejected429 (HTTP handlers, atomic) and the
-// GaugeFuncs (scrape-time reads of values that are already race-safe).
+// and lifecycle families, so /metrics serves all of them. The loop
+// goroutine owns all recording except Rejected429 (HTTP handlers,
+// atomic) and the GaugeFuncs (scrape-time reads of values that are
+// already race-safe).
 type serveMetrics struct {
 	reg *obs.Registry
 
