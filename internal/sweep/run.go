@@ -149,8 +149,8 @@ func NewManagedRun(sc *scenario.Scenario, pol Policy, bundle *predict.Bundle, op
 // `mdcsim -scenario` run goes through: build the scenario, assemble the
 // run with NewManagedRun, step it, and fold its ticks into the cell
 // record. One scenario.Build and one core.Manager per call, nothing
-// shared with other cells except the read-only bundle. When the policy needs a bundle and
-// none is supplied, the per-seed cache provides one.
+// shared with other cells except the read-only bundle. When the policy
+// needs a bundle and none is supplied, the per-seed cache provides one.
 func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, opts RunOpts) (*PolicyRun, error) {
 	if ticks <= 0 {
 		return nil, fmt.Errorf("sweep: ticks must be positive, got %d", ticks)
