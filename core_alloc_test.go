@@ -4,16 +4,25 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lifecycle"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // TestManagedTickZeroAlloc extends the engine's zero-alloc tick contract
 // to the manager around it: a plain (non-round) Manager.Step on a serial,
 // instrumented world allocates nothing once the monitor rings are full.
 func TestManagedTickZeroAlloc(t *testing.T) {
+	step := func(t *testing.T, mgr *core.Manager) func() {
+		return func() {
+			if _, err := mgr.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, preset := range []string{scenario.MultiDC, scenario.XLargeFleet} {
 		t.Run(preset, func(t *testing.T) {
 			spec := scenario.MustPreset(preset, benchSeed)
@@ -36,20 +45,54 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 30; i++ { // warm-up: monitor rings reach capacity
-				if _, err := mgr.Step(); err != nil {
-					t.Fatal(err)
-				}
+				step(t, mgr)()
 			}
-			allocs := testing.AllocsPerRun(50, func() {
-				if _, err := mgr.Step(); err != nil {
-					t.Fatal(err)
-				}
-			})
+			allocs := testing.AllocsPerRun(50, step(t, mgr))
 			if allocs != 0 {
 				t.Fatalf("Manager.Step allocates %.1f objects per plain tick, want 0", allocs)
 			}
 			if mgr.Rounds() != 0 {
 				t.Fatalf("%d rounds ran inside the measured window", mgr.Rounds())
+			}
+		})
+	}
+	// Serve's setup: a run assembled by sweep.NewManagedRun (registry
+	// bf-ob) with empty scripts, so both lifecycle runners are attached
+	// and record into the lifecycle family. Rounds run every
+	// DefaultRoundTicks ticks, so each window steps over one round tick
+	// and then measures the plain ticks up to the next.
+	for _, preset := range []string{scenario.MultiDC, scenario.XLargeFleet, scenario.ChurnPoisson, scenario.FailAZOutage} {
+		t.Run("managed-run/"+preset, func(t *testing.T) {
+			spec := scenario.MustPreset(preset, benchSeed)
+			spec.TickWorkers = 1
+			sc, err := scenario.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Script, sc.Faults = &lifecycle.Script{}, &lifecycle.FaultScript{}
+			pol, err := sweep.PolicyByName("bf-ob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := sweep.NewManagedRun(sc, pol, nil, sweep.RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr := run.Manager
+			for i := 0; i < 3*sweep.DefaultRoundTicks; i++ { // warm-up
+				step(t, mgr)()
+			}
+			for w := 0; w < 5; w++ {
+				step(t, mgr)() // the round tick
+				rounds := mgr.Rounds()
+				// AllocsPerRun steps once more than its run count.
+				allocs := testing.AllocsPerRun(sweep.DefaultRoundTicks-2, step(t, mgr))
+				if allocs != 0 {
+					t.Fatalf("window %d: Manager.Step allocates %.1f objects per plain tick, want 0", w, allocs)
+				}
+				if mgr.Rounds() != rounds {
+					t.Fatalf("window %d: a round ran inside the measured window", w)
+				}
 			}
 		})
 	}

@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/predict"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -33,25 +31,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	run := func(name string, est sched.Estimator) {
+	// Each policy starts from every VM piled onto host 0.
+	run := func(name, policy string) {
 		sc, err := scenario.Build(scenario.MustPreset(scenario.IntraDC, seed))
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sc.World.PlaceInitial(sc.PileOn(0)); err != nil {
+		pol, err := sweep.PolicyByName(policy)
+		if err != nil {
 			log.Fatal(err)
 		}
-		cost := sweep.CostModel(sc)
-		mgr, err := core.NewManager(core.ManagerConfig{
-			World:     sc.World,
-			Scheduler: sched.NewBestFit(cost, est),
-		})
+		pol.Initial = func(sc *scenario.Scenario) model.Placement { return sc.PileOn(0) }
+		r, err := sweep.NewManagedRun(sc, pol, bundle, sweep.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
 		var sumSLA, sumW, sumPMs float64
 		n := model.TicksPerDay
-		if err := mgr.Run(n, func(st sim.TickSummary) {
+		if err := r.Manager.Run(n, func(st sim.TickSummary) {
 			sumSLA += st.AvgSLA
 			sumW += st.FacilityWatts
 			sumPMs += float64(st.ActivePMs)
@@ -65,9 +62,9 @@ func main() {
 	}
 
 	fmt.Println("\n24 h on 4 Atom hosts, 5 web-services, round every 10 min:")
-	run("BF", sched.NewObserved())
-	run("BF-OB", sched.NewOverbooked())
-	run("BF+ML", sched.NewML(bundle))
+	run("BF", "bf")
+	run("BF-OB", "bf-ob")
+	run("BF+ML", "bf-ml")
 	fmt.Println("\nplain BF trusts the capped 10-minute window and stays piled up;")
 	fmt.Println("the ML policy anticipates requirements from load and deconsolidates in time.")
 }

@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/predict"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -47,24 +45,21 @@ func main() {
 		fmt.Printf("  %-7s corr=%.3f\n", rep.Name, rep.Correlation)
 	}
 
-	// 3. Wire the management loop: ML-enhanced Best-Fit deciding every
-	//    10 minutes over the Figure 3 profit objective.
-	cost := sweep.CostModel(sc)
-	manager, err := core.NewManager(core.ManagerConfig{
-		World:      sc.World,
-		Scheduler:  sched.NewBestFit(cost, sched.NewML(bundle)),
-		RoundTicks: 10,
-	})
+	// 3. Wire the management loop: the registry's ML-enhanced Best-Fit
+	//    (bf-ml) deciding every 10 minutes over the Figure 3 profit
+	//    objective, every VM starting in its home DC.
+	pol, err := sweep.PolicyByName("bf-ml")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sc.World.PlaceInitial(sc.HomePlacement()); err != nil {
+	run, err := sweep.NewManagedRun(sc, pol, bundle, sweep.RunOpts{})
+	if err != nil {
 		log.Fatal(err)
 	}
 
 	// 4. Run eighteen hours and watch the fleet consolidate and spread.
 	fmt.Println("\ntick  SLA    watts  PMs  placement of vm0")
-	err = manager.Run(18*model.TicksPerHour, func(st sim.TickSummary) {
+	err = run.Manager.Run(18*model.TicksPerHour, func(st sim.TickSummary) {
 		if st.Tick%60 != 0 {
 			return
 		}

@@ -80,6 +80,7 @@ type FaultRunner struct {
 	pushed []FaultEvent
 
 	stats FaultStats
+	met   Metrics // zero = recording off
 }
 
 // NewFaultRunner wraps a generated script. A nil script yields a runner
@@ -119,15 +120,15 @@ func (r *FaultRunner) Due(tick int) []FaultEvent {
 func (r *FaultRunner) countEvent(ev FaultEvent) {
 	switch ev.Kind {
 	case FaultCrash:
-		r.stats.Crashes++
+		bump(&r.stats.Crashes, r.met.Crashes)
 	case FaultRepair:
-		r.stats.Repairs++
+		bump(&r.stats.Repairs, r.met.Repairs)
 	case FaultDrainStart:
-		r.stats.DrainsStarted++
+		bump(&r.stats.DrainsStarted, r.met.DrainsStarted)
 	case FaultTakedown:
-		r.stats.Takedowns++
+		bump(&r.stats.Takedowns, r.met.Takedowns)
 	case FaultOutageStart:
-		r.stats.OutageStarts++
+		bump(&r.stats.OutageStarts, r.met.OutageStarts)
 	}
 }
 
@@ -144,9 +145,9 @@ func (r *FaultRunner) Push(ev FaultEvent) {
 // (evicted again before ever being re-homed) are not double-enqueued.
 func (r *FaultRunner) RecordEvictions(tick int, ids []model.VMID, forced bool) {
 	for _, id := range ids {
-		r.stats.Interruptions++
+		bump(&r.stats.Interruptions, r.met.Interruptions)
 		if forced {
-			r.stats.ForcedEvictions++
+			bump(&r.stats.ForcedEvictions, r.met.ForcedEvictions)
 		}
 		if r.queued(id) {
 			continue
@@ -178,7 +179,7 @@ func (r *FaultRunner) Drop(id model.VMID) bool {
 
 // RecordShed counts a homeless VM retired by degraded-mode shedding.
 // Callers pair it with Drop (or a departure) so the queue entry goes away.
-func (r *FaultRunner) RecordShed() { r.stats.Shed++ }
+func (r *FaultRunner) RecordShed() { bump(&r.stats.Shed, r.met.Shed) }
 
 // ObserveTick closes out one tick: live is the number of active VMs,
 // degraded whether the manager is in degraded mode, and hosted reports
@@ -187,20 +188,20 @@ func (r *FaultRunner) RecordShed() { r.stats.Shed++ }
 func (r *FaultRunner) ObserveTick(tick, live int, degraded bool, hosted func(model.VMID) bool) {
 	r.stats.VMTicks += live
 	if degraded {
-		r.stats.DegradedTicks++
+		bump(&r.stats.DegradedTicks, r.met.DegradedTicks)
 	}
 	kept := r.queue[:0]
 	for _, q := range r.queue {
 		if hosted(q.id) {
 			lat := tick - q.evictTick
-			r.stats.Rehomed++
+			bump(&r.stats.Rehomed, r.met.Rehomed)
 			r.stats.RehomeTicksSum += lat
 			if lat > r.stats.MaxRehomeTicks {
 				r.stats.MaxRehomeTicks = lat
 			}
 			continue
 		}
-		r.stats.DowntimeTicks++
+		bump(&r.stats.DowntimeTicks, r.met.DowntimeTicks)
 		kept = append(kept, q)
 	}
 	r.queue = kept
@@ -211,3 +212,8 @@ func (r *FaultRunner) PendingRehomes() int { return len(r.queue) }
 
 // Stats returns the accumulated fault/availability counters.
 func (r *FaultRunner) Stats() FaultStats { return r.stats }
+
+// SetMetrics attaches (or, with nil, detaches) the fault counters of the
+// lifecycle family; every event is counted the moment FaultStats counts
+// it.
+func (r *FaultRunner) SetMetrics(m *Metrics) { r.met = held(m) }

@@ -4,11 +4,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Metrics exports the churn and fault ledgers as monotonic counters.
-// Runner and FaultRunner keep cumulative Stats structs on their own hot
-// paths; Metrics.Observe diffs them against the last sync and adds the
-// deltas, so instrumentation costs one call per tick (a dozen atomic
-// adds, no allocation) and the runners themselves stay untouched. All of
+// Metrics is the churn and fault counter family. Runner and FaultRunner
+// record into it at the site of each event (see their SetMetrics), next
+// to the cumulative Stats/FaultStats they keep for derived ratios and
+// /healthz, so a counter always equals its Stats field. A runner holds
+// the family by value: a detached runner holds the zero Metrics, whose
+// nil handles record nothing, so the event paths need no nil checks and
+// recording adds a few atomic adds per event and no allocation. All of
 // these are deterministic counters — pure functions of the event stream.
 type Metrics struct {
 	Offered   *obs.Counter
@@ -29,9 +31,6 @@ type Metrics struct {
 	Shed            *obs.Counter
 	DowntimeTicks   *obs.Counter
 	DegradedTicks   *obs.Counter
-
-	prev  Stats
-	prevF FaultStats
 }
 
 // NewMetrics registers the lifecycle metric family on a registry.
@@ -58,36 +57,17 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 }
 
-// Observe syncs the counters to the runners' cumulative ledgers, adding
-// only the delta since the previous call. Cumulative stats never
-// decrease, so the deltas are non-negative by construction.
-func (m *Metrics) Observe(s Stats, fs FaultStats) {
+// held is the family a runner keeps for m: a copy, or the zero
+// (recording-off) family for nil.
+func held(m *Metrics) Metrics {
 	if m == nil {
-		return
+		return Metrics{}
 	}
-	d := func(c *obs.Counter, now, prev int) {
-		if now > prev {
-			c.Add(uint64(now - prev))
-		}
-	}
-	d(m.Offered, s.Offered, m.prev.Offered)
-	d(m.Admitted, s.Admitted, m.prev.Admitted)
-	d(m.Rejected, s.Rejected, m.prev.Rejected)
-	d(m.Deferrals, s.Deferrals, m.prev.Deferrals)
-	d(m.Departed, s.Departed, m.prev.Departed)
-	d(m.Placed, s.Placed, m.prev.Placed)
-	m.prev = s
+	return *m
+}
 
-	d(m.Crashes, fs.Crashes, m.prevF.Crashes)
-	d(m.Repairs, fs.Repairs, m.prevF.Repairs)
-	d(m.DrainsStarted, fs.DrainsStarted, m.prevF.DrainsStarted)
-	d(m.Takedowns, fs.Takedowns, m.prevF.Takedowns)
-	d(m.OutageStarts, fs.OutageStarts, m.prevF.OutageStarts)
-	d(m.Interruptions, fs.Interruptions, m.prevF.Interruptions)
-	d(m.ForcedEvictions, fs.ForcedEvictions, m.prevF.ForcedEvictions)
-	d(m.Rehomed, fs.Rehomed, m.prevF.Rehomed)
-	d(m.Shed, fs.Shed, m.prevF.Shed)
-	d(m.DowntimeTicks, fs.DowntimeTicks, m.prevF.DowntimeTicks)
-	d(m.DegradedTicks, fs.DegradedTicks, m.prevF.DegradedTicks)
-	m.prevF = fs
+// bump counts one event in a Stats field and its counter together.
+func bump(n *int, c *obs.Counter) {
+	*n++
+	c.Inc()
 }

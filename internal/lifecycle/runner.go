@@ -89,6 +89,7 @@ type Runner struct {
 	seq      int
 	waiting  []placeWait
 	stats    Stats
+	met      Metrics // zero = recording off
 	// pushed holds externally injected arrivals (serve mode: VM offers
 	// arriving over the wire instead of from the pre-generated script),
 	// in push order. Due drains the ones whose tick has come after the
@@ -120,6 +121,10 @@ func (r *Runner) Script() *Script { return r.script }
 
 // Stats returns the churn counters so far.
 func (r *Runner) Stats() Stats { return r.stats }
+
+// SetMetrics attaches (or, with nil, detaches) the lifecycle counter
+// family; every churn event is counted the moment Stats counts it.
+func (r *Runner) SetMetrics(m *Metrics) { r.met = held(m) }
 
 // PendingDeferred returns how many VMs currently sit in the deferral
 // queue.
@@ -153,7 +158,7 @@ func (r *Runner) Due(tick int) []*Offer {
 	for r.next < len(r.script.Arrivals) && r.script.Arrivals[r.next].ArriveTick <= tick {
 		a := &r.script.Arrivals[r.next]
 		r.next++
-		r.stats.Offered++
+		bump(&r.stats.Offered, r.met.Offered)
 		r.offers = append(r.offers, &Offer{Arrival: a})
 	}
 	// Injected arrivals whose tick has come, in push order. The queue is
@@ -161,7 +166,7 @@ func (r *Runner) Due(tick int) []*Offer {
 	kept := r.pushed[:0]
 	for _, o := range r.pushed {
 		if o.Arrival.ArriveTick <= tick {
-			r.stats.Offered++
+			bump(&r.stats.Offered, r.met.Offered)
 			r.offers = append(r.offers, o)
 		} else {
 			kept = append(kept, o)
@@ -178,7 +183,7 @@ func (r *Runner) Due(tick int) []*Offer {
 func (r *Runner) Resolve(tick int, o *Offer, d Decision, h sim.VMHandle) {
 	switch d {
 	case Admit:
-		r.stats.Admitted++
+		bump(&r.stats.Admitted, r.met.Admitted)
 		a := o.Arrival
 		if a.LifetimeTicks > 0 {
 			r.deps = append(r.deps, departure{
@@ -189,10 +194,10 @@ func (r *Runner) Resolve(tick int, o *Offer, d Decision, h sim.VMHandle) {
 		r.waiting = append(r.waiting, placeWait{id: a.Spec.ID, admitTick: tick})
 	case Defer:
 		o.Deferrals++
-		r.stats.Deferrals++
+		bump(&r.stats.Deferrals, r.met.Deferrals)
 		r.deferred = append(r.deferred, o)
 	case Reject:
-		r.stats.Rejected++
+		bump(&r.stats.Rejected, r.met.Rejected)
 	}
 	if r.OnResolve != nil {
 		r.OnResolve(tick, o.Arrival, d)
@@ -227,7 +232,7 @@ func (r *Runner) DeparturesDue(tick int) []Departure {
 	r.depsDue = r.depsDue[:0]
 	for _, d := range due {
 		r.depsDue = append(r.depsDue, Departure{ID: d.id, Handle: d.handle})
-		r.stats.Departed++
+		bump(&r.stats.Departed, r.met.Departed)
 		r.dropWaiting(d.id)
 	}
 	return r.depsDue
@@ -267,7 +272,7 @@ func (r *Runner) ObservePlacements(tick int, hosted func(model.VMID) bool) {
 	kept := r.waiting[:0]
 	for _, w := range r.waiting {
 		if hosted(w.id) {
-			r.stats.Placed++
+			bump(&r.stats.Placed, r.met.Placed)
 			r.stats.PlacementTicks += tick - w.admitTick
 		} else {
 			kept = append(kept, w)

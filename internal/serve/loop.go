@@ -173,7 +173,6 @@ type loop struct {
 	calib   *Calibration
 	retr    *Retrainer // wall-clock mode only
 	journal *Journal
-	life    *lifecycle.Metrics
 	bf      *sched.BestFit // the manager's scheduler, kept for round-phase spans
 	met     *serveMetrics
 	tr      *obs.Tracer // nil = tracing off
@@ -299,18 +298,28 @@ func newLoop(cfg Config) (*loop, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.mgr, l.runner, l.faults, l.life = run.Manager, run.Lifecycle, run.Faults, run.Life
+	l.mgr, l.runner, l.faults = run.Manager, run.Lifecycle, run.Faults
 	l.runner.OnResolve = l.onResolve
 	l.bf = run.Scheduler.(*sched.BestFit)
 
 	l.met = newServeMetrics(run.Registry)
-	l.met.LastCheckpoint.Set(-1)
 	run.Registry.GaugeFunc("mdcsim_serve_queue_depth",
 		"Events waiting in the bounded intake queue.",
 		func() float64 { return float64(len(l.events)) })
 	run.Registry.GaugeFunc("mdcsim_serve_queue_cap",
 		"Intake queue capacity — the service's intake memory bound.",
 		func() float64 { return float64(cap(l.events)) })
+	// The durability gauges read the published snapshot (newLoop
+	// publishes before any scrape can arrive).
+	run.Registry.GaugeFunc("mdcsim_serve_journal_entries",
+		"Entries in the write-ahead journal.",
+		func() float64 { return float64(l.snap.Load().JournalEntries) })
+	run.Registry.GaugeFunc("mdcsim_serve_journal_bytes",
+		"Bytes in the write-ahead journal.",
+		func() float64 { return float64(l.snap.Load().JournalBytes) })
+	run.Registry.GaugeFunc("mdcsim_serve_last_checkpoint_tick",
+		"Tick certified by the latest checkpoint (-1 before any).",
+		func() float64 { return float64(l.snap.Load().LastCheckpoint) })
 
 	if cfg.Dir != "" {
 		journal, prior, err := OpenJournal(cfg.Dir)
@@ -328,7 +337,6 @@ func newLoop(cfg Config) (*loop, error) {
 				return nil, err
 			}
 		}
-		l.met.syncJournal(l.journal)
 	} else if cfg.Restore {
 		return nil, fmt.Errorf("serve: Restore requires Dir")
 	}
@@ -411,7 +419,6 @@ func (l *loop) tickOnce() error {
 		fdur := time.Since(f0)
 		l.met.FsyncSeconds.Observe(fdur.Seconds())
 		l.tr.Record("wal_fsync", "journal", tidJournal, f0, fdur, false)
-		l.met.syncJournal(l.journal)
 	}
 	if err := l.execTick(l.batch); err != nil {
 		return l.fatal(err)
@@ -447,9 +454,7 @@ func (l *loop) execTick(batch []Event) error {
 	if err != nil {
 		return err
 	}
-	l.met.Ticks.Inc()
 	l.met.EventsApplied.Add(uint64(len(batch)))
-	l.life.Observe(l.runner.Stats(), l.faults.Stats())
 	if l.tr != nil && l.mgr.Rounds() > l.prevRounds {
 		// A scheduling round ran inside mgr.Step; synthesize its phase
 		// spans backwards from now out of the RoundStats nanoseconds.
@@ -862,8 +867,6 @@ func (l *loop) checkpointNow() error {
 	l.sinceCheckpoint = 0
 	l.lastCheckpointTick = cp.Tick
 	l.met.Checkpoints.Inc()
-	l.met.LastCheckpoint.Set(float64(cp.Tick))
-	l.met.syncJournal(l.journal)
 	l.publish() // health checks see the new certified tick immediately
 	return nil
 }
@@ -941,7 +944,6 @@ func (l *loop) restore(prior []entry) error {
 			return err
 		}
 		l.lastCheckpointTick = cp.Tick
-		l.met.LastCheckpoint.Set(float64(cp.Tick))
 	}
 	l.restoring = true
 	defer func() { l.restoring = false }()

@@ -6,12 +6,12 @@ import "repro/internal/obs"
 // register on the managed run's registry, next to its engine, scheduler
 // and lifecycle families, so /metrics serves all of them. The loop
 // goroutine owns all recording except Rejected429 (HTTP handlers,
-// atomic) and the GaugeFuncs (scrape-time reads of values that are
-// already race-safe).
+// atomic) and the GaugeFuncs newLoop registers (scrape-time reads of
+// values that are already race-safe: the intake queue and the published
+// snapshot's journal position).
 type serveMetrics struct {
 	reg *obs.Registry
 
-	Ticks         *obs.Counter
 	EventsApplied *obs.Counter
 	Accepted      *obs.Counter
 	Rejected429   *obs.Counter
@@ -23,10 +23,6 @@ type serveMetrics struct {
 
 	TickSeconds  *obs.Histogram
 	FsyncSeconds *obs.Histogram
-
-	JournalEntries *obs.Gauge
-	JournalBytes   *obs.Gauge
-	LastCheckpoint *obs.Gauge
 }
 
 // newServeMetrics registers the service families and the process runtime
@@ -34,8 +30,6 @@ type serveMetrics struct {
 func newServeMetrics(r *obs.Registry) *serveMetrics {
 	m := &serveMetrics{
 		reg: r,
-		Ticks: r.Counter("mdcsim_serve_ticks_total",
-			"Tick barriers executed (live and replayed)."),
 		EventsApplied: r.Counter("mdcsim_serve_events_applied_total",
 			"Accepted events folded into the engine at tick barriers."),
 		Accepted: r.Counter("mdcsim_serve_events_accepted_total",
@@ -56,22 +50,7 @@ func newServeMetrics(r *obs.Registry) *serveMetrics {
 		FsyncSeconds: r.Histogram("mdcsim_serve_wal_fsync_seconds",
 			"WAL durability-barrier (Journal.Flush) wall latency.",
 			nil, obs.WallClock()),
-		JournalEntries: r.Gauge("mdcsim_serve_journal_entries",
-			"Entries in the write-ahead journal."),
-		JournalBytes: r.Gauge("mdcsim_serve_journal_bytes",
-			"Bytes in the write-ahead journal."),
-		LastCheckpoint: r.Gauge("mdcsim_serve_last_checkpoint_tick",
-			"Tick certified by the latest checkpoint (-1 before any)."),
 	}
 	obs.RegisterRuntime(r)
 	return m
-}
-
-// syncJournal refreshes the journal gauges after a flush or checkpoint.
-func (m *serveMetrics) syncJournal(j *Journal) {
-	if m == nil || j == nil {
-		return
-	}
-	m.JournalEntries.Set(float64(j.Entries()))
-	m.JournalBytes.Set(float64(j.Bytes()))
 }

@@ -50,10 +50,52 @@ func famValue(t *testing.T, fams map[string]*obs.Family, name string) float64 {
 	return v
 }
 
+// checkLifecycleSeries asserts that every lifecycle and fault series on
+// /metrics equals the matching /healthz churn/faults field — the runners
+// count both at the same site — and returns the health response.
+func checkLifecycleSeries(t *testing.T, c *Client) *healthResponse {
+	t.Helper()
+	fams := scrape(t, c.Base)
+	h, err := c.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, f := h.Churn, h.Faults
+	for _, s := range []struct {
+		series string
+		want   int
+	}{
+		{"mdcsim_lifecycle_offered_total", ch.Offered},
+		{"mdcsim_lifecycle_admitted_total", ch.Admitted},
+		{"mdcsim_lifecycle_rejected_total", ch.Rejected},
+		{"mdcsim_lifecycle_deferrals_total", ch.Deferrals},
+		{"mdcsim_lifecycle_departed_total", ch.Departed},
+		{"mdcsim_lifecycle_placed_total", ch.Placed},
+		{"mdcsim_fault_crashes_total", f.Crashes},
+		{"mdcsim_fault_repairs_total", f.Repairs},
+		{"mdcsim_fault_drains_started_total", f.DrainsStarted},
+		{"mdcsim_fault_takedowns_total", f.Takedowns},
+		{"mdcsim_fault_outage_starts_total", f.OutageStarts},
+		{"mdcsim_fault_interruptions_total", f.Interruptions},
+		{"mdcsim_fault_forced_evictions_total", f.ForcedEvictions},
+		{"mdcsim_fault_rehomed_total", f.Rehomed},
+		{"mdcsim_fault_shed_total", f.Shed},
+		{"mdcsim_fault_downtime_vm_ticks_total", f.DowntimeTicks},
+		{"mdcsim_fault_degraded_ticks_total", f.DegradedTicks},
+	} {
+		if got := famValue(t, fams, s.series); got != float64(s.want) {
+			t.Errorf("%s = %v, /healthz says %d", s.series, got, s.want)
+		}
+	}
+	return h
+}
+
 // TestServeMetricsEndpoint runs the instrumented service end to end in
 // virtual time with a journal: every subsystem family must show up on
-// /metrics with values consistent with the work actually done, and
-// /healthz must report the journal's size and the certified checkpoint.
+// /metrics with values consistent with the work actually done, /healthz
+// must report the journal's size and the certified checkpoint, and the
+// lifecycle and fault series must match /healthz live and after a
+// restore of the same directory.
 func TestServeMetricsEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, c := newTestServer(t, Config{Seed: 11, Dir: dir, TraceSample: 1})
@@ -63,6 +105,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := c.Send(faultEv(4, "crash", 0)); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Tick(12); err != nil { // crosses at least one round barrier
 		t.Fatal(err)
 	}
@@ -71,17 +116,14 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 
 	fams := scrape(t, c.Base)
-	if got := famValue(t, fams, "mdcsim_serve_ticks_total"); got != 12 {
-		t.Fatalf("serve ticks = %v, want 12", got)
-	}
 	if got := famValue(t, fams, "mdcsim_engine_ticks_total"); got != 12 {
 		t.Fatalf("engine ticks = %v, want 12", got)
 	}
-	if got := famValue(t, fams, "mdcsim_serve_events_accepted_total"); got != 3 {
-		t.Fatalf("accepted = %v, want 3", got)
+	if got := famValue(t, fams, "mdcsim_serve_events_accepted_total"); got != 4 {
+		t.Fatalf("accepted = %v, want 4", got)
 	}
-	if got := famValue(t, fams, "mdcsim_serve_events_applied_total"); got != 3 {
-		t.Fatalf("applied = %v, want 3", got)
+	if got := famValue(t, fams, "mdcsim_serve_events_applied_total"); got != 4 {
+		t.Fatalf("applied = %v, want 4", got)
 	}
 	if famValue(t, fams, "mdcsim_sched_rounds_total") < 1 {
 		t.Fatal("no scheduling round recorded")
@@ -110,9 +152,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		t.Fatal("fsync latency never observed")
 	}
 
-	h, err := c.Health()
-	if err != nil {
-		t.Fatal(err)
+	h := checkLifecycleSeries(t, c)
+	if h.Faults.Crashes != 1 {
+		t.Fatalf("healthz crashes = %d, want 1", h.Faults.Crashes)
 	}
 	if h.JournalEntries <= 0 || h.JournalBytes <= 0 {
 		t.Fatalf("healthz journal position empty: %d entries, %d bytes", h.JournalEntries, h.JournalBytes)
@@ -152,8 +194,18 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if err := s.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if snap := s.Snapshot(); snap.LastCheckpoint < 12 {
-		t.Fatalf("shutdown checkpoint at tick %d, want >= 12", snap.LastCheckpoint)
+	final := s.Snapshot()
+	if final.LastCheckpoint < 12 {
+		t.Fatalf("shutdown checkpoint at tick %d, want >= 12", final.LastCheckpoint)
+	}
+
+	// A restore replays the journal through the runners, which record
+	// the series afresh: they match /healthz, and /healthz matches the
+	// run that wrote the journal.
+	_, c2 := newTestServer(t, Config{Seed: 11, Dir: dir, Restore: true})
+	h2 := checkLifecycleSeries(t, c2)
+	if h2.Churn != final.Churn || h2.Faults != final.Faults {
+		t.Fatalf("restored churn %+v faults %+v, want %+v %+v", h2.Churn, h2.Faults, final.Churn, final.Faults)
 	}
 }
 

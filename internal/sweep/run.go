@@ -68,7 +68,8 @@ type RunOpts struct {
 
 // ManagedRun is one assembled managed run: a scenario's world driven by
 // a registry policy's scheduler through one core.Manager, with the
-// engine, scheduler and lifecycle metric families on one registry.
+// engine, scheduler and lifecycle metric families on one registry. The
+// runners record into the lifecycle family themselves.
 // NewManagedRun builds it; RunSpec steps it as a sweep cell, serve as a
 // placement service.
 type ManagedRun struct {
@@ -83,15 +84,16 @@ type ManagedRun struct {
 	Registry *obs.Registry
 	Engine   *sim.EngineMetrics
 	Sched    *sched.Metrics // nil when the scheduler records no round stats
-	Life     *lifecycle.Metrics
 }
 
 // NewManagedRun assembles the managed run on a freshly built scenario:
 // make the scheduler with the policy's Make, place the policy's Initial
 // (nil = HomePlacement), put the engine, scheduler and lifecycle families
-// on a new registry, and attach a lifecycle.Runner / FaultRunner exactly
-// when the scenario carries a Script / Faults. A policy that needs a
-// bundle must be given one.
+// on a new registry, and attach a lifecycle.Runner / FaultRunner, each
+// recording into the lifecycle family, exactly when the scenario carries
+// a Script / Faults. The family is registered either way, so every run
+// exports the same series. A policy that needs a bundle must be given
+// one.
 func NewManagedRun(sc *scenario.Scenario, pol Policy, bundle *predict.Bundle, opts RunOpts) (*ManagedRun, error) {
 	if pol.Make == nil {
 		return nil, fmt.Errorf("sweep: policy %q has no Make", pol.Name)
@@ -115,8 +117,8 @@ func NewManagedRun(sc *scenario.Scenario, pol Policy, bundle *predict.Bundle, op
 		Scheduler: s,
 		Registry:  reg,
 		Engine:    sim.NewEngineMetrics(reg),
-		Life:      lifecycle.NewMetrics(reg),
 	}
+	life := lifecycle.NewMetrics(reg)
 	sc.World.SetMetrics(r.Engine)
 	if ms, ok := s.(interface{ SetMetrics(*sched.Metrics) }); ok {
 		r.Sched = sched.NewSchedMetrics(reg)
@@ -127,6 +129,7 @@ func NewManagedRun(sc *scenario.Scenario, pol Policy, bundle *predict.Bundle, op
 	}
 	if sc.Script != nil {
 		r.Lifecycle = lifecycle.NewRunner(sc.Script)
+		r.Lifecycle.SetMetrics(life)
 		cfg.Lifecycle = r.Lifecycle
 		if opts.Admission != nil {
 			cfg.Admission = *opts.Admission
@@ -134,6 +137,7 @@ func NewManagedRun(sc *scenario.Scenario, pol Policy, bundle *predict.Bundle, op
 	}
 	if sc.Faults != nil {
 		r.Faults = lifecycle.NewFaultRunner(sc.Faults)
+		r.Faults.SetMetrics(life)
 		cfg.Faults = r.Faults
 		if opts.Degraded != nil {
 			cfg.Degraded = *opts.Degraded
@@ -171,7 +175,7 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 	}
 	run := &PolicyRun{Cell: Cell{
 		Scenario: spec.Name, Policy: pol.Name, Seed: spec.Seed,
-		Ticks: ticks, MinSLA: 1, AdmissionRate: 1, Availability: 1,
+		Ticks: ticks, MinSLA: 1,
 	}}
 	if run.Policy == "" {
 		run.Policy = r.Scheduler.Name()
@@ -214,37 +218,39 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 		run.ScoreMS = r.Sched.ScoreSeconds.Mean() * 1e3
 		run.ReduceMS = r.Sched.ReduceSeconds.Mean() * 1e3
 	}
+	// The ratio and latency columns derive from the runners' ledgers; the
+	// zero ledgers of a run without runners give 1, 0, 0, 0 and 1.
 	var lifeStats lifecycle.Stats
 	if r.Lifecycle != nil {
 		lifeStats = r.Lifecycle.Stats()
-		run.OfferedVMs = lifeStats.Offered
-		run.AdmittedVMs = lifeStats.Admitted
-		run.RejectedVMs = lifeStats.Rejected
-		run.DepartedVMs = lifeStats.Departed
-		run.AdmissionRate = lifeStats.AdmissionRate()
-		run.MeanPlaceTicks = lifeStats.MeanPlacementTicks()
 	}
+	run.AdmissionRate = lifeStats.AdmissionRate()
+	run.MeanPlaceTicks = lifeStats.MeanPlacementTicks()
 	var faultStats lifecycle.FaultStats
 	if r.Faults != nil {
 		faultStats = r.Faults.Stats()
-		run.Crashes = faultStats.Crashes
-		run.ForcedEvictions = faultStats.ForcedEvictions
-		run.Interruptions = faultStats.Interruptions
-		run.RehomedVMs = faultStats.Rehomed
-		run.ShedVMs = faultStats.Shed
-		run.DegradedTicks = faultStats.DegradedTicks
-		run.MeanRehomeTicks = faultStats.MeanRehomeTicks()
-		run.MaxRehomeTicks = faultStats.MaxRehomeTicks
-		run.Availability = faultStats.Availability()
 	}
-	r.Life.Observe(lifeStats, faultStats)
+	run.MeanRehomeTicks = faultStats.MeanRehomeTicks()
+	run.MaxRehomeTicks = faultStats.MaxRehomeTicks
+	run.Availability = faultStats.Availability()
 	run.Obs = r.Registry.DeterministicSnapshot()
-	// Round counters read the scheduler's own series; a scheduler that
-	// registers none (no round stats) reads as zero.
+	// Count columns read their series; the lifecycle family is always
+	// registered, and a scheduler that registers no round stats reads as
+	// zero.
 	for _, c := range []struct {
 		col    *int
 		series string
 	}{
+		{&run.OfferedVMs, "mdcsim_lifecycle_offered_total"},
+		{&run.AdmittedVMs, "mdcsim_lifecycle_admitted_total"},
+		{&run.RejectedVMs, "mdcsim_lifecycle_rejected_total"},
+		{&run.DepartedVMs, "mdcsim_lifecycle_departed_total"},
+		{&run.Crashes, "mdcsim_fault_crashes_total"},
+		{&run.ForcedEvictions, "mdcsim_fault_forced_evictions_total"},
+		{&run.Interruptions, "mdcsim_fault_interruptions_total"},
+		{&run.RehomedVMs, "mdcsim_fault_rehomed_total"},
+		{&run.ShedVMs, "mdcsim_fault_shed_total"},
+		{&run.DegradedTicks, "mdcsim_fault_degraded_ticks_total"},
 		{&run.RowsRecomputed, "mdcsim_sched_memo_rows_recomputed_total"},
 		{&run.CandidatesScored, "mdcsim_sched_candidates_scored_total"},
 		{&run.ShortlistRebuilds, "mdcsim_sched_shortlist_rebuilds_total"},

@@ -452,7 +452,10 @@ func TestHyperscaleSweepDeterminism(t *testing.T) {
 // times the rounds of every policy — Best-Fit or not — and no wall-clock
 // series ever reaches the map.
 func TestSweepCellObsSnapshot(t *testing.T) {
-	const ticks = 40
+	// Long enough for churn-poisson to retire VMs and for fail-az-outage's
+	// DC outage (tick 65) to interrupt and re-home some, so the count
+	// columns below compare real counts.
+	const ticks = 80
 	// Rounds run at every positive multiple of the period below ticks;
 	// none of these presets loses every candidate host.
 	const wantRounds = (ticks - 1) / DefaultRoundTicks
@@ -481,8 +484,25 @@ func TestSweepCellObsSnapshot(t *testing.T) {
 			if run.Obs["mdcsim_engine_ticks_total"] != ticks {
 				t.Fatalf("obs engine ticks = %v, want %d", run.Obs["mdcsim_engine_ticks_total"], ticks)
 			}
-			if got := run.Obs["mdcsim_lifecycle_offered_total"]; got != float64(run.OfferedVMs) {
-				t.Fatalf("obs offered = %v, lifecycle column says %d", got, run.OfferedVMs)
+			// Every lifecycle and fault count column is its series.
+			for _, c := range []struct {
+				col    int
+				series string
+			}{
+				{run.OfferedVMs, "mdcsim_lifecycle_offered_total"},
+				{run.AdmittedVMs, "mdcsim_lifecycle_admitted_total"},
+				{run.RejectedVMs, "mdcsim_lifecycle_rejected_total"},
+				{run.DepartedVMs, "mdcsim_lifecycle_departed_total"},
+				{run.Crashes, "mdcsim_fault_crashes_total"},
+				{run.ForcedEvictions, "mdcsim_fault_forced_evictions_total"},
+				{run.Interruptions, "mdcsim_fault_interruptions_total"},
+				{run.RehomedVMs, "mdcsim_fault_rehomed_total"},
+				{run.ShedVMs, "mdcsim_fault_shed_total"},
+				{run.DegradedTicks, "mdcsim_fault_degraded_ticks_total"},
+			} {
+				if got, ok := run.Obs[c.series]; !ok || got != float64(c.col) {
+					t.Errorf("column %d, series %s = %v (registered %v)", c.col, c.series, got, ok)
+				}
 			}
 			if run.Rounds != wantRounds {
 				t.Fatalf("rounds = %d, want the Manager's %d", run.Rounds, wantRounds)
