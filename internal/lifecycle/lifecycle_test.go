@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -206,5 +207,42 @@ func TestRunnerFlow(t *testing.T) {
 	}
 	if st.MeanPlacementTicks() != 5 {
 		t.Fatalf("mean placement ticks %v", st.MeanPlacementTicks())
+	}
+}
+
+// TestRunnerChurnZeroAlloc pins Due and DeparturesDue at 0 allocs per
+// tick on a scripted churn runner with metrics attached: offers come
+// from the runner's per-arrival slab and departures are sorted in a
+// reused scratch. The queues Resolve appends to are sized up front, so
+// only those two calls are measured.
+func TestRunnerChurnZeroAlloc(t *testing.T) {
+	s, err := Generate(3, ProcessSpec{
+		Kind: Poisson, RatePerHour: 180, MeanLifetimeTicks: 20,
+		MinLifetimeTicks: 2, HorizonTicks: 400,
+	}, 10, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(s)
+	r.SetMetrics(NewMetrics(obs.NewRegistry()))
+	n := len(s.Arrivals)
+	r.offers = make([]*Offer, 0, n)
+	r.deps = make([]departure, 0, n)
+	r.due = make([]departure, 0, n)
+	r.depsDue = make([]Departure, 0, n)
+	r.waiting = make([]placeWait, 0, n)
+	tick, departed := 0, 0
+	allocs := testing.AllocsPerRun(400, func() {
+		for _, o := range r.Due(tick) {
+			r.Resolve(tick, o, Admit, sim.VMHandle{})
+		}
+		departed += len(r.DeparturesDue(tick))
+		tick++
+	})
+	if allocs != 0 {
+		t.Errorf("Due + DeparturesDue allocate %v times per tick, want 0", allocs)
+	}
+	if st := r.Stats(); st.Offered < 400 || departed < 300 {
+		t.Fatalf("runner offered %d and retired %d VMs, want a churning script", st.Offered, departed)
 	}
 }

@@ -1,7 +1,8 @@
 package lifecycle
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -82,11 +83,12 @@ type Runner struct {
 
 	script   *Script
 	next     int
+	slab     []Offer // one offer per scripted arrival, by script index
 	deferred []*Offer
 	offers   []*Offer // reusable Due result
 	deps     []departure
+	due      []departure // reusable DeparturesDue scratch
 	depsDue  []Departure // reusable DeparturesDue result
-	seq      int
 	waiting  []placeWait
 	stats    Stats
 	met      Metrics // zero = recording off
@@ -98,9 +100,10 @@ type Runner struct {
 	pushed []*Offer
 }
 
+// departure is one scheduled retirement; Runner.deps holds them in
+// admission order, the tie-break at equal ticks.
 type departure struct {
 	tick   int
-	seq    int // admission order, the tie-break at equal ticks
 	id     model.VMID
 	handle sim.VMHandle
 }
@@ -113,7 +116,7 @@ type placeWait struct {
 // NewRunner builds a runner over a script. The script is read-only and
 // may be shared; every Runner keeps its own cursors and queues.
 func NewRunner(script *Script) *Runner {
-	return &Runner{script: script}
+	return &Runner{script: script, slab: make([]Offer, len(script.Arrivals))}
 }
 
 // Script returns the script the runner walks.
@@ -156,10 +159,11 @@ func (r *Runner) Due(tick int) []*Offer {
 	r.offers = append(r.offers, r.deferred...)
 	r.deferred = r.deferred[:0]
 	for r.next < len(r.script.Arrivals) && r.script.Arrivals[r.next].ArriveTick <= tick {
-		a := &r.script.Arrivals[r.next]
+		o := &r.slab[r.next]
+		*o = Offer{Arrival: &r.script.Arrivals[r.next]}
 		r.next++
 		bump(&r.stats.Offered, r.met.Offered)
-		r.offers = append(r.offers, &Offer{Arrival: a})
+		r.offers = append(r.offers, o)
 	}
 	// Injected arrivals whose tick has come, in push order. The queue is
 	// compacted in place so not-yet-due pushes keep their order.
@@ -187,9 +191,8 @@ func (r *Runner) Resolve(tick int, o *Offer, d Decision, h sim.VMHandle) {
 		a := o.Arrival
 		if a.LifetimeTicks > 0 {
 			r.deps = append(r.deps, departure{
-				tick: tick + a.LifetimeTicks, seq: r.seq, id: a.Spec.ID, handle: h,
+				tick: tick + a.LifetimeTicks, id: a.Spec.ID, handle: h,
 			})
-			r.seq++
 		}
 		r.waiting = append(r.waiting, placeWait{id: a.Spec.ID, admitTick: tick})
 	case Defer:
@@ -210,27 +213,23 @@ func (r *Runner) Resolve(tick int, o *Offer, d Decision, h sim.VMHandle) {
 // engine; a VM that was never placed still departs (it was live, serving
 // nothing).
 func (r *Runner) DeparturesDue(tick int) []Departure {
-	// deps is append-ordered by admission; collect the due entries and
-	// order them by (departure tick, admission order) so retires happen
-	// in a stable, meaningful order.
-	var due []departure
+	// deps is append-ordered by admission, so the due entries are
+	// collected in admission order and a stable sort by departure tick
+	// orders them by (departure tick, admission order): retires happen in
+	// a stable, meaningful order.
+	r.due = r.due[:0]
 	kept := r.deps[:0]
 	for _, d := range r.deps {
 		if d.tick <= tick {
-			due = append(due, d)
+			r.due = append(r.due, d)
 		} else {
 			kept = append(kept, d)
 		}
 	}
 	r.deps = kept
-	sort.Slice(due, func(a, b int) bool {
-		if due[a].tick != due[b].tick {
-			return due[a].tick < due[b].tick
-		}
-		return due[a].seq < due[b].seq
-	})
+	slices.SortStableFunc(r.due, func(a, b departure) int { return cmp.Compare(a.tick, b.tick) })
 	r.depsDue = r.depsDue[:0]
-	for _, d := range due {
+	for _, d := range r.due {
 		r.depsDue = append(r.depsDue, Departure{ID: d.id, Handle: d.handle})
 		bump(&r.stats.Departed, r.met.Departed)
 		r.dropWaiting(d.id)

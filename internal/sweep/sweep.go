@@ -3,10 +3,13 @@
 // emits deterministic machine-readable results (JSON + CSV) next to the
 // rendered tables. One sweep cell is one (preset, policy, seed) triple:
 // it builds its own scenario (world, topology, workload stream) and its
-// own manager, so cells share nothing mutable — only the read-only
-// predictor bundle of their seed — and the matrix parallelises trivially
-// via par.ForEach. Every future scaling study (sharding, multi-backend,
-// online retraining) reports through this package.
+// own manager. Cells share the read-only predictor bundle of their seed
+// and one mutable structure: the policy cells of a (preset, seed) share
+// a trace.Memo, so each workload row is computed once for all of them.
+// A row is a pure function of (seed, VM, tick), so which cell fills it
+// first changes no output, and the matrix parallelises via par.ForEach.
+// Every future scaling study (sharding, multi-backend, online
+// retraining) reports through this package.
 package sweep
 
 import (
@@ -17,12 +20,15 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/par"
 	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Matrix declares one sweep: which presets, which policies, which seeds,
@@ -179,8 +185,14 @@ type Result struct {
 // Run executes the matrix. Bundles are trained once per seed up front
 // (cells of a seed share them read-only); the cells then fan out over the
 // worker pool, each writing only its own slot, so the assembled Result is
-// independent of scheduling order and worker count.
-func Run(m Matrix) (*Result, error) {
+// independent of scheduling order and worker count. The policy cells of
+// one (scenario, seed) read their workload through one shared
+// trace.Memo, dropped when the last of them finishes.
+func Run(m Matrix) (*Result, error) { return run(m, trace.NewMemo) }
+
+// run is Run with the memo constructor as a parameter, so a test can
+// keep the memos and read their counters.
+func run(m Matrix, newMemo func() *trace.Memo) (*Result, error) {
 	scns := m.Scenarios
 	if len(scns) == 0 || (len(scns) == 1 && scns[0] == "all") {
 		scns = scenario.Names()
@@ -238,18 +250,43 @@ func Run(m Matrix) (*Result, error) {
 		}
 	}
 
+	// Cells are stored scenario-major, then policy, then seed, but run
+	// group by group: job j is policy j%nP of (scenario, seed) group
+	// j/nP. A group's cells then run close together, so few memos are
+	// alive at once.
 	nS, nP, nK := len(scns), len(pols), len(m.Seeds)
+	type group struct {
+		memo *trace.Memo
+		left atomic.Int32 // cells not yet finished
+	}
+	groups := make([]group, nS*nK)
+	for g := range groups {
+		groups[g].memo = newMemo()
+		groups[g].left.Store(int32(nP))
+	}
 	cells := make([]Cell, nS*nP*nK)
 	errs := make([]error, len(cells))
-	par.ForEach(len(cells), m.Workers, func(i int) {
-		si := i / (nP * nK)
-		pi := (i / nK) % nP
-		ki := i % nK
+	par.ForEach(len(cells), m.Workers, func(j int) {
+		grp := &groups[j/nP]
+		si, ki, pi := j/nP/nK, j/nP%nK, j%nP
+		i := (si*nP+pi)*nK + ki
+		memo := grp.memo
+		defer func() {
+			if grp.left.Add(-1) == 0 {
+				grp.memo = nil
+			}
+		}()
 		seed := m.Seeds[ki]
 		spec, err := scenario.Preset(scns[si], seed)
 		if err != nil {
 			errs[i] = err
 			return
+		}
+		spec.WrapWorkload = func(w sim.Workload) sim.Workload {
+			if g, ok := w.(*trace.Generator); ok {
+				g.UseMemo(memo)
+			}
+			return w
 		}
 		run, err := RunSpec(spec, pols[pi], bundles[seed], m.Ticks, RunOpts{})
 		if err != nil {

@@ -116,7 +116,7 @@ type Config struct {
 
 // Generator produces per-tick load vectors for every VM. It is not safe
 // for concurrent use: Fill and Loads share one reseedable draw stream and
-// one day table.
+// one day table. Generators of one Config may share rows through a Memo.
 type Generator struct {
 	cfg Config
 	// index points each known VM ID at its entry in vms; it is the only
@@ -139,6 +139,8 @@ type Generator struct {
 	// the per-call allocations.
 	scratch *rng.Stream
 	nameBuf []byte
+	// memo, when set by UseMemo, is the row table Fill reads through.
+	memo *Memo
 }
 
 // vmEntry is one VM resolved against the configuration at construction.
@@ -278,8 +280,18 @@ func (g *Generator) setDay(tick int) {
 // vms[i] into dst[i] for every i, overwriting every slot so rows can be
 // reused across ticks. Rows shorter than Sources receive a prefix; slots
 // beyond Sources are zeroed. The result is deterministic in (seed, tick)
-// and independent of query order. Fill performs no per-tick allocations.
+// and independent of query order. Fill performs no per-tick allocations;
+// through a Memo (UseMemo) it allocates only when it stores new rows.
 func (g *Generator) Fill(tick int, vms []model.VMID, dst []model.LoadVector) {
+	if g.memo != nil {
+		g.memo.fill(g, tick, vms, dst)
+		return
+	}
+	g.fill(tick, vms, dst)
+}
+
+// fill is Fill computing every row.
+func (g *Generator) fill(tick int, vms []model.VMID, dst []model.LoadVector) {
 	g.setDay(tick)
 	for i, id := range vms {
 		g.fillFor(id, tick, dst[i])
@@ -322,13 +334,18 @@ func (g *Generator) tickStream(id model.VMID, tick int) *rng.Stream {
 
 // fillFor writes one VM's row; the day table must hold the tick's factors.
 func (g *Generator) fillFor(id model.VMID, tick int, row model.LoadVector) {
-	for i := range row {
-		row[i] = model.Load{}
-	}
 	k, ok := g.index[id]
 	if !ok {
+		clear(row)
 		return
 	}
+	g.fillEntry(k, id, tick, row)
+}
+
+// fillEntry writes the row of entry k, whose VM is id; the day table must
+// hold the tick's factors.
+func (g *Generator) fillEntry(k int32, id model.VMID, tick int, row model.LoadVector) {
+	clear(row)
 	e := &g.vms[k]
 	class := &g.classes[e.class]
 	crowds := g.crowds[e.crowdLo:e.crowdHi]
