@@ -555,14 +555,13 @@ func BenchmarkFailover(b *testing.B) {
 	// Crash the busiest host mid-run: its guests become the re-home
 	// backlog the benchmarked round has to absorb.
 	victim, most := model.NoPM, -1
-	st := sc.World.State()
 	for j := 0; j < sc.World.NumPMs(); j++ {
 		pm := sc.World.PMSpecAt(j).ID
-		if n := len(st.GuestsOf(pm)); n > most {
+		if n := len(sc.World.GuestsOf(pm)); n > most {
 			victim, most = pm, n
 		}
 	}
-	evicted := st.GuestsOf(victim)
+	evicted := sc.World.GuestsOf(victim)
 	if err := sc.World.FailPM(victim); err != nil {
 		b.Fatal(err)
 	}

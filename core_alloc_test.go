@@ -60,16 +60,31 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 	// bf-ob) with empty scripts, so both lifecycle runners are attached
 	// and record into the lifecycle family. Rounds run every
 	// DefaultRoundTicks ticks, so each window steps over one round tick
-	// and then measures the plain ticks up to the next.
-	for _, preset := range []string{scenario.MultiDC, scenario.XLargeFleet, scenario.ChurnPoisson, scenario.FailAZOutage} {
-		t.Run("managed-run/"+preset, func(t *testing.T) {
-			spec := scenario.MustPreset(preset, benchSeed)
+	// and then measures the plain ticks up to the next. The scripted case
+	// keeps churn-poisson's own arrivals and departures and measures 40
+	// windows, so admissions, retirements and slot reuse fall inside them.
+	cases := []struct {
+		name, preset string
+		scripted     bool
+		windows      int
+	}{
+		{"managed-run/" + scenario.MultiDC, scenario.MultiDC, false, 5},
+		{"managed-run/" + scenario.XLargeFleet, scenario.XLargeFleet, false, 5},
+		{"managed-run/" + scenario.ChurnPoisson, scenario.ChurnPoisson, false, 5},
+		{"managed-run/" + scenario.FailAZOutage, scenario.FailAZOutage, false, 5},
+		{"managed-run/" + scenario.ChurnPoisson + "-scripted", scenario.ChurnPoisson, true, 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := scenario.MustPreset(tc.preset, benchSeed)
 			spec.TickWorkers = 1
 			sc, err := scenario.Build(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc.Script, sc.Faults = &lifecycle.Script{}, &lifecycle.FaultScript{}
+			if !tc.scripted {
+				sc.Script, sc.Faults = &lifecycle.Script{}, &lifecycle.FaultScript{}
+			}
 			pol, err := sweep.PolicyByName("bf-ob")
 			if err != nil {
 				t.Fatal(err)
@@ -82,9 +97,14 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 			for i := 0; i < 3*sweep.DefaultRoundTicks; i++ { // warm-up
 				step(t, mgr)()
 			}
-			for w := 0; w < 5; w++ {
+			churn := func() int {
+				st := run.Lifecycle.Stats()
+				return st.Admitted + st.Departed
+			}
+			measuredChurn := 0
+			for w := 0; w < tc.windows; w++ {
 				step(t, mgr)() // the round tick
-				rounds := mgr.Rounds()
+				rounds, churned := mgr.Rounds(), churn()
 				// AllocsPerRun steps once more than its run count.
 				allocs := testing.AllocsPerRun(sweep.DefaultRoundTicks-2, step(t, mgr))
 				if allocs != 0 {
@@ -93,6 +113,10 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 				if mgr.Rounds() != rounds {
 					t.Fatalf("window %d: a round ran inside the measured window", w)
 				}
+				measuredChurn += churn() - churned
+			}
+			if tc.scripted && measuredChurn == 0 {
+				t.Fatal("no admission or departure fell inside the measured windows")
 			}
 		})
 	}

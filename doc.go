@@ -22,15 +22,16 @@
 // Atom/VirtualBox/OpenNebula testbed:
 //
 //   - internal/sim — the flat-state World (structure-of-arrays truth,
-//     zero-alloc ticks, per-DC sharded resolution).
-//   - internal/cluster — inventory, placement state, fOccupation.
+//     the placement, zero-alloc ticks, per-DC sharded resolution).
+//   - internal/cluster — the fleet inventory and fOccupation.
 //   - internal/trace — Li-BCN-like workload synthesis and CSV replay.
 //   - internal/network — the Table II topology, client latencies and
 //     energy-price schedules.
 //   - internal/queueing — the processor-sharing response-time model.
 //   - internal/power — the Atom power curve, PUE and energy accounting.
 //   - internal/sla — SLA(RT), revenue, penalties and the money ledger.
-//   - internal/monitor — noisy windowed observations over ring buffers.
+//   - internal/monitor — noisy windowed observations over per-slot ring
+//     buffers.
 //   - internal/lifecycle — deterministic VM churn and fault scripts
 //     (arrivals, departures, crashes, outages, maintenance drains).
 //

@@ -47,7 +47,7 @@ func main() {
 		if st.Tick%(2*model.TicksPerHour) != 0 {
 			return
 		}
-		dc := world.State().DCOfVM(0)
+		dc := world.DCOfVM(0)
 		truth, _ := world.VMTruthAt(0)
 		dom, share := truth.Load.DominantSource()
 		mark := ""

@@ -63,7 +63,7 @@ func main() {
 		if st.Tick%60 != 0 {
 			return
 		}
-		dc := sc.World.State().DCOfVM(0)
+		dc := sc.World.DCOfVM(0)
 		fmt.Printf("%4d  %.3f  %5.1f  %d    %s\n",
 			st.Tick, st.AvgSLA, st.FacilityWatts, st.ActivePMs, sc.Topology.Name(dc))
 	})

@@ -61,12 +61,8 @@ func TestInventoryLookups(t *testing.T) {
 	if _, ok := inv.PM(99); ok {
 		t.Fatal("found ghost PM")
 	}
-	vm, ok := inv.VM(1)
-	if !ok || vm.Name != "b" {
-		t.Fatalf("VM(1) = %+v", vm)
-	}
-	if _, ok := inv.VM(99); ok {
-		t.Fatal("found ghost VM")
+	if inv.NumVMs() != 3 || inv.VMs()[1].Name != "b" {
+		t.Fatalf("VMs = %+v", inv.VMs())
 	}
 	if got := inv.PMsOfDC(0); len(got) != 2 {
 		t.Fatalf("PMsOfDC(0) = %v", got)
@@ -76,96 +72,6 @@ func TestInventoryLookups(t *testing.T) {
 	}
 	if inv.DCOf(model.NoPM) != -1 {
 		t.Fatal("DCOf(NoPM) should be -1")
-	}
-}
-
-func TestStatePlaceAndEvict(t *testing.T) {
-	inv := testInventory(t)
-	s := NewState(inv)
-	if s.HostOf(0) != model.NoPM {
-		t.Fatal("fresh VM should be unplaced")
-	}
-	if err := s.Place(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if s.HostOf(0) != 1 {
-		t.Fatalf("HostOf = %v", s.HostOf(0))
-	}
-	if s.DCOfVM(0) != 0 {
-		t.Fatalf("DCOfVM = %v", s.DCOfVM(0))
-	}
-	// Move to another PM.
-	if err := s.Place(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.GuestsOf(1); len(got) != 0 {
-		t.Fatalf("old host still lists guest: %v", got)
-	}
-	if got := s.GuestsOf(2); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("new host guests: %v", got)
-	}
-	// Evict.
-	if err := s.Place(0, model.NoPM); err != nil {
-		t.Fatal(err)
-	}
-	if s.HostOf(0) != model.NoPM {
-		t.Fatal("eviction failed")
-	}
-	if s.DCOfVM(0) != -1 {
-		t.Fatal("evicted VM should report DC -1")
-	}
-}
-
-func TestStatePlaceErrors(t *testing.T) {
-	inv := testInventory(t)
-	s := NewState(inv)
-	if err := s.Place(99, 0); err == nil {
-		t.Fatal("accepted unknown VM")
-	}
-	if err := s.Place(0, 99); err == nil {
-		t.Fatal("accepted unknown PM")
-	}
-}
-
-func TestStateApplyReportsMoves(t *testing.T) {
-	inv := testInventory(t)
-	s := NewState(inv)
-	p := model.Placement{0: 0, 1: 0, 2: 2}
-	moved, err := s.Apply(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moved) != 3 {
-		t.Fatalf("initial apply moved %v", moved)
-	}
-	// Idempotent re-apply moves nothing.
-	moved, err = s.Apply(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(moved) != 0 {
-		t.Fatalf("re-apply moved %v", moved)
-	}
-	p2 := p.Clone()
-	p2[1] = 2
-	moved, _ = s.Apply(p2)
-	if len(moved) != 1 || moved[0] != 1 {
-		t.Fatalf("moved = %v", moved)
-	}
-}
-
-func TestActivePMs(t *testing.T) {
-	inv := testInventory(t)
-	s := NewState(inv)
-	if got := s.ActivePMs(); len(got) != 0 {
-		t.Fatalf("fresh state active PMs: %v", got)
-	}
-	s.Place(0, 0)
-	s.Place(1, 0)
-	s.Place(2, 2)
-	got := s.ActivePMs()
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("ActivePMs = %v", got)
 	}
 }
 
@@ -254,71 +160,5 @@ func TestOccupationPropertyGrantNeverExceedsAsk(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGuestsOfSorted(t *testing.T) {
-	inv := testInventory(t)
-	s := NewState(inv)
-	s.Place(2, 0)
-	s.Place(0, 0)
-	s.Place(1, 0)
-	got := s.GuestsOf(0)
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("GuestsOf not sorted: %v", got)
-	}
-}
-
-// TestDynamicVMs covers the workload-lifecycle extension of State:
-// dynamically added VMs place like inventory VMs and vanish without
-// trace on removal; inventory VMs are permanent.
-func TestDynamicVMs(t *testing.T) {
-	inv := testInventory(t)
-	s := NewState(inv)
-	dyn := model.VMSpec{ID: 900, Name: "dyn"}
-	if err := s.AddVM(dyn); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddVM(dyn); err == nil {
-		t.Fatal("duplicate dynamic VM accepted")
-	}
-	if err := s.AddVM(inv.VMs()[0]); err == nil {
-		t.Fatal("inventory VM re-added dynamically")
-	}
-	if got := s.HostOf(900); got != model.NoPM {
-		t.Fatalf("dynamic VM born placed on %v", got)
-	}
-	pm := inv.PMs()[0].ID
-	if err := s.Place(900, pm); err != nil {
-		t.Fatal(err)
-	}
-	if spec, ok := s.DynamicVM(900); !ok || spec.Name != "dyn" {
-		t.Fatalf("DynamicVM lookup failed: %+v %v", spec, ok)
-	}
-	found := false
-	for _, g := range s.GuestsOf(pm) {
-		if g == 900 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("dynamic VM missing from guest list")
-	}
-	if err := s.RemoveVM(900); err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range s.GuestsOf(pm) {
-		if g == 900 {
-			t.Fatal("removed VM still a guest")
-		}
-	}
-	if got := s.HostOf(900); got != model.NoPM {
-		t.Fatalf("removed VM still placed on %v", got)
-	}
-	if err := s.Place(900, pm); err == nil {
-		t.Fatal("removed VM still placeable")
-	}
-	if err := s.RemoveVM(inv.VMs()[0].ID); err == nil {
-		t.Fatal("inventory VM removed")
 	}
 }

@@ -62,15 +62,14 @@ func TestManagedChurnRun(t *testing.T) {
 		t.Fatal("no admitted VM ever reached a host")
 	}
 	// Departed VMs must be fully gone: no retired slot's last tenant is
-	// still known to, or hosted by, the placement state.
-	ps := sc.World.State()
+	// still known to, or hosted by, the World.
 	for i := 0; i < sc.World.NumVMs(); i++ {
 		if sc.World.ActiveVM(i) {
 			continue
 		}
 		id := sc.World.VMSpecAt(i).ID
-		if _, known := ps.DynamicVM(id); known || ps.HostOf(id) != model.NoPM {
-			t.Fatalf("departed VM %v still in the placement state", id)
+		if _, known := sc.World.LookupVM(id); known || sc.World.HostOf(id) != model.NoPM {
+			t.Fatalf("departed VM %v still known to the World", id)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func TestManagerRunsRounds(t *testing.T) {
 	}
 	// Every VM must remain placed.
 	for _, vm := range sc.VMs {
-		if sc.World.State().HostOf(vm.ID) == model.NoPM {
+		if sc.World.HostOf(vm.ID) == model.NoPM {
 			t.Fatalf("VM %v unplaced after management", vm.ID)
 		}
 	}

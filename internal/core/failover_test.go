@@ -26,14 +26,14 @@ func TestManagerSurvivesHostFailure(t *testing.T) {
 	if err := m.Run(15, nil); err != nil {
 		t.Fatal(err)
 	}
-	victim := sc.World.State().HostOf(0)
+	victim := sc.World.HostOf(0)
 	if victim == model.NoPM {
 		t.Fatal("vm0 unplaced before failure")
 	}
 	if err := sc.World.FailPM(victim); err != nil {
 		t.Fatal(err)
 	}
-	if sc.World.State().HostOf(0) != model.NoPM {
+	if sc.World.HostOf(0) != model.NoPM {
 		t.Fatal("vm0 not evicted by failure")
 	}
 	// The next scheduling round (within 10 ticks) must re-home the VM on a
@@ -41,7 +41,7 @@ func TestManagerSurvivesHostFailure(t *testing.T) {
 	if err := m.Run(12, nil); err != nil {
 		t.Fatal(err)
 	}
-	newHost := sc.World.State().HostOf(0)
+	newHost := sc.World.HostOf(0)
 	if newHost == model.NoPM {
 		t.Fatal("vm0 still homeless after a full round")
 	}

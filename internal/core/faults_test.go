@@ -49,7 +49,7 @@ func TestFaultScriptRehomesWithinRound(t *testing.T) {
 	if err := mgr.Run(25, nil); err != nil {
 		t.Fatal(err)
 	}
-	newHost := sc2.World.State().HostOf(0)
+	newHost := sc2.World.HostOf(0)
 	if newHost == model.NoPM {
 		t.Fatal("vm0 still homeless after a full round")
 	}
@@ -108,7 +108,7 @@ func TestDrainCompletesWithoutForcedEvictions(t *testing.T) {
 		t.Fatalf("drain with a 3-round deadline forced evictions: %+v", st)
 	}
 	for _, vm := range sc2.VMs {
-		if sc2.World.State().HostOf(vm.ID) == model.NoPM {
+		if sc2.World.HostOf(vm.ID) == model.NoPM {
 			t.Fatalf("VM %v homeless after drain cycle", vm.ID)
 		}
 	}

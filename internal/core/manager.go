@@ -190,7 +190,7 @@ func (m *Manager) BuildProblem() *sched.Problem {
 			}
 			info.Load = buf
 		}
-		if avg, ok := obs.WindowAvgLoad(spec.ID); ok && avg.RPS > 0 {
+		if avg, ok := obs.WindowAvgLoad(i); ok && avg.RPS > 0 {
 			// Size against the round-averaged gateway statistics, not one
 			// noisy tick; keep the per-source shares of the current vector.
 			if info.Total.RPS > 0 {
@@ -201,10 +201,10 @@ func (m *Manager) BuildProblem() *sched.Problem {
 			}
 			info.Total = avg
 		}
-		if s, ok := obs.LastVM(spec.ID); ok {
+		if s, ok := obs.LastVM(i); ok {
 			info.QueueLen = s.QueueLen
 		}
-		if avg, ok := obs.WindowAvgVM(spec.ID); ok {
+		if avg, ok := obs.WindowAvgVM(i); ok {
 			info.Observed = avg
 			info.HasObserved = true
 		}
@@ -300,7 +300,7 @@ func (m *Manager) numCandidates() int {
 func (m *Manager) hosted() func(model.VMID) bool {
 	if m.hostedFn == nil {
 		m.hostedFn = func(id model.VMID) bool {
-			return m.cfg.World.State().HostOf(id) != model.NoPM
+			return m.cfg.World.HostOf(id) != model.NoPM
 		}
 	}
 	return m.hostedFn
@@ -312,12 +312,11 @@ func (m *Manager) hosted() func(model.VMID) bool {
 // per-key with no cross-entry dependence, so map order does not matter.
 func (m *Manager) sanitizePlacement(p model.Placement) {
 	w := m.cfg.World
-	st := w.State()
 	for vm, pm := range p {
 		if pm == model.NoPM {
 			continue
 		}
-		cur := st.HostOf(vm)
+		cur := w.HostOf(vm)
 		if w.IsFailed(pm) || (w.IsDraining(pm) && cur != pm) {
 			if cur != model.NoPM && !w.IsFailed(cur) {
 				p[vm] = cur // staying put on a draining host is legal
@@ -379,7 +378,7 @@ func (m *Manager) stepFaults(tick int) error {
 // takedowns.
 func (m *Manager) failHost(tick int, pm model.PMID, forced bool) error {
 	w := m.cfg.World
-	guests := w.State().GuestsOf(pm)
+	guests := w.GuestsOf(pm)
 	for _, id := range guests {
 		var req model.Resources
 		if truth, ok := w.VMTruthAt(id); ok {
@@ -413,14 +412,13 @@ func (m *Manager) dropPendingCommit(id model.VMID) {
 // has left the world, and returns the remaining reserved total.
 func (m *Manager) pruneRehomes() model.Resources {
 	w := m.cfg.World
-	st := w.State()
 	kept := m.rehomes[:0]
 	var sum model.Resources
 	for _, rc := range m.rehomes {
 		if _, live := w.LookupVM(rc.id); !live {
 			continue
 		}
-		if st.HostOf(rc.id) != model.NoPM {
+		if w.HostOf(rc.id) != model.NoPM {
 			continue
 		}
 		kept = append(kept, rc)
@@ -436,7 +434,6 @@ func (m *Manager) pruneRehomes() model.Resources {
 // every future round. Static inventory VMs are never shed.
 func (m *Manager) stepShedding(tick int) error {
 	w := m.cfg.World
-	st := w.State()
 	deadline := m.cfg.Degraded.ShedAfterTicks
 	kept := m.rehomes[:0]
 	for _, rc := range m.rehomes {
@@ -444,8 +441,7 @@ func (m *Manager) stepShedding(tick int) error {
 		if !live {
 			continue
 		}
-		_, dynamic := st.DynamicVM(rc.id)
-		if !dynamic || st.HostOf(rc.id) != model.NoPM || tick-rc.evictTick < deadline {
+		if w.IsStatic(h) || w.HostOf(rc.id) != model.NoPM || tick-rc.evictTick < deadline {
 			kept = append(kept, rc)
 			continue
 		}
@@ -532,14 +528,13 @@ func (m *Manager) stepLifecycle(tick int) error {
 // already departed, and returns the remaining reserved total.
 func (m *Manager) prunePendingCommits() model.Resources {
 	w := m.cfg.World
-	st := w.State()
 	kept := m.pendingCommits[:0]
 	var sum model.Resources
 	for _, pc := range m.pendingCommits {
 		if _, live := w.LookupVM(pc.id); !live {
 			continue
 		}
-		if st.HostOf(pc.id) != model.NoPM {
+		if w.HostOf(pc.id) != model.NoPM {
 			continue
 		}
 		kept = append(kept, pc)

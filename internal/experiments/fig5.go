@@ -37,7 +37,7 @@ func Figure5(seed uint64) (*Result, error) {
 	colocated, moves, prevDC := 0, 0, model.DCID(0)
 	run, err := sweep.RunSpec(scenario.MustPreset(scenario.FollowLoad, seed), pol, nil, ticks, sweep.RunOpts{
 		OnTick: func(sc *scenario.Scenario, _ sim.TickSummary) {
-			dc := sc.World.State().DCOfVM(0)
+			dc := sc.World.DCOfVM(0)
 			truth, _ := sc.World.VMTruthAt(0)
 			dom, _ := truth.Load.DominantSource()
 			dominantSeries = append(dominantSeries, float64(dom))

@@ -37,7 +37,7 @@ func GreenEnergy(seed uint64) (*Result, error) {
 		sunlit := 0
 		pr, err := sweep.RunSpec(spec, pol, bundle, ticks, sweep.RunOpts{
 			OnTick: func(sc *scenario.Scenario, st sim.TickSummary) {
-				if dc := sc.World.State().DCOfVM(0); dc >= 0 &&
+				if dc := sc.World.DCOfVM(0); dc >= 0 &&
 					sc.Topology.EnergyPriceAt(dc, st.Tick) < base[dc]*0.7 {
 					sunlit++
 				}

@@ -264,21 +264,3 @@ func (p Placement) Equal(q Placement) bool {
 	}
 	return true
 }
-
-// Diff returns the set of VMs whose host differs between p (old) and q
-// (new), i.e. the migrations q implies. VMs present in only one of the two
-// maps count as moved.
-func (p Placement) Diff(q Placement) []VMID {
-	var moved []VMID
-	for vm, newPM := range q {
-		if oldPM, ok := p[vm]; !ok || oldPM != newPM {
-			moved = append(moved, vm)
-		}
-	}
-	for vm := range p {
-		if _, ok := q[vm]; !ok {
-			moved = append(moved, vm)
-		}
-	}
-	return moved
-}

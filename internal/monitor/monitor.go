@@ -45,9 +45,9 @@ type NoiseConfig struct {
 // DefaultNoise matches the distortions the paper describes.
 var DefaultNoise = NoiseConfig{RelSD: 0.05, SpikeProb: 0.03, SpikeCPUPct: 50}
 
-// ring is a fixed-capacity chronological window. Once full, observations
-// overwrite the oldest slot in place, so the steady-state observation
-// path allocates nothing.
+// ring is a fixed-capacity chronological window over a caller-owned
+// backing array of capacity window. Once full, observations overwrite
+// the oldest slot in place, so the observation path allocates nothing.
 type ring[T any] struct {
 	buf  []T
 	n    int // elements stored (<= window)
@@ -69,54 +69,61 @@ func (r *ring[T]) at(k int) T { return r.buf[(r.next+k)%r.n] }
 
 func (r *ring[T]) last() T { return r.at(r.n - 1) }
 
-// Observer distorts ground truth into monitored samples and keeps per-VM
-// rolling windows.
-type Observer struct {
-	noise   NoiseConfig
-	stream  *rng.Stream
-	window  int
-	history map[model.VMID]*ring[Sample]
-	pmHist  map[model.PMID]*ring[model.Resources]
+func (r *ring[T]) reset() {
+	r.buf = r.buf[:0]
+	r.n, r.next = 0, 0
 }
 
-// NewObserver builds an observer with the given window length in ticks
-// (the paper's Best-Fit looks at the last 10 minutes = 10 ticks).
-func NewObserver(noise NoiseConfig, window int, stream *rng.Stream) *Observer {
+// rings carves n windows out of one backing array.
+func rings[T any](n, window int) []ring[T] {
+	slab := make([]T, n*window)
+	rs := make([]ring[T], n)
+	for i := range rs {
+		rs[i].buf = slab[i*window : i*window : (i+1)*window]
+	}
+	return rs
+}
+
+// Observer distorts ground truth into monitored samples and keeps a
+// rolling window per VM slot and per PM, addressed by the simulator's
+// dense indices. All windows are allocated together on the first
+// observation, so observing allocates nothing after that. They are not
+// allocated at construction: at hyperscale (20k VMs, ~18 MB of windows)
+// doing so raised mdcbench hyperscale-managed's peak RSS from ~100 to
+// ~117 MB, which allocating them in the first tick does not.
+type Observer struct {
+	noise    NoiseConfig
+	stream   *rng.Stream
+	window   int
+	nVM, nPM int
+	vms      []ring[Sample]          // nil until the first ObserveVM
+	pms      []ring[model.Resources] // nil until the first ObservePM
+}
+
+// NewObserver builds an observer for vmSlots VM slots and pms PMs with
+// the given window length in ticks (the paper's Best-Fit looks at the
+// last 10 minutes = 10 ticks).
+func NewObserver(noise NoiseConfig, window, vmSlots, pms int, stream *rng.Stream) *Observer {
 	if window <= 0 {
 		window = 10
 	}
-	return &Observer{
-		noise:   noise,
-		stream:  stream,
-		window:  window,
-		history: make(map[model.VMID]*ring[Sample]),
-		pmHist:  make(map[model.PMID]*ring[model.Resources]),
-	}
+	return &Observer{noise: noise, stream: stream, window: window, nVM: vmSlots, nPM: pms}
 }
 
 // Window returns the observation window length in ticks.
 func (o *Observer) Window() int { return o.window }
 
-// EnsureVM pre-creates a VM's observation ring so the first ObserveVM of
-// a freshly admitted VM performs no allocation — churn happens between
-// ticks, keeping the tick hot path allocation-free even right after an
-// admission.
-func (o *Observer) EnsureVM(vm model.VMID) {
-	if o.history[vm] == nil {
-		o.history[vm] = &ring[Sample]{buf: make([]Sample, 0, o.window)}
+// ResetVM empties VM slot i's window. A slot handed to a newly admitted
+// VM must start with no samples of its previous tenant.
+func (o *Observer) ResetVM(i int) {
+	if i < len(o.vms) {
+		o.vms[i].reset()
 	}
 }
 
-// ForgetVM drops a VM's observation window. Retired VMs would otherwise
-// accumulate history forever under workload churn; VM IDs are never
-// reused, so forgetting is safe.
-func (o *Observer) ForgetVM(vm model.VMID) {
-	delete(o.history, vm)
-}
-
-// ObserveVM distorts one VM's true state into a monitored sample and logs
-// it into the rolling window.
-func (o *Observer) ObserveVM(tick int, vm model.VMID, trueUsage model.Resources, load model.Load, rt, slaLvl, queueLen float64) Sample {
+// ObserveVM distorts the true state of the VM in slot i into a monitored
+// sample and logs it into the slot's rolling window.
+func (o *Observer) ObserveVM(tick, i int, trueUsage model.Resources, load model.Load, rt, slaLvl, queueLen float64) Sample {
 	s := Sample{
 		Tick:  tick,
 		Usage: o.noisyResources(trueUsage),
@@ -127,37 +134,41 @@ func (o *Observer) ObserveVM(tick int, vm model.VMID, trueUsage model.Resources,
 		SLA:      clamp01(slaLvl),
 		QueueLen: queueLen,
 	}
-	r := o.history[vm]
-	if r == nil {
-		r = &ring[Sample]{buf: make([]Sample, 0, o.window)}
-		o.history[vm] = r
+	if o.vms == nil {
+		o.vms = rings[Sample](o.nVM, o.window)
 	}
-	r.push(s, o.window)
+	o.vms[i].push(s, o.window)
 	return s
 }
 
-// ObservePM distorts one PM's true aggregate usage, optionally adding a
-// monitor CPU spike, and logs it.
-func (o *Observer) ObservePM(tick int, pm model.PMID, trueUsage model.Resources) model.Resources {
+// ObservePM distorts the true aggregate usage of PM j, optionally adding
+// a monitor CPU spike, and logs it.
+func (o *Observer) ObservePM(tick, j int, trueUsage model.Resources) model.Resources {
 	obs := o.noisyResources(trueUsage)
 	if o.stream != nil && o.stream.Bool(o.noise.SpikeProb) {
 		obs.CPUPct += o.stream.Uniform(0.3, 1.0) * o.noise.SpikeCPUPct
 	}
-	r := o.pmHist[pm]
-	if r == nil {
-		r = &ring[model.Resources]{buf: make([]model.Resources, 0, o.window)}
-		o.pmHist[pm] = r
+	if o.pms == nil {
+		o.pms = rings[model.Resources](o.nPM, o.window)
 	}
-	r.push(obs, o.window)
+	o.pms[j].push(obs, o.window)
 	return obs
 }
 
-// WindowAvgVM returns the mean observed usage of a VM over the window —
-// the "resources it has used in the last 10 minutes" input to plain
-// Best-Fit. ok is false when no samples exist yet.
-func (o *Observer) WindowAvgVM(vm model.VMID) (model.Resources, bool) {
-	r := o.history[vm]
-	if r == nil || r.n == 0 {
+// vmRing returns slot i's window, or nil when it holds no samples.
+func (o *Observer) vmRing(i int) *ring[Sample] {
+	if i < 0 || i >= len(o.vms) || o.vms[i].n == 0 {
+		return nil
+	}
+	return &o.vms[i]
+}
+
+// WindowAvgVM returns the mean observed usage of VM slot i over the
+// window — the "resources it has used in the last 10 minutes" input to
+// plain Best-Fit. ok is false when no samples exist yet.
+func (o *Observer) WindowAvgVM(i int) (model.Resources, bool) {
+	r := o.vmRing(i)
+	if r == nil {
 		return model.Resources{}, false
 	}
 	var sum model.Resources
@@ -168,11 +179,11 @@ func (o *Observer) WindowAvgVM(vm model.VMID) (model.Resources, bool) {
 }
 
 // WindowAvgLoad returns the window-mean request rate and request-weighted
-// per-request characteristics for a VM — the per-round gateway statistics
-// a scheduler should size against rather than one noisy tick.
-func (o *Observer) WindowAvgLoad(vm model.VMID) (model.Load, bool) {
-	r := o.history[vm]
-	if r == nil || r.n == 0 {
+// per-request characteristics for VM slot i — the per-round gateway
+// statistics a scheduler should size against rather than one noisy tick.
+func (o *Observer) WindowAvgLoad(i int) (model.Load, bool) {
+	r := o.vmRing(i)
+	if r == nil {
 		return model.Load{}, false
 	}
 	var agg model.Load
@@ -195,22 +206,21 @@ func (o *Observer) WindowAvgLoad(vm model.VMID) (model.Load, bool) {
 	return agg, true
 }
 
-// LastVM returns the most recent sample for a VM.
-func (o *Observer) LastVM(vm model.VMID) (Sample, bool) {
-	r := o.history[vm]
-	if r == nil || r.n == 0 {
+// LastVM returns the most recent sample for VM slot i.
+func (o *Observer) LastVM(i int) (Sample, bool) {
+	r := o.vmRing(i)
+	if r == nil {
 		return Sample{}, false
 	}
 	return r.last(), true
 }
 
-// LastPM returns the most recent observed aggregate usage of a PM.
-func (o *Observer) LastPM(pm model.PMID) (model.Resources, bool) {
-	r := o.pmHist[pm]
-	if r == nil || r.n == 0 {
+// LastPM returns the most recent observed aggregate usage of PM j.
+func (o *Observer) LastPM(j int) (model.Resources, bool) {
+	if j < 0 || j >= len(o.pms) || o.pms[j].n == 0 {
 		return model.Resources{}, false
 	}
-	return r.last(), true
+	return o.pms[j].last(), true
 }
 
 func (o *Observer) noisyResources(r model.Resources) model.Resources {

@@ -9,11 +9,11 @@ import (
 )
 
 func newObs(noise NoiseConfig) *Observer {
-	return NewObserver(noise, 10, rng.New(1, 2))
+	return NewObserver(noise, 10, 1, 1, rng.New(1, 2))
 }
 
 func TestObserveVMNoiseless(t *testing.T) {
-	o := NewObserver(NoiseConfig{}, 10, nil)
+	o := NewObserver(NoiseConfig{}, 10, 1, 1, nil)
 	u := model.Resources{CPUPct: 123, MemMB: 456, BWMbps: 7}
 	s := o.ObserveVM(0, 0, u, model.Load{RPS: 10}, 0.2, 0.9, 3)
 	if s.Usage != u {
@@ -43,7 +43,7 @@ func TestObserveVMNoiseBounded(t *testing.T) {
 }
 
 func TestSLAClamped(t *testing.T) {
-	o := NewObserver(NoiseConfig{}, 10, nil)
+	o := NewObserver(NoiseConfig{}, 10, 1, 1, nil)
 	if s := o.ObserveVM(0, 0, model.Resources{}, model.Load{}, 0, 1.7, 0); s.SLA != 1 {
 		t.Fatalf("SLA not clamped high: %v", s.SLA)
 	}
@@ -53,7 +53,7 @@ func TestSLAClamped(t *testing.T) {
 }
 
 func TestWindowAverageAndMax(t *testing.T) {
-	o := NewObserver(NoiseConfig{}, 3, nil)
+	o := NewObserver(NoiseConfig{}, 3, 10, 1, nil)
 	if _, ok := o.WindowAvgVM(0); ok {
 		t.Fatal("empty window reported ok")
 	}
@@ -72,7 +72,7 @@ func TestWindowAverageAndMax(t *testing.T) {
 }
 
 func TestWindowEmpty(t *testing.T) {
-	o := NewObserver(NoiseConfig{}, 3, nil)
+	o := NewObserver(NoiseConfig{}, 3, 10, 1, nil)
 	if _, ok := o.WindowAvgLoad(9); ok {
 		t.Fatal("empty load window reported ok")
 	}
@@ -109,15 +109,15 @@ func TestObservePMNoSpike(t *testing.T) {
 }
 
 func TestWindowDefaulting(t *testing.T) {
-	o := NewObserver(NoiseConfig{}, 0, nil)
+	o := NewObserver(NoiseConfig{}, 0, 1, 1, nil)
 	if o.Window() != 10 {
 		t.Fatalf("default window = %d, want 10", o.Window())
 	}
 }
 
 func TestObserverDeterministicWithSameSeed(t *testing.T) {
-	a := NewObserver(DefaultNoise, 10, rng.New(5, 5))
-	b := NewObserver(DefaultNoise, 10, rng.New(5, 5))
+	a := NewObserver(DefaultNoise, 10, 1, 1, rng.New(5, 5))
+	b := NewObserver(DefaultNoise, 10, 1, 1, rng.New(5, 5))
 	u := model.Resources{CPUPct: 100, MemMB: 512, BWMbps: 10}
 	for i := 0; i < 50; i++ {
 		sa := a.ObserveVM(i, 0, u, model.Load{}, 0.1, 1, 0)
@@ -125,5 +125,43 @@ func TestObserverDeterministicWithSameSeed(t *testing.T) {
 		if sa.Usage != sb.Usage {
 			t.Fatal("observers with same seed diverged")
 		}
+	}
+}
+
+// TestResetVMStartsEmpty pins the slot-reuse contract: a slot handed to a
+// new VM reports no samples of its previous tenant, its window refills
+// from scratch, and no other slot is touched. Observing allocates nothing.
+func TestResetVMStartsEmpty(t *testing.T) {
+	o := NewObserver(NoiseConfig{}, 3, 2, 1, nil)
+	for i, cpu := range []float64{100, 200, 300, 400} {
+		o.ObserveVM(i, 0, model.Resources{CPUPct: cpu}, model.Load{RPS: cpu}, 0, 1, 0)
+		o.ObserveVM(i, 1, model.Resources{CPUPct: 7}, model.Load{}, 0, 1, 0)
+	}
+	o.ResetVM(0)
+	if _, ok := o.LastVM(0); ok {
+		t.Fatal("reset slot still reports its previous tenant's last sample")
+	}
+	if _, ok := o.WindowAvgVM(0); ok {
+		t.Fatal("reset slot still reports a usage window")
+	}
+	if _, ok := o.WindowAvgLoad(0); ok {
+		t.Fatal("reset slot still reports a load window")
+	}
+	if avg, ok := o.WindowAvgVM(1); !ok || avg.CPUPct != 7 {
+		t.Fatalf("neighbouring slot disturbed: %v, %v", avg, ok)
+	}
+	o.ObserveVM(4, 0, model.Resources{CPUPct: 10}, model.Load{}, 0, 1, 0)
+	if avg, ok := o.WindowAvgVM(0); !ok || avg.CPUPct != 10 {
+		t.Fatalf("new tenant's window = %v, %v, want its own sample only", avg, ok)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		o.ResetVM(0)
+		for i := 0; i < 5; i++ {
+			o.ObserveVM(i, 0, model.Resources{CPUPct: 10}, model.Load{}, 0, 1, 0)
+			o.ObservePM(i, 0, model.Resources{CPUPct: 10})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reset and observe: %v allocs, want 0", allocs)
 	}
 }

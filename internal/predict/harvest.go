@@ -128,19 +128,21 @@ func Collect(opts HarvestOpts) (*Harvest, error) {
 // the online-learning updater.
 func (h *Harvest) RecordTick(world *sim.World) {
 	obs := world.Observer()
-	// Per-VM rows.
+	// Per-VM rows, from the static population: slots [0, inventory VMs).
 	type pmAgg struct {
 		guests int
 		sumCPU float64
 		sumRPS float64
 	}
-	perPM := make(map[model.PMID]*pmAgg)
-	for _, spec := range world.Inventory().VMs() {
-		truth, ok := world.VMTruthAt(spec.ID)
-		if !ok || truth.Host == model.NoPM {
+	perPM := make([]pmAgg, world.NumPMs())
+	for i := 0; i < world.Inventory().NumVMs(); i++ {
+		spec := world.VMSpecAt(i)
+		truth, ok := world.VMTruthByIndex(i)
+		j := world.HostIndexOf(i)
+		if !ok || j < 0 {
 			continue
 		}
-		sample, ok := obs.LastVM(spec.ID)
+		sample, ok := obs.LastVM(i)
 		if !ok || truth.Migrating {
 			continue // migration ticks are blackout noise, skip as the paper does
 		}
@@ -171,23 +173,19 @@ func (h *Harvest) RecordTick(world *sim.World) {
 		procSLA := spec.Terms.Fulfilment(sample.RT)
 		h.VMSLA.Add(VMSLAFeatures(load, truth.Granted.CPUPct, memDef, queue), procSLA)
 
-		agg := perPM[truth.Host]
-		if agg == nil {
-			agg = &pmAgg{}
-			perPM[truth.Host] = agg
-		}
+		agg := &perPM[j]
 		agg.guests++
 		agg.sumCPU += sample.Usage.CPUPct
 		agg.sumRPS += load.RPS
 	}
 	// Per-PM rows: the target is this tick's PM observation so features and
 	// label stay time-aligned.
-	for _, pm := range world.Inventory().PMs() {
-		agg := perPM[pm.ID]
-		if agg == nil {
+	for j := range perPM {
+		agg := &perPM[j]
+		if agg.guests == 0 {
 			continue // off machines carry no signal
 		}
-		if obsPM, ok := obs.LastPM(pm.ID); ok {
+		if obsPM, ok := obs.LastPM(j); ok {
 			h.PMCPU.Add(PMCPUFeatures(agg.guests, agg.sumCPU, agg.sumRPS), obsPM.CPUPct)
 		}
 	}

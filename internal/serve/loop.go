@@ -644,7 +644,7 @@ func (l *loop) recordCalibration() {
 		if !ok || truth.Host == model.NoPM || truth.Migrating {
 			continue
 		}
-		sample, ok := obs.LastVM(spec.ID)
+		sample, ok := obs.LastVM(i)
 		if !ok {
 			continue
 		}
@@ -658,7 +658,6 @@ func (l *loop) recordCalibration() {
 // departures. It walks only the live VMs and compacts the departed out
 // of that list, keeping admission order.
 func (l *loop) refreshVMs() {
-	st := l.world.State()
 	kept := l.live[:0]
 	for _, vs := range l.live {
 		if _, live := l.world.LookupVM(vs.id); !live {
@@ -668,7 +667,7 @@ func (l *loop) refreshVMs() {
 			continue
 		}
 		kept = append(kept, vs)
-		host := st.HostOf(vs.id)
+		host := l.world.HostOf(vs.id)
 		if host == model.NoPM {
 			vs.status = StatusAdmitted
 			vs.host, vs.dc = model.NoPM, -1

@@ -111,7 +111,7 @@ func TestAdmitRetireHandles(t *testing.T) {
 	} else if err := eng.RetireVM(hs); err == nil {
 		t.Fatal("static inventory VM retired")
 	}
-	if eng.HostIndexOf(0) != 0 || eng.State().HostOf(0) != 0 {
+	if eng.HostIndexOf(0) != 0 || eng.HostOf(0) != 0 {
 		t.Fatal("failed static retire mutated placement state")
 	}
 	h1, err := eng.AdmitVM(dynSpec(100))

@@ -19,7 +19,7 @@ func TestDrainPMKeepsGuestsServing(t *testing.T) {
 		t.Fatal("PM not marked draining")
 	}
 	// Draining is not failure: guests stay put and keep serving.
-	if got := sc.World.State().HostOf(0); got != 0 {
+	if got := sc.World.HostOf(0); got != 0 {
 		t.Fatalf("guest evicted by drain: host %v", got)
 	}
 	st := sc.World.Step()
@@ -90,7 +90,7 @@ func TestCrashSupersedesDrain(t *testing.T) {
 	if !sc.World.IsFailed(0) {
 		t.Fatal("crashed host not marked failed")
 	}
-	if got := sc.World.State().HostOf(0); got != model.NoPM {
+	if got := sc.World.HostOf(0); got != model.NoPM {
 		t.Fatalf("guest survived crash of draining host: %v", got)
 	}
 	if sc.World.NumFailedPMs() != 1 || sc.World.NumDrainingPMs() != 0 {

@@ -59,7 +59,7 @@ func TestEngineDenseAccessors(t *testing.T) {
 		t.Fatalf("unplaced VM has host index %d", j)
 	}
 	j := eng.HostIndexOf(0)
-	if j < 0 || eng.PMSpecAt(j).ID != sc.World.State().HostOf(0) {
+	if j < 0 || eng.PMSpecAt(j).ID != sc.World.HostOf(0) {
 		t.Fatalf("HostIndexOf(0) = %d does not match state", j)
 	}
 	truth, ok := eng.VMTruthByIndex(0)

@@ -18,7 +18,7 @@ func TestFailPMEvictsGuests(t *testing.T) {
 	if !sc.World.IsFailed(0) {
 		t.Fatal("PM not marked failed")
 	}
-	if got := sc.World.State().HostOf(0); got != model.NoPM {
+	if got := sc.World.HostOf(0); got != model.NoPM {
 		t.Fatalf("guest still placed on failed host: %v", got)
 	}
 	st := sc.World.Step()

@@ -65,35 +65,24 @@ func (e *World) Valid(h VMHandle) bool {
 
 // AdmitVM brings a new VM into the running world: it claims a slot (from
 // the free-list when one exists, extending the high-water mark otherwise),
-// registers the VM with the placement state and the monitoring pipeline,
-// and returns its handle. The VM starts unplaced and produces load from
-// the workload generator on the next Step. Admission happens between
-// ticks; it may allocate (map inserts), but the tick hot path stays
-// allocation-free because every per-slot buffer was sized at construction.
+// resets the slot's truth and monitor window, and returns its handle. The
+// VM starts unplaced and produces load from the workload generator on the
+// next Step. Every per-slot buffer was sized at construction, so only the
+// ID index (a map insert) can allocate.
 func (e *World) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 	if _, dup := e.vmByID[spec.ID]; dup {
 		return VMHandle{}, fmt.Errorf("sim: VM %v already admitted", spec.ID)
 	}
 	var slot int
-	fromFree := false
 	switch {
 	case len(e.freeSlots) > 0:
 		slot = int(e.freeSlots[len(e.freeSlots)-1])
 		e.freeSlots = e.freeSlots[:len(e.freeSlots)-1]
-		fromFree = true
 	case e.nVM < e.capVM:
 		slot = e.nVM
 		e.nVM++
 	default:
 		return VMHandle{}, ErrSlotsExhausted
-	}
-	if err := e.state.AddVM(spec); err != nil {
-		if fromFree {
-			e.freeSlots = append(e.freeSlots, int32(slot))
-		} else {
-			e.nVM--
-		}
-		return VMHandle{}, err
 	}
 	e.gens[slot]++
 	e.activeVM[slot] = true
@@ -101,35 +90,27 @@ func (e *World) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 	e.vmIDs[slot] = spec.ID
 	e.vmSpecs[slot] = spec
 	e.vmByID[spec.ID] = slot
-	e.hostOf[slot] = -1
 	e.clearVMSlot(slot)
-	e.obs.EnsureVM(spec.ID)
+	e.obs.ResetVM(slot)
 	e.rebuildFill()
 	return VMHandle{Slot: int32(slot), Gen: e.gens[slot]}, nil
 }
 
 // RetireVM removes a VM from the world: it is evicted from its host (no
-// migration cost — the service is shutting down, not moving), dropped
-// from the placement state and the monitors, and its slot returns to the
-// free-list with a bumped generation so the handle — and any copy of it —
-// dies with the VM. Only dynamically admitted VMs can retire; the static
-// inventory population is permanent.
+// migration cost — the service is shutting down, not moving) and its slot
+// returns to the free-list with a bumped generation so the handle — and
+// any copy of it — dies with the VM. Only dynamically admitted VMs can
+// retire; the static inventory population is permanent.
 func (e *World) RetireVM(h VMHandle) error {
 	i := int(h.Slot)
 	if !e.Valid(h) {
 		return fmt.Errorf("sim: stale or unknown VM handle {slot %d gen %d}", h.Slot, h.Gen)
 	}
 	id := e.vmIDs[i]
-	// Reject non-dynamic VMs before touching any state: a partial retire
-	// would desynchronise the dense mirrors from cluster.State.
-	if _, dynamic := e.state.DynamicVM(id); !dynamic {
+	if e.IsStatic(h) {
 		return fmt.Errorf("sim: %v is part of the static inventory population and cannot retire", id)
 	}
-	// RemoveVM evicts from the guest list and placement map itself.
-	if err := e.state.RemoveVM(id); err != nil {
-		return err
-	}
-	e.obs.ForgetVM(id)
+	e.setHost(int32(i), -1)
 	delete(e.vmByID, id)
 	e.gens[i]++
 	e.activeVM[i] = false
@@ -137,7 +118,6 @@ func (e *World) RetireVM(h VMHandle) error {
 	e.backlog[i] = 0
 	e.downtime[i] = 0
 	e.freeSlots = append(e.freeSlots, int32(i))
-	e.syncPlacement()
 	e.rebuildFill()
 	return nil
 }

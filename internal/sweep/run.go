@@ -194,7 +194,7 @@ func RunSpec(spec scenario.Spec, pol Policy, bundle *predict.Bundle, ticks int, 
 		run.SLASeries = append(run.SLASeries, st.AvgSLA)
 		run.WattsSeries = append(run.WattsSeries, st.FacilityWatts)
 		run.ActiveSer = append(run.ActiveSer, float64(st.ActivePMs))
-		run.DCSeries = append(run.DCSeries, float64(sc.World.State().DCOfVM(0)))
+		run.DCSeries = append(run.DCSeries, float64(sc.World.DCOfVM(0)))
 		if opts.OnTick != nil {
 			opts.OnTick(sc, st)
 		}
