@@ -175,8 +175,21 @@ func TestWorldGuestsOfSorted(t *testing.T) {
 	if got := w.GuestsOf(0); !slices.Equal(got, []model.VMID{0, 1, 2}) {
 		t.Fatalf("GuestsOf after a round trip: %v", got)
 	}
-	if st := w.Step(); st.ActivePMs != 1 {
-		t.Fatalf("ActivePMs = %d, want 1", st.ActivePMs)
+}
+
+// TestWorldActivePMs counts the hosts with at least one guest: none on
+// a fresh world, then the two hosts that received VMs.
+func TestWorldActivePMs(t *testing.T) {
+	sc := newTestScenario(t, testOpts{VMs: 3, PMsPerDC: 2, DCs: 2})
+	w := sc.World
+	if st := w.Step(); st.ActivePMs != 0 {
+		t.Fatalf("fresh world ActivePMs = %d, want 0", st.ActivePMs)
+	}
+	if err := w.ApplySchedule(model.Placement{0: 0, 1: 0, 2: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if st := w.Step(); st.ActivePMs != 2 {
+		t.Fatalf("ActivePMs = %d, want 2", st.ActivePMs)
 	}
 }
 
