@@ -286,28 +286,6 @@ func BenchmarkEngineTick(b *testing.B) {
 	})
 }
 
-// BenchmarkBestFitRound measures one full scheduling decision, serial vs
-// parallel candidate evaluation (the hpc ablation).
-func BenchmarkBestFitRound(b *testing.B) {
-	problem := syntheticProblem(24, 16)
-	cost := sched.NewCostModel(network.PaperTopology(), 1.0/6)
-	for _, mode := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 4}} {
-		b.Run(mode.name, func(b *testing.B) {
-			bf := sched.NewBestFit(cost, sched.NewObserved())
-			bf.Workers = mode.workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := bf.Schedule(problem); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkScheduleRound measures one full scheduling round (the paper's
 // 10-minute decision, Algorithm 1 with the ML estimator) at paper size,
 // at production-fleet size, and at the next size class up (the xlarge
@@ -557,11 +535,11 @@ func BenchmarkFailover(b *testing.B) {
 	victim, most := model.NoPM, -1
 	for j := 0; j < sc.World.NumPMs(); j++ {
 		pm := sc.World.PMSpecAt(j).ID
-		if n := len(sc.World.GuestsOf(pm)); n > most {
+		if n := len(sc.World.AppendGuests(nil, pm)); n > most {
 			victim, most = pm, n
 		}
 	}
-	evicted := sc.World.GuestsOf(victim)
+	evicted := sc.World.AppendGuests(nil, victim)
 	if err := sc.World.FailPM(victim); err != nil {
 		b.Fatal(err)
 	}

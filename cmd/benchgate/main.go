@@ -9,6 +9,12 @@
 // bytes_tolerance_factor (default 1.5). Wall time varies across runners,
 // so ns/op only fails beyond baseline × ns_tolerance_factor (default 3).
 //
+// Every other `<name>/op` metric a benchmark reports (b.ReportMetric, e.g.
+// knn-points/op) is a work count: a pure function of the benchmarked
+// problem, the same on any host and at any GOMAXPROCS. A recorded count
+// gates exactly in both directions, so an algorithmic change shows up as
+// a changed count even where the time is too noisy to tell.
+//
 // Usage:
 //
 //	go test -run '^$' -bench BenchmarkScheduleRound -benchmem -benchtime 20x . | \
@@ -39,6 +45,9 @@ type Metrics struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Counts holds the benchmark's work counts, keyed by unit
+	// ("knn-points/op").
+	Counts map[string]float64 `json:"counts,omitempty"`
 }
 
 // Baseline is the committed perf contract (BENCH_sched.json).
@@ -66,7 +75,8 @@ const (
 // parseBench extracts per-benchmark metrics from `go test -bench` output.
 // The trailing -N GOMAXPROCS suffix is stripped from names; when a name
 // repeats (e.g. -count > 1) the worst (largest) value of each metric is
-// kept, so the gate judges the least flattering run.
+// kept, so the gate judges the least flattering run. Units ending in /op
+// other than ns/op, B/op and allocs/op are kept as work counts.
 func parseBench(r io.Reader) (map[string]Metrics, error) {
 	got := make(map[string]Metrics)
 	sc := bufio.NewScanner(r)
@@ -95,6 +105,18 @@ func parseBench(r io.Reader) (map[string]Metrics, error) {
 			case "allocs/op":
 				m.AllocsPerOp = max(m.AllocsPerOp, v)
 				seen = true
+			default:
+				unit := fields[i+1]
+				if !strings.HasSuffix(unit, "/op") {
+					continue
+				}
+				if m.Counts == nil {
+					m.Counts = make(map[string]float64)
+				}
+				if old, ok := m.Counts[unit]; !ok || v > old {
+					m.Counts[unit] = v
+				}
+				seen = true
 			}
 		}
 		if seen {
@@ -118,8 +140,9 @@ func trimProcs(name string) string {
 
 // gate compares measured metrics against the baseline and returns one
 // violation message per failure, in stable (sorted) order. Every baseline
-// benchmark must be present in the measured set: a gate that silently
-// skips a missing benchmark would pass vacuously.
+// benchmark, and every count recorded for it, must be present in the
+// measured set: a gate that silently skips a missing one would pass
+// vacuously.
 func gate(base Baseline, got map[string]Metrics) []string {
 	factor := base.NsToleranceFactor
 	if factor <= 0 {
@@ -129,13 +152,8 @@ func gate(base Baseline, got map[string]Metrics) []string {
 	if bytesFactor <= 0 {
 		bytesFactor = defaultBytesTolerance
 	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var violations []string
-	for _, name := range names {
+	for _, name := range sortedKeys(base.Benchmarks) {
 		want := base.Benchmarks[name]
 		g, ok := got[name]
 		if !ok {
@@ -147,6 +165,18 @@ func gate(base Baseline, got map[string]Metrics) []string {
 			violations = append(violations,
 				fmt.Sprintf("%s: allocs/op regressed: %.0f > baseline %.0f (exact gate)",
 					name, g.AllocsPerOp, want.AllocsPerOp))
+		}
+		for _, unit := range sortedKeys(want.Counts) {
+			v, ok := g.Counts[unit]
+			switch {
+			case !ok:
+				violations = append(violations,
+					fmt.Sprintf("%s: recorded count %s missing from bench output", name, unit))
+			case v != want.Counts[unit]:
+				violations = append(violations,
+					fmt.Sprintf("%s: %s changed: %s != baseline %s (exact gate)",
+						name, unit, fmtNum(v), fmtNum(want.Counts[unit])))
+			}
 		}
 		if limit := want.BytesPerOp * bytesFactor; g.BytesPerOp > limit {
 			violations = append(violations,
@@ -166,6 +196,16 @@ func gate(base Baseline, got map[string]Metrics) []string {
 // hand-written baseline style.
 func fmtNum(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
 
+// sortedKeys returns the keys of m in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // renderBaseline serialises a Baseline in the committed BENCH_sched.json
 // style: two-space indent, one line per benchmark entry, fields in
 // declaration order, benchmark names sorted for stable diffs.
@@ -176,15 +216,22 @@ func renderBaseline(base Baseline) []byte {
 		return string(j)
 	}
 	metricsLine := func(m Metrics) string {
-		return fmt.Sprintf(`{"ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s}`,
+		line := fmt.Sprintf(`{"ns_per_op": %s, "bytes_per_op": %s, "allocs_per_op": %s`,
 			fmtNum(m.NsPerOp), fmtNum(m.BytesPerOp), fmtNum(m.AllocsPerOp))
+		if len(m.Counts) > 0 {
+			line += `, "counts": {`
+			for i, unit := range sortedKeys(m.Counts) {
+				if i > 0 {
+					line += ", "
+				}
+				line += enc(unit) + ": " + fmtNum(m.Counts[unit])
+			}
+			line += "}"
+		}
+		return line + "}"
 	}
 	block := func(indent string, set map[string]Metrics) {
-		names := make([]string, 0, len(set))
-		for name := range set {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		names := sortedKeys(set)
 		for i, name := range names {
 			comma := ","
 			if i == len(names)-1 {
@@ -203,11 +250,7 @@ func renderBaseline(base Baseline) []byte {
 	b.WriteString("  }")
 	if len(base.History) > 0 {
 		b.WriteString(",\n  \"history\": {\n")
-		eras := make([]string, 0, len(base.History))
-		for era := range base.History {
-			eras = append(eras, era)
-		}
-		sort.Strings(eras)
+		eras := sortedKeys(base.History)
 		for i, era := range eras {
 			fmt.Fprintf(&b, "    %s: {\n", enc(era))
 			block("      ", base.History[era])
@@ -320,12 +363,7 @@ func run(baselinePath, inputPath string, doUpdate bool, out, errOut io.Writer) i
 	for _, name := range unbaselined(base, got) {
 		fmt.Fprintf(errOut, "benchgate: warn %s measured but absent from the baseline — add it to keep it gated\n", name)
 	}
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(base.Benchmarks) {
 		g := got[name]
 		want := base.Benchmarks[name]
 		fmt.Fprintf(out, "benchgate: ok %s: %.0f allocs/op (baseline %.0f), %.0f ns/op (baseline %.0f)\n",

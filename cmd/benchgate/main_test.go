@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,6 +61,53 @@ BenchmarkX-4 	10	200 ns/op	60 B/op	3 allocs/op
 	x := got["BenchmarkX"]
 	if x.NsPerOp != 300 || x.BytesPerOp != 60 || x.AllocsPerOp != 7 {
 		t.Fatalf("repeats should keep worst per metric, got %+v", x)
+	}
+}
+
+func TestParseBenchKeepsWorkCounts(t *testing.T) {
+	got := parse(t, `
+BenchmarkR-2 	10	100 ns/op	7 knn-points/op	3 memo-misses/op	50 B/op	2 allocs/op	4 workers	9 MB/s
+BenchmarkR-2 	10	100 ns/op	9 knn-points/op	1 memo-misses/op	50 B/op	2 allocs/op	4 workers	9 MB/s
+`)
+	want := map[string]float64{"knn-points/op": 9, "memo-misses/op": 3}
+	if r := got["BenchmarkR"]; !reflect.DeepEqual(r.Counts, want) || r.AllocsPerOp != 2 {
+		t.Fatalf("counts = %v, want %v (worst of repeats, /op units only)", r.Counts, want)
+	}
+}
+
+// countBaseline records two work counts for one benchmark.
+var countBaseline = Baseline{
+	Benchmarks: map[string]Metrics{
+		"BenchmarkScheduleRound/Hyperscale": {NsPerOp: 400_000_000, BytesPerOp: 600_000, AllocsPerOp: 66,
+			Counts: map[string]float64{"knn-points/op": 6_000_000, "knn-queries/op": 61772}},
+	},
+}
+
+// TestGateCountsAreExact: a recorded work count gates in both directions,
+// since a count that falls is as much a change of algorithm as one that
+// rises, and a count the bench output no longer reports fails too.
+func TestGateCountsAreExact(t *testing.T) {
+	line := func(points string, withQueries bool) string {
+		l := "BenchmarkScheduleRound/Hyperscale-2 \t10\t400000000 ns/op\t" + points + " knn-points/op\t"
+		if withQueries {
+			l += "61772 knn-queries/op\t"
+		}
+		return l + "600000 B/op\t66 allocs/op\n"
+	}
+	if v := gate(countBaseline, parse(t, line("6000000", true))); len(v) != 0 {
+		t.Fatalf("equal counts flagged: %v", v)
+	}
+	for _, tc := range []struct {
+		name, out, want string
+	}{
+		{"rises", line("19000000", true), "knn-points/op changed: 19000000 != baseline 6000000"},
+		{"falls", line("5999999", true), "knn-points/op changed: 5999999 != baseline 6000000"},
+		{"missing", line("6000000", false), "knn-queries/op missing"},
+	} {
+		v := gate(countBaseline, parse(t, tc.out))
+		if len(v) != 1 || !strings.Contains(v[0], tc.want) {
+			t.Fatalf("count %s: violations %v, want one containing %q", tc.name, v, tc.want)
+		}
 	}
 }
 
@@ -191,9 +239,9 @@ func TestRunAgainstCommittedBaseline(t *testing.T) {
 	var ok, bad strings.Builder
 	for name, m := range base.Benchmarks {
 		ok.WriteString(name + "-4 \t20\t" +
-			formatLine(m.NsPerOp, m.BytesPerOp, m.AllocsPerOp) + "\n")
+			formatLine(m, m.AllocsPerOp) + "\n")
 		bad.WriteString(name + "-4 \t20\t" +
-			formatLine(m.NsPerOp, m.BytesPerOp, m.AllocsPerOp+1) + "\n")
+			formatLine(m, m.AllocsPerOp+1) + "\n")
 	}
 	okFile := filepath.Join(t.TempDir(), "ok.txt")
 	if err := os.WriteFile(okFile, []byte(ok.String()), 0o644); err != nil {
@@ -241,7 +289,7 @@ func TestUpdateRewritesBenchmarksBlock(t *testing.T) {
 	if err := os.WriteFile(path, renderBaseline(base), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bench := "BenchmarkScheduleRound/Small-4 \t20\t9000000 ns/op\t900 B/op\t4 allocs/op\n" +
+	bench := "BenchmarkScheduleRound/Small-4 \t20\t9000000 ns/op\t97 knn-points/op\t900 B/op\t4 allocs/op\n" +
 		"BenchmarkSLAQuery/Batch-4 \t20\t2500000 ns/op\t0 B/op\t0 allocs/op\n"
 	benchFile := filepath.Join(t.TempDir(), "bench.txt")
 	if err := os.WriteFile(benchFile, []byte(bench), 0o644); err != nil {
@@ -255,7 +303,8 @@ func TestUpdateRewritesBenchmarksBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := got.Benchmarks["BenchmarkScheduleRound/Small"]; m.NsPerOp != 9_000_000 || m.BytesPerOp != 900 || m.AllocsPerOp != 4 {
+	if m := got.Benchmarks["BenchmarkScheduleRound/Small"]; m.NsPerOp != 9_000_000 || m.BytesPerOp != 900 || m.AllocsPerOp != 4 ||
+		m.Counts["knn-points/op"] != 97 {
 		t.Fatalf("measured entry not replaced: %+v", m)
 	}
 	if m, ok := got.Benchmarks["BenchmarkSLAQuery/Batch"]; !ok || m.NsPerOp != 2_500_000 {
@@ -299,7 +348,8 @@ func TestRenderBaselineRoundTrips(t *testing.T) {
 		Description:       "d",
 		NsToleranceFactor: 2.5,
 		Benchmarks: map[string]Metrics{
-			"BenchmarkX": {NsPerOp: 123456.75, BytesPerOp: 12, AllocsPerOp: 3},
+			"BenchmarkX": {NsPerOp: 123456.75, BytesPerOp: 12, AllocsPerOp: 3,
+				Counts: map[string]float64{"knn-points/op": 309, "memo-calls/op": 1.5}},
 		},
 	}
 	path := filepath.Join(t.TempDir(), "b.json")
@@ -310,13 +360,19 @@ func TestRenderBaselineRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rendered baseline does not parse: %v", err)
 	}
-	if got.Benchmarks["BenchmarkX"] != base.Benchmarks["BenchmarkX"] ||
+	if !reflect.DeepEqual(got.Benchmarks["BenchmarkX"], base.Benchmarks["BenchmarkX"]) ||
 		got.NsToleranceFactor != 2.5 || got.Description != "d" {
 		t.Fatalf("round trip lost data: %+v", got)
 	}
 }
 
-func formatLine(ns, bytes, allocs float64) string {
+// formatLine renders m as bench output with the given allocs/op,
+// including m's recorded counts.
+func formatLine(m Metrics, allocs float64) string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
-	return f(ns) + " ns/op\t" + f(bytes) + " B/op\t" + f(allocs) + " allocs/op"
+	line := f(m.NsPerOp) + " ns/op\t"
+	for unit, v := range m.Counts {
+		line += f(v) + " " + unit + "\t"
+	}
+	return line + f(m.BytesPerOp) + " B/op\t" + f(allocs) + " allocs/op"
 }

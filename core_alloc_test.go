@@ -60,9 +60,10 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 	// bf-ob) with empty scripts, so both lifecycle runners are attached
 	// and record into the lifecycle family. Rounds run every
 	// DefaultRoundTicks ticks, so each window steps over one round tick
-	// and then measures the plain ticks up to the next. The scripted case
-	// keeps churn-poisson's own arrivals and departures and measures 40
-	// windows, so admissions, retirements and slot reuse fall inside them.
+	// and then measures the plain ticks up to the next. The scripted cases
+	// keep their preset's own scripts and measure 40 windows, so
+	// admissions, retirements and slot reuse fall inside them, and for
+	// fail-az-outage the outage tick that evicts DC 0's guests.
 	cases := []struct {
 		name, preset string
 		scripted     bool
@@ -73,6 +74,7 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 		{"managed-run/" + scenario.ChurnPoisson, scenario.ChurnPoisson, false, 5},
 		{"managed-run/" + scenario.FailAZOutage, scenario.FailAZOutage, false, 5},
 		{"managed-run/" + scenario.ChurnPoisson + "-scripted", scenario.ChurnPoisson, true, 40},
+		{"managed-run/" + scenario.FailAZOutage + "-scripted", scenario.FailAZOutage, true, 40},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,14 +99,23 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 			for i := 0; i < 3*sweep.DefaultRoundTicks; i++ { // warm-up
 				step(t, mgr)()
 			}
-			churn := func() int {
-				st := run.Lifecycle.Stats()
-				return st.Admitted + st.Departed
+			// events counts what the scripts did: admissions, departures
+			// and fault evictions.
+			events := func() int {
+				n := 0
+				if run.Lifecycle != nil {
+					st := run.Lifecycle.Stats()
+					n += st.Admitted + st.Departed
+				}
+				if run.Faults != nil {
+					n += run.Faults.Stats().Interruptions
+				}
+				return n
 			}
-			measuredChurn := 0
+			measured := 0
 			for w := 0; w < tc.windows; w++ {
 				step(t, mgr)() // the round tick
-				rounds, churned := mgr.Rounds(), churn()
+				rounds, before := mgr.Rounds(), events()
 				// AllocsPerRun steps once more than its run count.
 				allocs := testing.AllocsPerRun(sweep.DefaultRoundTicks-2, step(t, mgr))
 				if allocs != 0 {
@@ -113,10 +124,10 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 				if mgr.Rounds() != rounds {
 					t.Fatalf("window %d: a round ran inside the measured window", w)
 				}
-				measuredChurn += churn() - churned
+				measured += events() - before
 			}
-			if tc.scripted && measuredChurn == 0 {
-				t.Fatal("no admission or departure fell inside the measured windows")
+			if tc.scripted && measured == 0 {
+				t.Fatal("no scripted event fell inside the measured windows")
 			}
 		})
 	}

@@ -22,17 +22,6 @@ type Hierarchical struct {
 	Inv  *cluster.Inventory
 	Cost sched.CostModel
 	Est  sched.Estimator
-	// ExportSLA is the local-fulfilment threshold below which a VM is
-	// offered to the global round.
-	ExportSLA float64
-	// MaxExportsPerDC bounds how many struggling VMs each DC offers to the
-	// global round, keeping the paper's interface actually narrow: under
-	// fleet-wide strain the threshold alone would export nearly everything
-	// and the global round would grow back to the flat problem. The worst
-	// locally-fulfilled VMs are exported first; the rest retry next round.
-	MaxExportsPerDC int
-	// HostsPerDC is how many candidate hosts each DC exports.
-	HostsPerDC int
 
 	// Reused per-DC local schedulers plus the global-round scheduler: each
 	// owns a Round whose storage (and memoized estimates) survive across
@@ -42,14 +31,24 @@ type Hierarchical struct {
 	globalBF *sched.BestFit
 }
 
-// NewHierarchical builds the two-layer scheduler with paper-ish defaults.
+// The export interface between the two layers.
+const (
+	// exportSLA is the local-fulfilment threshold below which a VM is
+	// offered to the global round.
+	exportSLA = 0.98
+	// maxExportsPerDC bounds how many struggling VMs each DC offers to the
+	// global round, keeping the paper's interface actually narrow: under
+	// fleet-wide strain the threshold alone would export nearly everything
+	// and the global round would grow back to the flat problem. The worst
+	// locally-fulfilled VMs are exported first; the rest retry next round.
+	maxExportsPerDC = 4
+	// hostsPerDC is how many candidate hosts each DC exports.
+	hostsPerDC = 1
+)
+
+// NewHierarchical builds the two-layer scheduler.
 func NewHierarchical(inv *cluster.Inventory, cost sched.CostModel, est sched.Estimator) *Hierarchical {
-	return &Hierarchical{
-		Inv: inv, Cost: cost, Est: est,
-		ExportSLA:       0.98,
-		MaxExportsPerDC: 4,
-		HostsPerDC:      1,
-	}
+	return &Hierarchical{Inv: inv, Cost: cost, Est: est}
 }
 
 // Name implements sched.Scheduler.
@@ -115,16 +114,16 @@ func (h *Hierarchical) Schedule(p *sched.Problem) (model.Placement, error) {
 		}
 		var candidates []int
 		for k := range local.VMs {
-			if slas[k] < h.ExportSLA {
+			if slas[k] < exportSLA {
 				candidates = append(candidates, k)
 			}
 		}
 		// Narrow interface: only the worst-off candidates go global.
-		if cap := h.MaxExportsPerDC; cap > 0 && len(candidates) > cap {
+		if len(candidates) > maxExportsPerDC {
 			sort.SliceStable(candidates, func(a, b int) bool {
 				return slas[candidates[a]] < slas[candidates[b]]
 			})
-			candidates = candidates[:cap]
+			candidates = candidates[:maxExportsPerDC]
 			sort.Ints(candidates) // restore VM order for determinism
 		}
 		var exports []sched.VMInfo
@@ -300,14 +299,10 @@ func (h *Hierarchical) offerHosts(p *sched.Problem, placement model.Placement, e
 		hosts = append(hosts, loaded{offered, resident.CPUPct})
 	}
 	sort.SliceStable(hosts, func(a, b int) bool { return hosts[a].cpu < hosts[b].cpu })
-	n := h.HostsPerDC
-	if n <= 0 {
-		n = 1
-	}
-	out := make([]sched.HostInfo, 0, n)
+	out := make([]sched.HostInfo, 0, hostsPerDC)
 	seen := make(map[model.PMID]bool)
 	for i, l := range hosts {
-		if i < n || holdsExport[l.host.Spec.ID] {
+		if i < hostsPerDC || holdsExport[l.host.Spec.ID] {
 			if !seen[l.host.Spec.ID] {
 				seen[l.host.Spec.ID] = true
 				out = append(out, l.host)

@@ -79,6 +79,8 @@ type Manager struct {
 	// arrivals cannot take it (re-home priority), and they bypass the SLA
 	// gate entirely by never re-entering the admission path.
 	rehomes []rehomeCommit
+	// evicted is failHost's reused list of a failing host's guests.
+	evicted []model.VMID
 	// degraded mirrors the last stepFaults verdict: committed requirements
 	// exceed surviving capacity.
 	degraded bool
@@ -116,7 +118,16 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.RoundTicks <= 0 {
 		cfg.RoundTicks = 10
 	}
-	return &Manager{cfg: cfg}, nil
+	m := &Manager{cfg: cfg}
+	if cfg.Faults != nil {
+		// An outage can evict a whole DC at once; sizing the fault
+		// buffers for the static population keeps fault ticks from
+		// growing them.
+		n := cfg.World.Inventory().NumVMs()
+		m.rehomes = make([]rehomeCommit, 0, n)
+		m.evicted = make([]model.VMID, 0, n)
+	}
+	return m, nil
 }
 
 // Rounds returns how many scheduling rounds have executed.
@@ -378,7 +389,8 @@ func (m *Manager) stepFaults(tick int) error {
 // takedowns.
 func (m *Manager) failHost(tick int, pm model.PMID, forced bool) error {
 	w := m.cfg.World
-	guests := w.GuestsOf(pm)
+	m.evicted = w.AppendGuests(m.evicted[:0], pm)
+	guests := m.evicted
 	for _, id := range guests {
 		var req model.Resources
 		if truth, ok := w.VMTruthAt(id); ok {

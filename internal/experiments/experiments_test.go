@@ -217,7 +217,7 @@ var experimentGoldens = map[string]map[string]string{
 		"fig7":       "36c7d1c913f7eaf1c9b512a53ed8718c0c036a03d31f6e6b52dd4eb82c00deee",
 		"fig8":       "4e8fab998c150809254687a3ff8c15c3c8ab5769ceb66b4d7549b36cde5ddcb0",
 		"green":      "469d0027297b4ffd67beb3da5b63c7659b0cf6628814ae788f5f7e4332929363",
-		"heuristics": "493f2bb0682a9e7ce4981fb647e06199887426fb103126a348cd81bc7d6008d9",
+		"heuristics": "ef438b1fe809e040a5fd277e812eb7a5cded441e6643838cb7bc19c48f701818",
 		"hierarchy":  "fb1a9e6b12abde70237f670455104cbf2d3c6e13a6a8b9702f510bf78aed00a0",
 		"online":     "664399a7427e847dbd1c4bbd158189bcd5abe768991792510c021c55516330c5",
 		"scaling":    "bc2d4deb23ef1f9299f60592ebfc93d33fec23280e0c83651397e63bd90b5321",

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/predict"
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 	"repro/internal/sweep"
 )
 
@@ -29,10 +27,6 @@ func Heuristics(seed uint64) (*Result, error) {
 		registered("firstfit", "FirstFit", initial),
 		registered("worstfit", "WorstFit", initial),
 		registered("bf-ml", "BestFit+ML", initial),
-		{Name: "BestFit+ML-par", Initial: initial, NeedsBundle: true,
-			Make: func(sc *scenario.Scenario, b *predict.Bundle) (sched.Scheduler, error) {
-				return sweep.ParallelBestFit(sweep.CostModel(sc), sched.NewML(b)), nil
-			}},
 	}
 	res := &Result{Name: "Heuristics", Metrics: map[string]float64{}}
 	var runs []*sweep.PolicyRun

@@ -22,11 +22,6 @@ type KNNWork struct {
 	Queries, Leaves, Points int64
 }
 
-// Add returns the element-wise sum of w and o.
-func (w KNNWork) Add(o KNNWork) KNNWork {
-	return KNNWork{w.Queries + o.Queries, w.Leaves + o.Leaves, w.Points + o.Points}
-}
-
 // Sub returns the element-wise difference w - o.
 func (w KNNWork) Sub(o KNNWork) KNNWork {
 	return KNNWork{w.Queries - o.Queries, w.Leaves - o.Leaves, w.Points - o.Points}

@@ -82,50 +82,6 @@ func ForEachWorker(n, workers int, fn func(worker, i int)) {
 	wg.Wait()
 }
 
-// ForEachChunkWorker is ForEachWorker handing out whole chunks: fn(w, lo,
-// hi) processes the contiguous index block [lo, hi) on worker w, with no
-// two invocations sharing a w concurrently. It suits batched stages —
-// callers that amortize per-call setup over a block (e.g. a batched
-// inference fill) receive the block boundaries instead of single indices,
-// while keeping the self-scheduling dispatch and the per-worker scratch
-// identity of ForEachWorker.
-func ForEachChunkWorker(n, workers int, fn func(worker, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	chunk := dispatchChunk(n, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(cursor.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				fn(w, lo, hi)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // Map applies fn to every element of in using up to workers goroutines and
 // returns the outputs in input order.
 func Map[T, U any](in []T, workers int, fn func(T) U) []U {

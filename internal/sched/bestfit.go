@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/ml"
 	"repro/internal/model"
-	"repro/internal/par"
 )
 
 // BestFit is the paper's Descending Best-Fit (Algorithm 1): VMs are
@@ -21,10 +20,6 @@ import (
 type BestFit struct {
 	Cost CostModel
 	Est  Estimator
-	// Workers > 1 evaluates candidate hosts on that many goroutines; the
-	// outcome is identical because each VM's candidate scores are
-	// independent. 0 or 1 scores serially.
-	Workers int
 	// MinGainEUR is the hysteresis threshold: a placed VM moves only when
 	// the best alternative beats staying by at least this much profit per
 	// round. Without it, borderline decisions oscillate every round and
@@ -49,13 +44,9 @@ type BestFit struct {
 	order      []int
 	demand     []float64
 	scores     []float64
-	scratches  []Scratch
 	sorter     demandSorter
-	curVM      int
-	evalFn     func(worker, j int)
 	cands      []int32
 	candScores []float64
-	evalCandFn func(worker, p int)
 	stats      RoundStats
 	met        *Metrics // optional sinks, fed from stats after each round
 }
@@ -83,13 +74,11 @@ type RoundStats struct {
 	// truncation — the disclosed divergence from the exhaustive scan.
 	// Always 0 when PruneK <= 0.
 	ShortlistTruncated int
-	// Inference work, summed over the scratches the round ran on: SLA
-	// k-NN queries and the kd-tree leaves and training points they
-	// scanned, and marginal-watts memo lookups served by the memo (hits)
-	// or by the PM-CPU model (misses). Serial rounds make these pure
-	// functions of the problem. Parallel scoring splits each VM's
-	// candidates among per-worker memos through a self-scheduled cursor,
-	// so its scoring-phase counts vary from run to run.
+	// Inference work counted in the round's scratch: SLA k-NN queries
+	// and the kd-tree leaves and training points they scanned, and
+	// marginal-watts memo lookups served by the memo (hits) or by the
+	// PM-CPU model (misses). Scoring is serial, so these are pure
+	// functions of the problem, like the candidate counters.
 	KNNQueries       int
 	KNNLeaves        int
 	KNNPoints        int
@@ -97,25 +86,17 @@ type RoundStats struct {
 	EnergyMemoMisses int
 }
 
-// scratchWork is the cumulative inference work counted in scratches.
+// scratchWork is the cumulative inference work counted in a scratch.
 type scratchWork struct {
 	knn                  ml.KNNWork
 	memoHits, memoMisses int64
 }
 
-// add returns w plus the counts of s.
-func (w scratchWork) add(s *Scratch) scratchWork {
-	return scratchWork{w.knn.Add(s.Predict.KNNWork()), w.memoHits + s.eHits, w.memoMisses + s.eMisses}
-}
-
-// work sums the inference counts of every scratch a round may run on:
-// the round's own (serial fill and scoring) and the per-worker ones.
+// work reads the inference counts of the round's scratch, which the
+// fill and the scoring both run on.
 func (b *BestFit) work() scratchWork {
-	w := scratchWork{}.add(&b.round.scratch)
-	for i := range b.scratches {
-		w = w.add(&b.scratches[i])
-	}
-	return w
+	s := &b.round.scratch
+	return scratchWork{s.Predict.KNNWork(), s.eHits, s.eMisses}
 }
 
 // LastRoundStats returns the phase breakdown and counters of the last
@@ -160,35 +141,12 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 	if len(p.Hosts) == 0 {
 		return fmt.Errorf("sched: no candidate hosts")
 	}
-	// Parallelism is decided up front so the read-only scoring phase —
-	// both the Reset-time per-VM tables and the per-candidate profits —
-	// fans out over the same per-worker scratches.
-	workers := 0
-	if b.Workers > 1 && (len(p.Hosts) > 1 || len(p.VMs) > 1) {
-		workers = b.Workers
-		if cap(b.scratches) < workers {
-			b.scratches = make([]Scratch, workers)
-		}
-		b.scratches = b.scratches[:workers]
-		if b.evalFn == nil {
-			// One closure for the lifetime of the scheduler: the current VM
-			// travels through b.curVM so the hot loop creates nothing.
-			b.evalFn = func(worker, j int) {
-				b.scores[j] = b.round.ProfitScratch(b.curVM, j, &b.scratches[worker])
-			}
-		}
-		if b.evalCandFn == nil {
-			b.evalCandFn = func(worker, p int) {
-				b.candScores[p] = b.round.ProfitScratch(b.curVM, int(b.cands[p]), &b.scratches[worker])
-			}
-		}
-	}
 	r := &b.round
 	r.SetPrune(b.Prune)
 	rebuilds0 := r.PruneRebuilds()
 	work0 := b.work()
 	start := time.Now()
-	if err := r.ResetParallel(p, b.Cost, b.Est, workers, b.scratches); err != nil {
+	if err := r.Reset(p, b.Cost, b.Est); err != nil {
 		return err
 	}
 	// order_by_demand(vms, desc): dominant share of the requirement against
@@ -206,9 +164,6 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 
 	nh := len(p.Hosts)
 	b.scores = grown(b.scores, nh)
-	if workers > nh {
-		workers = nh
-	}
 	var scoreNS int64
 	var scored, truncated int
 	for _, i := range b.order {
@@ -221,22 +176,8 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 			nc := len(b.cands)
 			scored += nc
 			b.candScores = grown(b.candScores, nc)
-			if w := workers; w > 1 {
-				if w > nc {
-					w = nc
-				}
-				b.curVM = i
-				if w > 1 {
-					par.ForEachWorker(nc, w, b.evalCandFn)
-				} else {
-					for q := 0; q < nc; q++ {
-						b.candScores[q] = r.Profit(i, int(b.cands[q]))
-					}
-				}
-			} else {
-				for q := 0; q < nc; q++ {
-					b.candScores[q] = r.Profit(i, int(b.cands[q]))
-				}
+			for q := 0; q < nc; q++ {
+				b.candScores[q] = r.Profit(i, int(b.cands[q]))
 			}
 			scoreNS += time.Since(t0).Nanoseconds()
 			// Argmax with the explicit lower-host-index tie-break — the
@@ -255,13 +196,8 @@ func (b *BestFit) ScheduleInto(p *Problem, placement model.Placement) error {
 				best = int(b.cands[curPos])
 			}
 		} else {
-			if workers > 1 {
-				b.curVM = i
-				par.ForEachWorker(nh, workers, b.evalFn)
-			} else {
-				for j := 0; j < nh; j++ {
-					b.scores[j] = r.Profit(i, j)
-				}
+			for j := 0; j < nh; j++ {
+				b.scores[j] = r.Profit(i, j)
 			}
 			scored += nh
 			scoreNS += time.Since(t0).Nanoseconds()

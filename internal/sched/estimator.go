@@ -10,9 +10,8 @@ import (
 
 // Scratch carries one goroutine's reusable inference buffers through
 // estimator calls, making the ML prediction path allocation-free. The zero
-// value is ready; a Scratch must not be shared between goroutines. Round
-// owns one for its serial paths; parallel candidate evaluation threads one
-// per worker.
+// value is ready; a Scratch must not be shared between goroutines. Each
+// Round owns one, which its table fill and candidate scoring run on.
 type Scratch struct {
 	// Predict is the bundle-level scratch the ML estimator forwards.
 	Predict predict.Scratch
@@ -21,19 +20,18 @@ type Scratch struct {
 	// remaining capacity clamps its grant, the clamped (grantCPU, memDef,
 	// DC) tuples repeat across hosts with equal availability, and
 	// estimators are pure — so the answers are memoized here per VM. The
-	// cache is scoped to one (Round generation, VM) and holds exact-match
+	// cache is scoped to one (Reset generation, VM) and holds exact-match
 	// float keys, so hits return bit-identical values. For proc-split
 	// estimators the entry stores the latency-independent processing pair
 	// under dc == -1 and the caller composes latency per host, so one
 	// entry serves every DC.
-	cacheRound *Round
-	cacheGen   uint64
-	cacheVM    int
-	cacheN     int
-	cache      [profitCacheSize]profitCacheEntry
+	cacheGen uint64
+	cacheVM  int
+	cacheN   int
+	cache    [profitCacheSize]profitCacheEntry
 
 	// Batched-fill scratch: the grant vector, the processing-stage outputs
-	// and (inside the estimator) the feature matrix of one fill chunk.
+	// and (inside the estimator) the feature matrix of one round's fill.
 	grants  []float64
 	slaProc []float64
 	rtProc  []float64
@@ -48,7 +46,6 @@ type Scratch struct {
 	// runs of identically-stated hosts without hashing. PMCPU is pure and
 	// the keys are exact floats, so hits are bit-identical; collisions
 	// merely recompute.
-	eRound *Round
 	eGen   uint64
 	eVM    int
 	eEpoch uint64
@@ -77,8 +74,8 @@ type energyKey struct {
 // tentative state. The baseline draw is itself a pure function of that
 // state, so the whole difference memoizes.
 func (s *Scratch) marginalWatts(r *Round, i, j int, vmCPU float64) float64 {
-	if s.eRound != r || s.eGen != r.gen || s.eVM != i {
-		s.eRound, s.eGen, s.eVM = r, r.gen, i
+	if s.eGen != r.gen || s.eVM != i {
+		s.eGen, s.eVM = r.gen, i
 		s.eEpoch++
 	}
 	guests, sumCPU, sumRPS, cap := r.hGuests[j], r.hSumCPU[j], r.hSumRPS[j], r.hCapCPU[j]
@@ -125,11 +122,11 @@ type profitCacheEntry struct {
 }
 
 // profitEntry returns the memo slot for the exact key, resetting the cache
-// when the round generation or VM changed. A full cache recycles its last
+// when the Reset generation or VM changed. A full cache recycles its last
 // slot (correctness is unaffected; only reuse is lost).
 func (s *Scratch) profitEntry(r *Round, i int, grantCPU, memDef float64, dc int) *profitCacheEntry {
-	if s.cacheRound != r || s.cacheGen != r.gen || s.cacheVM != i {
-		s.cacheRound, s.cacheGen, s.cacheVM = r, r.gen, i
+	if s.cacheGen != r.gen || s.cacheVM != i {
+		s.cacheGen, s.cacheVM = r.gen, i
 		s.cacheN = 0
 	}
 	for k := 0; k < s.cacheN; k++ {

@@ -10,11 +10,12 @@ import (
 // deterministic, the phase histograms (fill/score/reduce and the whole
 // round) are wall-clock and registered as such. The inference-work
 // counters (k-NN queries, leaves and points scanned, marginal-watts memo
-// hits and misses) are deterministic for serial rounds only — parallel
-// scoring makes them depend on the worker schedule — so they are marked
-// WallClock too and stay out of the deterministic snapshot and the sweep
-// output built from it. Recording is a handful of atomic operations, so
-// an instrumented round keeps the steady-state zero-alloc contract.
+// hits and misses) are pure functions of the problem too, since every
+// round scores serially. They are still marked WallClock, which keeps
+// them out of the deterministic snapshot only so that the sweep output
+// built from it does not change. Recording is a handful of atomic
+// operations, so an instrumented round keeps the steady-state zero-alloc
+// contract.
 type Metrics struct {
 	Rounds           *obs.Counter
 	CandidatesScored *obs.Counter

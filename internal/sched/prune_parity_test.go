@@ -4,8 +4,7 @@ package sched_test
 // (0), BestFit scores only one representative host per distinct tentative
 // host state plus the VM's current host — and the resulting placement
 // must be bit-identical to the exhaustive scan on every preset, fresh and
-// reused, serial and parallel, across churned fleets and through a host
-// fault cycle. PruneK > 0 gives up the guarantee for bounded work; there
+// reused, across churned fleets and through a host fault cycle. PruneK > 0 gives up the guarantee for bounded work; there
 // the contract is determinism plus disclosed truncation.
 
 import (
@@ -21,7 +20,7 @@ import (
 // placement-identical to exhaustive Best-Fit on every preset, for both
 // the monitored and the ML estimator: fresh state, steady-state reuse
 // (where the incremental re-keying from the previous round's Assigns has
-// run), churned fleets, and parallel candidate scoring.
+// run) and churned fleets.
 func TestPruneParityAllPresets(t *testing.T) {
 	bundle, err := experiments.TrainedBundle(paritySeed)
 	if err != nil {
@@ -69,24 +68,6 @@ func TestPruneParityAllPresets(t *testing.T) {
 				if st.CandidatesScored <= 0 || st.CandidatesScored > exhaustive {
 					t.Fatalf("%s/%s pass %d: scored %d candidates, exhaustive is %d",
 						name, est.Name(), pass, st.CandidatesScored, exhaustive)
-				}
-			}
-
-			// Parallel pruned scoring: same placements at a fixed worker count.
-			pp := sched.NewBestFit(cost, est)
-			pp.Prune = true
-			pp.Workers = 3
-			for pass, tc := range []struct {
-				p    *sched.Problem
-				want model.Placement
-			}{{p1, want1}, {p2, want2}} {
-				got, err := pp.Schedule(tc.p)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", name, est.Name(), err)
-				}
-				if !got.Equal(tc.want) {
-					t.Fatalf("%s/%s pass %d: parallel pruned placement diverged",
-						name, est.Name(), pass)
 				}
 			}
 		}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/network"
-	"repro/internal/par"
 	"repro/internal/power"
 )
 
@@ -118,9 +117,10 @@ func (c *CostModel) Validate() error {
 //   - per-host powered-on baseline watts, invalidated only by
 //     Assign/Unassign (the only mutations of tentative host state).
 //
-// Profit therefore mutates nothing: concurrent ProfitScratch calls with
-// distinct scratches are safe between mutations, which is what makes
-// BestFit's parallel candidate evaluation race-free.
+// Profit changes no tentative host state; it writes only the round's own
+// scratch (memos and inference counters). A Round is therefore used by
+// one goroutine, and its inference-work counts are pure functions of the
+// problem.
 type Round struct {
 	cost CostModel
 	est  Estimator
@@ -176,19 +176,19 @@ type Round struct {
 	pruneIdx pruneIndex
 }
 
-// fillIdx computes the per-VM table rows of every VM in list, in three
-// stages: (1) capped requirements and full-grant CPU usage, which also
-// yields the grant vector; (2) the latency-independent SLA processing
-// stage — one query per VM, batched through the estimator when it supports
+// fill computes the per-VM table rows of every VM in three stages: (1)
+// capped requirements and full-grant CPU usage, which also yields the
+// grant vector; (2) the latency-independent SLA processing stage — one
+// query per VM, batched through the estimator when it supports
 // BatchSLAEstimator, so the k-NN descent is amortized over the whole
-// chunk; (3) the per-candidate-DC latency, composed SLA and migration
-// penalty. It reads only immutable round inputs plus the given scratch, so
-// disjoint lists may fill concurrently with distinct scratches.
+// round; (3) the per-candidate-DC latency, composed SLA and migration
+// penalty.
 //
 // Estimators without the proc split fall back to the per-(VM, DC) SLA
 // query of the original fill; both paths are bit-identical to it (the
 // split contract requires compose(proc) == SLA exactly).
-func (r *Round) fillIdx(list []int32, s *Scratch) {
+func (r *Round) fill() {
+	list, s := r.fillList, &r.scratch
 	n := len(list)
 	// Stage 1: requirements and grants. A VM's requirement is capped at
 	// the largest host: constraint (2) of Figure 3 makes asking for more
@@ -265,18 +265,6 @@ func NewRound(p *Problem, cost CostModel, est Estimator) (*Round, error) {
 // internal storage — the steady-state path allocates nothing. The round
 // aliases p.VMs until the next Reset.
 func (r *Round) Reset(p *Problem, cost CostModel, est Estimator) error {
-	return r.ResetParallel(p, cost, est, 1, nil)
-}
-
-// ResetParallel is Reset with the per-VM table fill (requirements,
-// full-grant CPU, latencies, SLA estimates, migration penalties — the
-// read-only scoring precomputation) fanned out over up to workers
-// goroutines, worker w using scratches[w]. Rows are independent and every
-// estimator is required to be a pure function of its arguments, so the
-// tables are bit-identical to the serial fill at any worker count.
-// workers <= 1 (or a short scratch slice) runs serially on the round's
-// own scratch.
-func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers int, scratches []Scratch) error {
 	fillStart := time.Now()
 	if err := cost.Validate(); err != nil {
 		return err
@@ -345,9 +333,7 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 	r.priceDC = cost.Top.EnergyPricesAt(p.Tick, r.priceDC)
 
 	// Per-VM tables: requirement, full-grant CPU usage, and the per-DC
-	// latency / full-grant SLA / migration-penalty columns. Rows are
-	// independent, so the fill fans out when the caller provides worker
-	// scratches; each worker writes only its own rows.
+	// latency / full-grant SLA / migration-penalty columns.
 	r.req = grown(r.req, nV)
 	r.vmCPUFull = grown(r.vmCPUFull, nV)
 	r.prevAvail = grown(r.prevAvail, nV)
@@ -355,25 +341,15 @@ func (r *Round) ResetParallel(p *Problem, cost CostModel, est Estimator, workers
 	r.slaFull = grown(r.slaFull, nV*r.nDC)
 	r.migPen = grown(r.migPen, nV*r.nDC)
 
-	// Fill every row, fanned out as contiguous blocks so the batched
-	// processing stage amortizes over whole chunks rather than single VMs.
+	// Fill every row in one pass, so the batched processing stage
+	// amortizes over the whole round rather than single VMs.
 	if len(r.fillList) != nV {
 		r.fillList = grown(r.fillList, nV)
 		for i := range r.fillList {
 			r.fillList[i] = int32(i)
 		}
 	}
-	list := r.fillList
-	if workers > len(scratches) {
-		workers = len(scratches)
-	}
-	if workers > 1 && len(list) > 1 {
-		par.ForEachChunkWorker(len(list), workers, func(w, lo, hi int) {
-			r.fillIdx(list[lo:hi], &scratches[w])
-		})
-	} else {
-		r.fillIdx(list, &r.scratch)
-	}
+	r.fill()
 
 	// Prime the per-host baseline watts.
 	r.needWatts = cost.EnergyAware && !cost.LatencyOnly
@@ -444,12 +420,8 @@ func (r *Round) recomputeWattsBefore(j int) {
 // the per-assignment form of Figure 3's objective:
 //
 //	frevenue(SLA) - fpenalty(migration) - fenergycost(marginal power).
-func (r *Round) Profit(i, j int) float64 { return r.ProfitScratch(i, j, &r.scratch) }
-
-// ProfitScratch is Profit with an explicit estimator scratch, the form the
-// parallel candidate evaluation uses with one scratch per worker. It reads
-// but never writes round state.
-func (r *Round) ProfitScratch(i, j int, s *Scratch) float64 {
+func (r *Round) Profit(i, j int) float64 {
+	s := &r.scratch
 	vm := &r.vms[i]
 	req := r.req[i]
 	avail := r.hAvail[j]

@@ -213,28 +213,6 @@ func TestEnergyPricePullsIdleLoadToCheapDC(t *testing.T) {
 	}
 }
 
-func TestBestFitParallelMatchesSerial(t *testing.T) {
-	vms := []VMInfo{
-		mkVM(0, 0, 30, 0), mkVM(1, 1, 20, 1), mkVM(2, 2, 25, 2),
-		mkVM(3, 3, 15, 3), mkVM(4, 0, 35, 1),
-	}
-	hosts := []HostInfo{mkHost(0, 0), mkHost(1, 1), mkHost(2, 2), mkHost(3, 3)}
-	serial := NewBestFit(paperCost(), NewObserved())
-	parallel := NewBestFit(paperCost(), NewObserved())
-	parallel.Workers = 3
-	ps, err := serial.Schedule(&Problem{VMs: vms, Hosts: hosts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := parallel.Schedule(&Problem{VMs: vms, Hosts: hosts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ps.Equal(pp) {
-		t.Fatalf("parallel differs: %v vs %v", ps, pp)
-	}
-}
-
 func TestBestFitNoHosts(t *testing.T) {
 	bf := NewBestFit(paperCost(), NewObserved())
 	if _, err := bf.Schedule(&Problem{VMs: []VMInfo{mkVM(0, 0, 1, 0)}}); err == nil {

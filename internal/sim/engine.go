@@ -29,7 +29,7 @@ import (
 // per-PM guest lists are what the tick resolves, what schedulers read and
 // what ApplySchedule, PlaceInitial, FailPM, AdmitVM and RetireVM change.
 // Truth and placement are exposed by dense index (HostIndexOf,
-// VMTruthByIndex, PerDCWatts) and by ID (HostOf, GuestsOf, DCOfVM,
+// VMTruthByIndex, PerDCWatts) and by ID (HostOf, AppendGuests, DCOfVM,
 // VMTruthAt, PMTruthAt). Truth accessors return views into the World's
 // reusable buffers: they are valid until the next Step and must not be
 // mutated.
@@ -335,18 +335,18 @@ func (e *World) DCOfVM(id model.VMID) model.DCID {
 	return -1
 }
 
-// GuestsOf returns a fresh list of the VMs on a PM in VMID order (nil
-// for an empty or unknown host).
-func (e *World) GuestsOf(pm model.PMID) []model.VMID {
+// AppendGuests appends the VMs on a PM to dst in VMID order and returns
+// the extended slice (dst unchanged for an empty or unknown host), so a
+// caller that reuses dst lists guests without allocating.
+func (e *World) AppendGuests(dst []model.VMID, pm model.PMID) []model.VMID {
 	j, ok := e.PMIndex(pm)
-	if !ok || len(e.guests[j]) == 0 {
-		return nil
+	if !ok {
+		return dst
 	}
-	out := make([]model.VMID, len(e.guests[j]))
-	for k, vi := range e.guests[j] {
-		out[k] = e.vmIDs[vi]
+	for _, vi := range e.guests[j] {
+		dst = append(dst, e.vmIDs[vi])
 	}
-	return out
+	return dst
 }
 
 // IsStatic reports whether a handle names a VM of the static inventory

@@ -26,7 +26,7 @@ func snapshot(w *sim.World) placementSnapshot {
 		s.hosts = append(s.hosts, w.HostIndexOf(i))
 	}
 	for j := 0; j < w.NumPMs(); j++ {
-		s.guests = append(s.guests, w.GuestsOf(w.PMSpecAt(j).ID))
+		s.guests = append(s.guests, w.AppendGuests(nil, w.PMSpecAt(j).ID))
 	}
 	s.ledger = w.Ledger()
 	return s
@@ -62,7 +62,7 @@ func checkPlacement(t *testing.T, w *sim.World) {
 		}
 		placed++
 		id := w.VMSpecAt(i).ID
-		if !slices.Contains(w.GuestsOf(w.PMSpecAt(j).ID), id) {
+		if !slices.Contains(w.AppendGuests(nil, w.PMSpecAt(j).ID), id) {
 			t.Fatalf("VM %v (slot %d) on PM index %d is missing from its guest list", id, i, j)
 		}
 		if got := w.HostOf(id); got != w.PMSpecAt(j).ID {
@@ -71,7 +71,7 @@ func checkPlacement(t *testing.T, w *sim.World) {
 	}
 	listed := 0
 	for j := 0; j < w.NumPMs(); j++ {
-		gs := w.GuestsOf(w.PMSpecAt(j).ID)
+		gs := w.AppendGuests(nil, w.PMSpecAt(j).ID)
 		if !slices.IsSorted(gs) {
 			t.Fatalf("guest list of PM index %d not in VMID order: %v", j, gs)
 		}
@@ -104,10 +104,10 @@ func TestWorldPlaceAndEvict(t *testing.T) {
 	if err := w.ApplySchedule(model.Placement{0: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.GuestsOf(1); len(got) != 0 {
+	if got := w.AppendGuests(nil, 1); len(got) != 0 {
 		t.Fatalf("old host still lists guest: %v", got)
 	}
-	if got := w.GuestsOf(2); len(got) != 1 || got[0] != 0 {
+	if got := w.AppendGuests(nil, 2); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("new host guests: %v", got)
 	}
 	if w.DCOfVM(0) != 1 {
@@ -117,10 +117,10 @@ func TestWorldPlaceAndEvict(t *testing.T) {
 	if err := w.ApplySchedule(model.Placement{0: model.NoPM}); err != nil {
 		t.Fatal(err)
 	}
-	if w.HostOf(0) != model.NoPM || w.DCOfVM(0) != -1 || len(w.GuestsOf(2)) != 0 {
+	if w.HostOf(0) != model.NoPM || w.DCOfVM(0) != -1 || len(w.AppendGuests(nil, 2)) != 0 {
 		t.Fatal("eviction failed")
 	}
-	if w.HostOf(99) != model.NoPM || w.DCOfVM(99) != -1 || w.GuestsOf(99) != nil {
+	if w.HostOf(99) != model.NoPM || w.DCOfVM(99) != -1 || w.AppendGuests(nil, 99) != nil {
 		t.Fatal("unknown IDs should read as unplaced and empty")
 	}
 	checkPlacement(t, w)
@@ -162,8 +162,8 @@ func TestWorldGuestsOfSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.GuestsOf(0); !slices.Equal(got, []model.VMID{0, 1, 2}) {
-		t.Fatalf("GuestsOf not sorted: %v", got)
+	if got := w.AppendGuests(nil, 0); !slices.Equal(got, []model.VMID{0, 1, 2}) {
+		t.Fatalf("AppendGuests not sorted: %v", got)
 	}
 	// Moving the middle guest out and back keeps the order.
 	if err := w.ApplySchedule(model.Placement{1: 1}); err != nil {
@@ -172,8 +172,8 @@ func TestWorldGuestsOfSorted(t *testing.T) {
 	if err := w.ApplySchedule(model.Placement{1: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.GuestsOf(0); !slices.Equal(got, []model.VMID{0, 1, 2}) {
-		t.Fatalf("GuestsOf after a round trip: %v", got)
+	if got := w.AppendGuests(nil, 0); !slices.Equal(got, []model.VMID{0, 1, 2}) {
+		t.Fatalf("AppendGuests after a round trip: %v", got)
 	}
 }
 
@@ -221,13 +221,13 @@ func TestWorldDynamicVMs(t *testing.T) {
 	if err := w.ApplySchedule(model.Placement{0: 0, 900: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.GuestsOf(0); !slices.Equal(got, []model.VMID{0, 900}) {
+	if got := w.AppendGuests(nil, 0); !slices.Equal(got, []model.VMID{0, 900}) {
 		t.Fatalf("guests = %v", got)
 	}
 	if err := w.RetireVM(h); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.GuestsOf(0); !slices.Equal(got, []model.VMID{0}) {
+	if got := w.AppendGuests(nil, 0); !slices.Equal(got, []model.VMID{0}) {
 		t.Fatalf("retired VM still a guest: %v", got)
 	}
 	if got := w.HostOf(900); got != model.NoPM {
@@ -261,8 +261,8 @@ func TestApplyScheduleChargesUnnamedVMs(t *testing.T) {
 	if err := w.ApplySchedule(partial); err != nil {
 		t.Fatal(err)
 	}
-	if w.HostOf(0) != 1 || !slices.Equal(w.GuestsOf(1), []model.VMID{0, 1, 2, 3, 4, 5, 6, 7}) {
-		t.Fatalf("unnamed VM left its host: on %v, PM 1 hosts %v", w.HostOf(0), w.GuestsOf(1))
+	if w.HostOf(0) != 1 || !slices.Equal(w.AppendGuests(nil, 1), []model.VMID{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("unnamed VM left its host: on %v, PM 1 hosts %v", w.HostOf(0), w.AppendGuests(nil, 1))
 	}
 	if w.TotalMigrations() != 1 {
 		t.Fatalf("partial schedule counted %d migrations, want the 1 unnamed VM", w.TotalMigrations())

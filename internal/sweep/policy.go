@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/par"
 	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -22,17 +21,6 @@ const HorizonHours = float64(DefaultRoundTicks) / 60
 // CostModel builds the standard Figure 3 objective for a scenario.
 func CostModel(sc *scenario.Scenario) sched.CostModel {
 	return sched.NewCostModel(sc.Topology, HorizonHours)
-}
-
-// ParallelBestFit builds the ML Best-Fit with concurrent candidate
-// evaluation — the configuration large-fleet runs use so the decision
-// round rides all cores. Placements are bit-identical to the serial
-// scheduler (asserted by TestParallelMatchesSerialHeteroFleet and the
-// sched parity suite).
-func ParallelBestFit(cost sched.CostModel, est sched.Estimator) *sched.BestFit {
-	bf := sched.NewBestFit(cost, est)
-	bf.Workers = par.DefaultWorkers()
-	return bf
 }
 
 // Policy is a named scheduler factory — one axis of the sweep matrix.
