@@ -15,3 +15,10 @@ var (
 	SparseParityData   = sparseParityData
 	DuplicateHeavyData = duplicateHeavyData
 )
+
+// The reference trainers of train_ref_test.go, for the parity tests that
+// train on harvested data.
+var (
+	TrainM5PReference    = refTrainM5P
+	TrainLinearReference = refTrainLinear
+)

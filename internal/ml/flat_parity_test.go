@@ -349,15 +349,7 @@ func TestFlatM5PMatchesPointerOracle(t *testing.T) {
 			// Re-grow the pointer tree with the identical deterministic
 			// recipe; the compile step is exactly what is under test.
 			norm := m.cfg // TrainM5P normalises zero-valued knobs
-			oracleTree := &M5P{cfg: norm}
-			idx := make([]int, tc.data.Len())
-			for i := range idx {
-				idx[i] = i
-			}
-			root := oracleTree.grow(tc.data, idx, stddevAt(tc.data, idx))
-			if norm.Pruning {
-				oracleTree.prune(tc.data, root, idx)
-			}
+			root := newM5PTrainer(tc.data, norm).tree()
 
 			s := rng.New(23, 1)
 			for i := 0; i < 400; i++ {

@@ -3,6 +3,7 @@ package ml
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Linear is a fitted linear model: yhat = Intercept + sum_j Coef[j]*x[j].
@@ -40,7 +41,25 @@ func TrainLinear(d *Dataset, lambda float64) (*Linear, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	n, p := d.Len(), d.Width()
+	var q lsq
+	return q.fit(d, nil, lambda)
+}
+
+// lsq is the reusable workspace of one least-squares fit: the augmented
+// design matrix stored column-major (column k is a[k*rows:(k+1)*rows]),
+// the right-hand side and R's diagonal. M5P reuses one across every node
+// of a tree.
+type lsq struct {
+	a, b, rdiag []float64
+}
+
+// fit solves the least-squares problem over rows idx of d (every row,
+// in order, when idx is nil).
+func (q *lsq) fit(d *Dataset, idx []int, lambda float64) (*Linear, error) {
+	n, p := len(idx), d.Width()
+	if idx == nil {
+		n = d.Len()
+	}
 	if n == 0 {
 		return nil, fmt.Errorf("ml: cannot fit linear model on empty dataset")
 	}
@@ -55,63 +74,72 @@ func TrainLinear(d *Dataset, lambda float64) (*Linear, error) {
 	if lambda > 0 {
 		rows += p // ridge rows for the p slope coefficients only
 	}
-	// Build the augmented system [X 1; sqrt(l) I 0] beta = [y; 0].
-	a := make([][]float64, rows)
-	b := make([]float64, rows)
+	// Build the augmented system [X 1; sqrt(l) I 0] beta = [y; 0], with
+	// the intercept column last. The slab is reused, so every entry is
+	// written, the ridge rows' zeros included.
+	q.a = slices.Grow(q.a[:0], rows*cols)[:rows*cols]
+	q.b = slices.Grow(q.b[:0], rows)[:rows]
+	q.rdiag = slices.Grow(q.rdiag[:0], cols)[:cols]
+	a, b := q.a, q.b
+	clear(a)
 	for i := 0; i < n; i++ {
-		row := make([]float64, cols)
-		copy(row, d.X[i])
-		row[p] = 1 // intercept column last
-		a[i] = row
-		b[i] = d.Y[i]
+		r := i
+		if idx != nil {
+			r = idx[i]
+		}
+		for j, v := range d.X[r] {
+			a[j*rows+i] = v
+		}
+		a[p*rows+i] = 1
+		b[i] = d.Y[r]
 	}
 	if lambda > 0 {
 		s := math.Sqrt(lambda)
 		for j := 0; j < p; j++ {
-			row := make([]float64, cols)
-			row[j] = s
-			a[n+j] = row
+			a[j*rows+n+j] = s
+			b[n+j] = 0
 		}
 	}
-	beta, err := solveQR(a, b, cols)
+	beta, err := q.solve(rows, cols)
 	if err != nil {
 		return nil, err
 	}
 	return &Linear{Intercept: beta[p], Coef: beta[:p]}, nil
 }
 
-// solveQR performs in-place Householder QR factorisation of a (rows x cols,
-// rows >= cols) and solves min ||a beta - b|| in the least-squares sense.
-// After the loop, the strictly upper triangle of a holds R above its
-// diagonal, rdiag holds R's diagonal, and the columns below the diagonal
-// hold the Householder vectors (the LINPACK storage scheme).
-func solveQR(a [][]float64, b []float64, cols int) ([]float64, error) {
-	rows := len(a)
-	if rows < cols {
-		return nil, fmt.Errorf("ml: QR needs rows >= cols (%d < %d)", rows, cols)
-	}
-	rdiag := make([]float64, cols)
+// solve performs in-place Householder QR factorisation of the rows x cols
+// slab (rows >= cols) and solves min ||a beta - b|| in the least-squares
+// sense. After the loop, the strictly upper triangle of a holds R above
+// its diagonal, rdiag holds R's diagonal, and the columns below the
+// diagonal hold the Householder vectors (the LINPACK storage scheme).
+// Each column is contiguous, so the norm chain, the dot products and the
+// updates walk memory in order; their operations and summation order are
+// those of the textbook row-indexed loops.
+func (q *lsq) solve(rows, cols int) ([]float64, error) {
+	a, b, rdiag := q.a, q.b, q.rdiag
 	for k := 0; k < cols; k++ {
+		ck := a[k*rows : (k+1)*rows]
 		var nrm float64
 		for i := k; i < rows; i++ {
-			nrm = math.Hypot(nrm, a[i][k])
+			nrm = math.Hypot(nrm, ck[i])
 		}
 		if nrm != 0 {
-			if a[k][k] < 0 {
+			if ck[k] < 0 {
 				nrm = -nrm
 			}
 			for i := k; i < rows; i++ {
-				a[i][k] /= nrm
+				ck[i] /= nrm
 			}
-			a[k][k] += 1
+			ck[k] += 1
 			for j := k + 1; j < cols; j++ {
+				cj := a[j*rows : (j+1)*rows]
 				var s float64
 				for i := k; i < rows; i++ {
-					s += a[i][k] * a[i][j]
+					s += ck[i] * cj[i]
 				}
-				s = -s / a[k][k]
+				s = -s / ck[k]
 				for i := k; i < rows; i++ {
-					a[i][j] += s * a[i][k]
+					cj[i] += s * ck[i]
 				}
 			}
 		}
@@ -122,13 +150,14 @@ func solveQR(a [][]float64, b []float64, cols int) ([]float64, error) {
 		if rdiag[k] == 0 {
 			continue // dependent column: no reflection was stored
 		}
+		ck := a[k*rows : (k+1)*rows]
 		var s float64
 		for i := k; i < rows; i++ {
-			s += a[i][k] * b[i]
+			s += ck[i] * b[i]
 		}
-		s = -s / a[k][k]
+		s = -s / ck[k]
 		for i := k; i < rows; i++ {
-			b[i] += s * a[i][k]
+			b[i] += s * ck[i]
 		}
 	}
 	// Back substitution on R beta = (Q^T b)[:cols].
@@ -140,7 +169,7 @@ func solveQR(a [][]float64, b []float64, cols int) ([]float64, error) {
 		}
 		s := b[k]
 		for j := k + 1; j < cols; j++ {
-			s -= a[k][j] * beta[j]
+			s -= a[j*rows+k] * beta[j]
 		}
 		beta[k] = s / rdiag[k]
 	}
@@ -150,17 +179,4 @@ func solveQR(a [][]float64, b []float64, cols int) ([]float64, error) {
 		}
 	}
 	return beta, nil
-}
-
-// meanModel returns the constant model predicting the target mean, the
-// fallback when no features carry signal.
-func meanModel(y []float64) *Linear {
-	m := 0.0
-	for _, v := range y {
-		m += v
-	}
-	if len(y) > 0 {
-		m /= float64(len(y))
-	}
-	return &Linear{Intercept: m}
 }

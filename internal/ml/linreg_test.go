@@ -140,11 +140,12 @@ func TestLinearPredictShortRow(t *testing.T) {
 }
 
 func TestMeanModel(t *testing.T) {
-	m := meanModel([]float64{2, 4, 6})
+	d := &Dataset{X: [][]float64{{0}, {0}, {0}, {0}}, Y: []float64{2, 4, 6, 100}}
+	m := meanModel(d, []int{0, 1, 2})
 	if m.Intercept != 4 || len(m.Coef) != 0 {
 		t.Fatalf("meanModel = %+v", m)
 	}
-	if meanModel(nil).Intercept != 0 {
+	if meanModel(d, nil).Intercept != 0 {
 		t.Fatal("empty meanModel should predict 0")
 	}
 }

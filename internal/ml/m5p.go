@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -45,6 +44,23 @@ func DefaultM5PConfig(minLeaf int) M5PConfig {
 		SDRThreshold: 0.05,
 		ClampToRange: true,
 	}
+}
+
+// withDefaults replaces unset (non-positive) knobs with their defaults.
+func (cfg M5PConfig) withDefaults() M5PConfig {
+	if cfg.MinLeaf < 1 {
+		cfg.MinLeaf = 4
+	}
+	if cfg.SmoothK <= 0 {
+		cfg.SmoothK = 15
+	}
+	if cfg.PruneFactor <= 0 {
+		cfg.PruneFactor = 1
+	}
+	if cfg.SDRThreshold <= 0 {
+		cfg.SDRThreshold = 0.05
+	}
+	return cfg
 }
 
 // M5P is a fitted model tree. Inference runs over a flat structure of
@@ -113,30 +129,10 @@ func TrainM5P(d *Dataset, cfg M5PConfig) (*M5P, error) {
 	if d.Len() == 0 {
 		return nil, fmt.Errorf("ml: cannot fit M5P on empty dataset")
 	}
-	if cfg.MinLeaf < 1 {
-		cfg.MinLeaf = 4
-	}
-	if cfg.SmoothK <= 0 {
-		cfg.SmoothK = 15
-	}
-	if cfg.PruneFactor <= 0 {
-		cfg.PruneFactor = 1
-	}
-	if cfg.SDRThreshold <= 0 {
-		cfg.SDRThreshold = 0.05
-	}
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	rootSD := stddevAt(d, idx)
+	cfg = cfg.withDefaults()
 	t := &M5P{cfg: cfg}
 	t.yLo, t.yHi = d.YRange()
-	root := t.grow(d, idx, rootSD)
-	if cfg.Pruning {
-		t.prune(d, root, idx)
-	}
-	t.compile(root)
+	t.compile(newM5PTrainer(d, cfg).tree())
 	return t, nil
 }
 
@@ -284,63 +280,135 @@ func (m *M5P) lmPredict(id int32, x []float64) float64 {
 	return y
 }
 
+// m5pTrainer holds one TrainM5P call's dataset and the scratch its
+// recursion reuses at every node: the (value, target) pairs of the split
+// search, the right half of a node partition and the least-squares slab.
+type m5pTrainer struct {
+	cfg   M5PConfig
+	d     *Dataset
+	idx   []int // row indices, partitioned in place down the tree
+	pairs []xy
+	right []int
+	lsq   lsq
+}
+
+func newM5PTrainer(d *Dataset, cfg M5PConfig) *m5pTrainer {
+	n := d.Len()
+	return &m5pTrainer{
+		cfg:   cfg,
+		d:     d,
+		idx:   make([]int, n),
+		pairs: make([]xy, n),
+		right: make([]int, 0, n),
+	}
+}
+
+// tree grows the unpruned tree and, when configured, prunes it.
+func (t *m5pTrainer) tree() *m5pNode {
+	t.resetIdx()
+	root := t.grow(t.idx, stddevAt(t.d, t.idx))
+	if t.cfg.Pruning {
+		// grow left idx in partition order; prune needs each node's rows
+		// ascending again, the order its error sums run in.
+		t.resetIdx()
+		t.prune(root, t.idx)
+	}
+	return root
+}
+
+func (t *m5pTrainer) resetIdx() {
+	for i := range t.idx {
+		t.idx[i] = i
+	}
+}
+
 // grow recursively builds the unpruned tree and fits a linear model at
-// every node.
-func (t *M5P) grow(d *Dataset, idx []int, rootSD float64) *m5pNode {
+// every node. idx holds the node's rows in ascending order; on return it
+// is permuted (each split partitions it in place).
+func (t *m5pTrainer) grow(idx []int, rootSD float64) *m5pNode {
 	node := &m5pNode{n: len(idx), feature: -1}
-	node.lm = t.fitNodeModel(d, idx)
-	sd := stddevAt(d, idx)
+	node.lm = t.fitNodeModel(idx)
+	sd := stddevAt(t.d, idx)
 	if len(idx) < 2*t.cfg.MinLeaf || sd <= t.cfg.SDRThreshold*rootSD {
 		return node
 	}
-	feat, thresh, ok := t.bestSplit(d, idx, sd)
+	feat, thresh, ok := t.bestSplit(idx, sd)
 	if !ok {
 		return node
 	}
-	var left, right []int
-	for _, i := range idx {
-		if d.X[i][feat] <= thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
+	nl := t.partition(idx, feat, thresh)
+	if nl < t.cfg.MinLeaf || len(idx)-nl < t.cfg.MinLeaf {
 		return node
 	}
 	node.feature = feat
 	node.thresh = thresh
-	node.left = t.grow(d, left, rootSD)
-	node.right = t.grow(d, right, rootSD)
+	node.left = t.grow(idx[:nl], rootSD)
+	node.right = t.grow(idx[nl:], rootSD)
 	return node
+}
+
+// partition moves the rows of idx with x[feat] <= thresh to the front,
+// keeping the relative order on both sides, and returns their count.
+// Ascending rows stay ascending within each child.
+func (t *m5pTrainer) partition(idx []int, feat int, thresh float64) int {
+	right := t.right[:0]
+	nl := 0
+	for _, i := range idx {
+		if t.d.X[i][feat] <= thresh {
+			idx[nl] = i
+			nl++
+		} else {
+			right = append(right, i)
+		}
+	}
+	copy(idx[nl:], right)
+	return nl
 }
 
 // bestSplit maximises the standard deviation reduction
 // SDR = sd(S) - sum_i |S_i|/|S| * sd(S_i) over all (feature, threshold)
 // candidates, scanning each feature in sorted order with running moments so
 // every threshold costs O(1).
-func (t *M5P) bestSplit(d *Dataset, idx []int, parentSD float64) (feat int, thresh float64, ok bool) {
+//
+// The rows are sorted as (value, target) pairs by sortXY, which makes
+// sort.Slice's comparisons and swaps: tied values keep the order
+// sort.Slice gives them, and so the running sums, and the chosen split,
+// are bit for bit those of sorting the row indices. A feature that is
+// constant over the node has no candidate threshold and is skipped.
+func (t *m5pTrainer) bestSplit(idx []int, parentSD float64) (feat int, thresh float64, ok bool) {
+	d := t.d
 	bestSDR := 0.0
 	n := len(idx)
-	order := make([]int, n)
+	pairs := t.pairs[:n]
 	for f := 0; f < d.Width(); f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return d.X[order[a]][f] < d.X[order[b]][f] })
+		x0 := d.X[idx[0]][f]
+		constant := true
+		for k, i := range idx {
+			x := d.X[i][f]
+			pairs[k] = xy{x, d.Y[i]}
+			if x != x0 {
+				constant = false
+			}
+		}
+		if constant {
+			continue
+		}
+		sortXY(pairs)
 		// Running sums from the left.
 		var sumL, sqL float64
 		var sumR, sqR float64
-		for _, i := range order {
-			sumR += d.Y[i]
-			sqR += d.Y[i] * d.Y[i]
+		for _, p := range pairs {
+			sumR += p.y
+			sqR += p.y * p.y
 		}
 		for k := 0; k < n-1; k++ {
-			y := d.Y[order[k]]
+			y := pairs[k].y
 			sumL += y
 			sqL += y * y
 			sumR -= y
 			sqR -= y * y
 			// Candidate threshold between distinct attribute values only.
-			xv, xn := d.X[order[k]][f], d.X[order[k+1]][f]
+			xv, xn := pairs[k].x, pairs[k+1].x
 			if xv == xn {
 				continue
 			}
@@ -364,33 +432,41 @@ func (t *M5P) bestSplit(d *Dataset, idx []int, parentSD float64) (feat int, thre
 
 // fitNodeModel fits the node's linear model, falling back to the target
 // mean when the solve fails (e.g. fully degenerate features).
-func (t *M5P) fitNodeModel(d *Dataset, idx []int) *Linear {
-	sub := d.Subset(idx)
-	lm, err := TrainLinear(sub, t.cfg.Ridge)
+func (t *m5pTrainer) fitNodeModel(idx []int) *Linear {
+	lm, err := t.lsq.fit(t.d, idx, t.cfg.Ridge)
 	if err != nil {
-		return meanModel(sub.Y)
+		return meanModel(t.d, idx)
 	}
 	return lm
 }
 
-// prune walks bottom-up replacing subtrees whose (complexity-adjusted)
-// linear-model error is no worse than the subtree's.
-func (t *M5P) prune(d *Dataset, node *m5pNode, idx []int) float64 {
-	if node.isLeaf() {
-		return adjustedError(t.leafErr(d, node, idx), len(idx), node.lm.NumParams(), t.cfg.PruneFactor)
-	}
-	var left, right []int
+// meanModel returns the constant model predicting the mean target of rows
+// idx, summed in idx order: the fallback when no features carry signal.
+func meanModel(d *Dataset, idx []int) *Linear {
+	m := 0.0
 	for _, i := range idx {
-		if d.X[i][node.feature] <= node.thresh {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
+		m += d.Y[i]
 	}
-	errL := t.prune(d, node.left, left)
-	errR := t.prune(d, node.right, right)
-	subtreeErr := (errL*float64(len(left)) + errR*float64(len(right))) / float64(len(idx))
-	nodeErr := adjustedError(t.leafErr(d, node, idx), len(idx), node.lm.NumParams(), t.cfg.PruneFactor)
+	if len(idx) > 0 {
+		m /= float64(len(idx))
+	}
+	return &Linear{Intercept: m}
+}
+
+// prune walks bottom-up replacing subtrees whose (complexity-adjusted)
+// linear-model error is no worse than the subtree's. idx holds the node's
+// rows in ascending order and is partitioned in place like grow's.
+func (t *m5pTrainer) prune(node *m5pNode, idx []int) float64 {
+	// The node's own error sums over idx before the partition below
+	// reorders it.
+	nodeErr := adjustedError(t.leafErr(node, idx), len(idx), node.lm.NumParams(), t.cfg.PruneFactor)
+	if node.isLeaf() {
+		return nodeErr
+	}
+	nl := t.partition(idx, node.feature, node.thresh)
+	errL := t.prune(node.left, idx[:nl])
+	errR := t.prune(node.right, idx[nl:])
+	subtreeErr := (errL*float64(nl) + errR*float64(len(idx)-nl)) / float64(len(idx))
 	if nodeErr <= subtreeErr {
 		node.left, node.right = nil, nil
 		node.feature = -1
@@ -401,13 +477,13 @@ func (t *M5P) prune(d *Dataset, node *m5pNode, idx []int) float64 {
 
 // leafErr is the mean absolute error of the node's linear model on the
 // instances that reach it.
-func (t *M5P) leafErr(d *Dataset, node *m5pNode, idx []int) float64 {
+func (t *m5pTrainer) leafErr(node *m5pNode, idx []int) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
 	var s float64
 	for _, i := range idx {
-		s += math.Abs(node.lm.Predict(d.X[i]) - d.Y[i])
+		s += math.Abs(node.lm.Predict(t.d.X[i]) - t.d.Y[i])
 	}
 	return s / float64(len(idx))
 }

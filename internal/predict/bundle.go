@@ -28,8 +28,6 @@ type TrainConfig struct {
 	Seed uint64
 	// TrainFrac is the training share of each dataset (paper: 0.66).
 	TrainFrac float64
-	// Workers bounds training parallelism (<= 0 = GOMAXPROCS).
-	Workers int
 	// KNNK is the SLA model's neighbour count (paper: 4).
 	KNNK int
 }
@@ -39,8 +37,8 @@ func DefaultTrainConfig(seed uint64) TrainConfig {
 	return TrainConfig{Seed: seed, TrainFrac: 0.66, KNNK: 4}
 }
 
-// Train fits all seven models in parallel and validates each on its
-// held-out split.
+// Train fits all seven models in parallel, up to GOMAXPROCS at once, and
+// validates each on its held-out split.
 func Train(h *Harvest, cfg TrainConfig) (*Bundle, error) {
 	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
 		cfg.TrainFrac = 0.66
@@ -83,7 +81,7 @@ func Train(h *Harvest, cfg TrainConfig) (*Bundle, error) {
 		report ml.Report
 		err    error
 	}
-	results := par.MapIdx(jobs, cfg.Workers, func(i int, j job) result {
+	results := par.MapIdx(jobs, 0, func(i int, j job) result {
 		if j.data.Len() < 10 {
 			return result{err: fmt.Errorf("predict: %s has only %d rows", j.name, j.data.Len())}
 		}

@@ -2,6 +2,7 @@ package predict
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ml"
 	"repro/internal/model"
@@ -19,6 +20,18 @@ type Harvest struct {
 	PMCPU *ml.Dataset
 	VMRT  *ml.Dataset
 	VMSLA *ml.Dataset
+
+	// RecordTick's scratch: the feature row it builds (Dataset.Add copies
+	// it) and the per-PM guest aggregates.
+	row   []float64
+	perPM []pmAgg
+}
+
+// pmAgg sums one host's guests over a recorded tick.
+type pmAgg struct {
+	guests int
+	sumCPU float64
+	sumRPS float64
 }
 
 // NewHarvest allocates empty datasets with the canonical feature names.
@@ -129,12 +142,9 @@ func Collect(opts HarvestOpts) (*Harvest, error) {
 func (h *Harvest) RecordTick(world *sim.World) {
 	obs := world.Observer()
 	// Per-VM rows, from the static population: slots [0, inventory VMs).
-	type pmAgg struct {
-		guests int
-		sumCPU float64
-		sumRPS float64
-	}
-	perPM := make([]pmAgg, world.NumPMs())
+	perPM := slices.Grow(h.perPM[:0], world.NumPMs())[:world.NumPMs()]
+	clear(perPM)
+	h.perPM = perPM
 	for i := 0; i < world.Inventory().NumVMs(); i++ {
 		spec := world.VMSpecAt(i)
 		truth, ok := world.VMTruthByIndex(i)
@@ -154,24 +164,30 @@ func (h *Harvest) RecordTick(world *sim.World) {
 		// comparing usage against the grant it set. RT/SLA models keep all
 		// rows — starvation is exactly their subject.
 		if truth.Used.CPUPct < 0.95*truth.Granted.CPUPct {
-			h.VMCPU.Add(VMCPUFeatures(load, queue), sample.Usage.CPUPct)
+			h.row = VMCPUFeaturesInto(h.row, load, queue)
+			h.VMCPU.Add(h.row, sample.Usage.CPUPct)
 		}
 		if truth.Used.MemMB < 0.98*truth.Granted.MemMB || truth.Required.MemMB <= truth.Granted.MemMB {
-			h.VMMem.Add(VMMemFeatures(load), sample.Usage.MemMB)
+			h.row = VMMemFeaturesInto(h.row, load)
+			h.VMMem.Add(h.row, sample.Usage.MemMB)
 		}
 		// Network targets come from the monitored NIC counter, split by the
 		// request/reply byte ratio — noisy and saturation-capped, like the
 		// paper's measured traffic.
 		inKB, outKB := splitTraffic(sample.Usage.BWMbps, load)
-		h.VMIn.Add(VMNetFeatures(load.RPS, load.BytesInReq), inKB)
-		h.VMOut.Add(VMNetFeatures(load.RPS, load.BytesOutRq), outKB)
+		h.row = VMNetFeaturesInto(h.row, load.RPS, load.BytesInReq)
+		h.VMIn.Add(h.row, inKB)
+		h.row = VMNetFeaturesInto(h.row, load.RPS, load.BytesOutRq)
+		h.VMOut.Add(h.row, outKB)
 		memDef := MemDeficitFrac(truth.Granted.MemMB, truth.Required.MemMB)
-		h.VMRT.Add(VMRTFeatures(load, truth.Granted.CPUPct, memDef, queue), sample.RT)
+		h.row = VMRTFeaturesInto(h.row, load, truth.Granted.CPUPct, memDef, queue)
+		h.VMRT.Add(h.row, sample.RT)
 		// SLA target: the processing component only, measured at the host's
 		// own gateway. Transport is deterministic and added at prediction
 		// time (Figure 3, constraints 6.2-6.3).
 		procSLA := spec.Terms.Fulfilment(sample.RT)
-		h.VMSLA.Add(VMSLAFeatures(load, truth.Granted.CPUPct, memDef, queue), procSLA)
+		h.row = VMSLAFeaturesInto(h.row, load, truth.Granted.CPUPct, memDef, queue)
+		h.VMSLA.Add(h.row, procSLA)
 
 		agg := &perPM[j]
 		agg.guests++
@@ -186,7 +202,8 @@ func (h *Harvest) RecordTick(world *sim.World) {
 			continue // off machines carry no signal
 		}
 		if obsPM, ok := obs.LastPM(j); ok {
-			h.PMCPU.Add(PMCPUFeatures(agg.guests, agg.sumCPU, agg.sumRPS), obsPM.CPUPct)
+			h.row = PMCPUFeaturesInto(h.row, agg.guests, agg.sumCPU, agg.sumRPS)
+			h.PMCPU.Add(h.row, obsPM.CPUPct)
 		}
 	}
 }
