@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -162,6 +163,25 @@ func BenchmarkM5PSmoothing(b *testing.B) {
 			}
 			b.ReportMetric(mae, "val-MAE")
 		})
+	}
+}
+
+// BenchmarkTrainBundle measures what every process pays before its first
+// tick: harvesting the training data (predict.Collect) and fitting the
+// seven predictors (predict.Train) at seed 42. GOMAXPROCS is pinned to 1
+// for the run, so the seven fits run inline, as in mdcbench, and
+// allocs/op is exact.
+func BenchmarkTrainBundle(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h, err := predict.Collect(predict.DefaultHarvestOpts(benchSeed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := predict.Train(h, predict.DefaultTrainConfig(benchSeed)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
