@@ -19,13 +19,9 @@ import "repro/internal/model"
 // Feature vectors. All units are chosen to keep magnitudes within a few
 // orders of magnitude of each other: KB for byte counts, ms for times.
 
-// VMCPUFeatures maps the monitored load characteristics of one VM to the
+// VMCPUFeaturesInto maps the monitored load characteristics of one VM to the
 // feature row of the "Predict VM CPU" model.
-func VMCPUFeatures(l model.Load, queueLen float64) []float64 {
-	return VMCPUFeaturesInto(nil, l, queueLen)
-}
-
-// VMCPUFeaturesInto is VMCPUFeatures into dst's reused capacity.
+// The row is written into dst's reused capacity (dst may be nil).
 func VMCPUFeaturesInto(dst []float64, l model.Load, queueLen float64) []float64 {
 	return append(dst[:0],
 		l.RPS,
@@ -36,61 +32,45 @@ func VMCPUFeaturesInto(dst []float64, l model.Load, queueLen float64) []float64 
 	)
 }
 
-// VMCPUFeatureNames labels VMCPUFeatures.
+// VMCPUFeatureNames labels the columns of VMCPUFeaturesInto.
 func VMCPUFeatureNames() []string {
 	return []string{"rps", "bytesInKB", "bytesOutKB", "cpuTimeMs", "queue"}
 }
 
-// VMMemFeatures maps load to the memory model's features. The paper found
+// VMMemFeaturesInto maps load to the memory model's features. The paper found
 // memory to be essentially linear in load, hence the single regressor.
-func VMMemFeatures(l model.Load) []float64 {
-	return VMMemFeaturesInto(nil, l)
-}
-
-// VMMemFeaturesInto is VMMemFeatures into dst's reused capacity.
+// The row is written into dst's reused capacity (dst may be nil).
 func VMMemFeaturesInto(dst []float64, l model.Load) []float64 {
 	return append(dst[:0], l.RPS)
 }
 
-// VMMemFeatureNames labels VMMemFeatures.
+// VMMemFeatureNames labels the columns of VMMemFeaturesInto.
 func VMMemFeatureNames() []string { return []string{"rps"} }
 
-// VMNetFeatures maps load to the network I/O models' features (shared by
+// VMNetFeaturesInto maps load to the network I/O models' features (shared by
 // the IN and OUT models, with the relevant byte size).
-func VMNetFeatures(rps, bytesPerReq float64) []float64 {
-	return VMNetFeaturesInto(nil, rps, bytesPerReq)
-}
-
-// VMNetFeaturesInto is VMNetFeatures into dst's reused capacity.
+// The row is written into dst's reused capacity (dst may be nil).
 func VMNetFeaturesInto(dst []float64, rps, bytesPerReq float64) []float64 {
 	return append(dst[:0], rps, bytesPerReq/1024)
 }
 
-// VMNetFeatureNames labels VMNetFeatures.
+// VMNetFeatureNames labels the columns of VMNetFeaturesInto.
 func VMNetFeatureNames() []string { return []string{"rps", "bytesKB"} }
 
-// PMCPUFeatures maps a host's guest population to the "Predict PM CPU"
+// PMCPUFeaturesInto maps a host's guest population to the "Predict PM CPU"
 // features: the paper learns PM CPU as a function of "the number of VM's
 // and their metrics" because the total exceeds the plain sum.
-func PMCPUFeatures(nGuests int, sumVMCPUPct, sumRPS float64) []float64 {
-	return PMCPUFeaturesInto(nil, nGuests, sumVMCPUPct, sumRPS)
-}
-
-// PMCPUFeaturesInto is PMCPUFeatures into dst's reused capacity.
+// The row is written into dst's reused capacity (dst may be nil).
 func PMCPUFeaturesInto(dst []float64, nGuests int, sumVMCPUPct, sumRPS float64) []float64 {
 	return append(dst[:0], float64(nGuests), sumVMCPUPct, sumRPS)
 }
 
-// PMCPUFeatureNames labels PMCPUFeatures.
+// PMCPUFeatureNames labels the columns of PMCPUFeaturesInto.
 func PMCPUFeatureNames() []string { return []string{"guests", "sumVmCpu", "sumRps"} }
 
-// VMRTFeatures maps (load, tentative grant) to the response-time model's
+// VMRTFeaturesInto maps (load, tentative grant) to the response-time model's
 // features.
-func VMRTFeatures(l model.Load, grantedCPUPct, memDeficitFrac, queueLen float64) []float64 {
-	return VMRTFeaturesInto(nil, l, grantedCPUPct, memDeficitFrac, queueLen)
-}
-
-// VMRTFeaturesInto is VMRTFeatures into dst's reused capacity.
+// The row is written into dst's reused capacity (dst may be nil).
 func VMRTFeaturesInto(dst []float64, l model.Load, grantedCPUPct, memDeficitFrac, queueLen float64) []float64 {
 	return append(dst[:0],
 		l.RPS,
@@ -101,28 +81,24 @@ func VMRTFeaturesInto(dst []float64, l model.Load, grantedCPUPct, memDeficitFrac
 	)
 }
 
-// VMRTFeatureNames labels VMRTFeatures.
+// VMRTFeatureNames labels the columns of VMRTFeaturesInto.
 func VMRTFeatureNames() []string {
 	return []string{"rps", "cpuTimeMs", "grantCpu", "memDeficit", "queue"}
 }
 
-// VMSLAFeatures maps (load, tentative grant) to the SLA model's features.
+// VMSLAFeaturesInto maps (load, tentative grant) to the SLA model's features.
 // Predicting SLA directly (rather than via RT) is the paper's preferred
 // design: the bounded [0,1] target is robust to outliers. The model learns
 // the *processing* SLA; the transport component is deterministic
 // (constraints 6.2-6.3 of Figure 3) and applied analytically on top.
-func VMSLAFeatures(l model.Load, grantedCPUPct, memDeficitFrac, queueLen float64) []float64 {
-	return VMSLAFeaturesInto(nil, l, grantedCPUPct, memDeficitFrac, queueLen)
-}
-
-// VMSLAFeaturesInto is VMSLAFeatures into dst's reused capacity.
+// The row is written into dst's reused capacity (dst may be nil).
 func VMSLAFeaturesInto(dst []float64, l model.Load, grantedCPUPct, memDeficitFrac, queueLen float64) []float64 {
 	return VMSLAFeaturesAppend(dst[:0], l, grantedCPUPct, memDeficitFrac, queueLen)
 }
 
 // VMSLAFeaturesAppend appends the VMSLA feature row to dst without
 // truncating it — the batch-matrix building form of VMSLAFeaturesInto.
-// The row layout is identical to VMRTFeatures (asserted by
+// The row layout is identical to VMRTFeaturesInto (asserted by
 // TestSLAAndRTFeatureLayoutsMatch), which is what lets one prepared row
 // serve both the SLA and the RT model in the batched proc predictor.
 func VMSLAFeaturesAppend(dst []float64, l model.Load, grantedCPUPct, memDeficitFrac, queueLen float64) []float64 {
@@ -138,7 +114,7 @@ func VMSLAFeaturesAppend(dst []float64, l model.Load, grantedCPUPct, memDeficitF
 // SLAFeatureDims is the width of one VMSLA/VMRT feature row.
 const SLAFeatureDims = 5
 
-// VMSLAFeatureNames labels VMSLAFeatures.
+// VMSLAFeatureNames labels the columns of VMSLAFeaturesInto.
 func VMSLAFeatureNames() []string {
 	return []string{"rps", "cpuTimeMs", "grantCpu", "memDeficit", "queue"}
 }

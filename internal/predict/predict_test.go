@@ -37,22 +37,22 @@ func trainedBundle(t *testing.T) *Bundle {
 
 func TestFeatureWidthsMatchNames(t *testing.T) {
 	l := model.Load{RPS: 10, BytesInReq: 500, BytesOutRq: 2000, CPUTimeReq: 0.01}
-	if len(VMCPUFeatures(l, 0)) != len(VMCPUFeatureNames()) {
+	if len(VMCPUFeaturesInto(nil, l, 0)) != len(VMCPUFeatureNames()) {
 		t.Fatal("VMCPU feature width mismatch")
 	}
-	if len(VMMemFeatures(l)) != len(VMMemFeatureNames()) {
+	if len(VMMemFeaturesInto(nil, l)) != len(VMMemFeatureNames()) {
 		t.Fatal("VMMem feature width mismatch")
 	}
-	if len(VMNetFeatures(1, 2)) != len(VMNetFeatureNames()) {
+	if len(VMNetFeaturesInto(nil, 1, 2)) != len(VMNetFeatureNames()) {
 		t.Fatal("VMNet feature width mismatch")
 	}
-	if len(PMCPUFeatures(1, 2, 3)) != len(PMCPUFeatureNames()) {
+	if len(PMCPUFeaturesInto(nil, 1, 2, 3)) != len(PMCPUFeatureNames()) {
 		t.Fatal("PMCPU feature width mismatch")
 	}
-	if len(VMRTFeatures(l, 100, 0, 0)) != len(VMRTFeatureNames()) {
+	if len(VMRTFeaturesInto(nil, l, 100, 0, 0)) != len(VMRTFeatureNames()) {
 		t.Fatal("VMRT feature width mismatch")
 	}
-	if len(VMSLAFeatures(l, 100, 0, 0)) != len(VMSLAFeatureNames()) {
+	if len(VMSLAFeaturesInto(nil, l, 100, 0, 0)) != len(VMSLAFeatureNames()) {
 		t.Fatal("VMSLA feature width mismatch")
 	}
 }
@@ -63,8 +63,8 @@ func TestFeatureWidthsMatchNames(t *testing.T) {
 // ever diverges, PredictSLAProcBatchBuf must build separate rows.
 func TestSLAAndRTFeatureLayoutsMatch(t *testing.T) {
 	l := model.Load{RPS: 37.5, BytesInReq: 500, BytesOutRq: 20000, CPUTimeReq: 0.0125}
-	sla := VMSLAFeatures(l, 123.4, 0.25, 77)
-	rt := VMRTFeatures(l, 123.4, 0.25, 77)
+	sla := VMSLAFeaturesInto(nil, l, 123.4, 0.25, 77)
+	rt := VMRTFeaturesInto(nil, l, 123.4, 0.25, 77)
 	if len(sla) != len(rt) || len(sla) != SLAFeatureDims {
 		t.Fatalf("layout widths diverged: sla %d, rt %d, const %d", len(sla), len(rt), SLAFeatureDims)
 	}
@@ -262,13 +262,13 @@ func TestTrainRejectsTinyDatasets(t *testing.T) {
 	// Only 5 rows each: must refuse.
 	l := model.Load{RPS: 1}
 	for i := 0; i < 5; i++ {
-		h.VMCPU.Add(VMCPUFeatures(l, 0), 1)
-		h.VMMem.Add(VMMemFeatures(l), 1)
-		h.VMIn.Add(VMNetFeatures(1, 1), 1)
-		h.VMOut.Add(VMNetFeatures(1, 1), 1)
-		h.PMCPU.Add(PMCPUFeatures(1, 1, 1), 1)
-		h.VMRT.Add(VMRTFeatures(l, 1, 0, 0), 1)
-		h.VMSLA.Add(VMSLAFeatures(l, 1, 0, 0), 1)
+		h.VMCPU.Add(VMCPUFeaturesInto(nil, l, 0), 1)
+		h.VMMem.Add(VMMemFeaturesInto(nil, l), 1)
+		h.VMIn.Add(VMNetFeaturesInto(nil, 1, 1), 1)
+		h.VMOut.Add(VMNetFeaturesInto(nil, 1, 1), 1)
+		h.PMCPU.Add(PMCPUFeaturesInto(nil, 1, 1, 1), 1)
+		h.VMRT.Add(VMRTFeaturesInto(nil, l, 1, 0, 0), 1)
+		h.VMSLA.Add(VMSLAFeaturesInto(nil, l, 1, 0, 0), 1)
 	}
 	if _, err := Train(h, DefaultTrainConfig(1)); err == nil {
 		t.Fatal("accepted tiny datasets")
