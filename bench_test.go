@@ -552,18 +552,23 @@ func BenchmarkFailover(b *testing.B) {
 	}
 	// Crash the busiest host mid-run: its guests become the re-home
 	// backlog the benchmarked round has to absorb.
-	victim, most := model.NoPM, -1
-	for j := 0; j < sc.World.NumPMs(); j++ {
-		pm := sc.World.PMSpecAt(j).ID
-		if n := len(sc.World.AppendGuests(nil, pm)); n > most {
-			victim, most = pm, n
+	guests := make([]int, sc.World.NumPMs())
+	for i := 0; i < sc.World.NumVMs(); i++ {
+		if j := sc.World.HostIndexOf(i); sc.World.ActiveVM(i) && j >= 0 {
+			guests[j]++
 		}
 	}
-	evicted := sc.World.AppendGuests(nil, victim)
-	if err := sc.World.FailPM(victim); err != nil {
+	busiest := 0
+	for j, n := range guests {
+		if n > guests[busiest] {
+			busiest = j
+		}
+	}
+	evicted := guests[busiest]
+	if err := sc.World.FailPM(sc.World.PMSpecAt(busiest).ID); err != nil {
 		b.Fatal(err)
 	}
-	fr.RecordEvictions(130, evicted, false)
+	fr.RecordEvictions(evicted, false)
 	b.Run("Round", func(b *testing.B) {
 		problem := mgr.BuildProblem()
 		bf := sched.NewBestFit(cost, sched.NewML(bundle))
@@ -575,7 +580,7 @@ func BenchmarkFailover(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(len(problem.VMs)), "vms")
-		b.ReportMetric(float64(len(evicted)), "backlog")
+		b.ReportMetric(float64(evicted), "backlog")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -131,4 +132,82 @@ func TestManagedTickZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScriptedTicksNoMallocs reads runtime.MemStats.Mallocs around every
+// plain (non-round) Manager.Step of the scripted fail-az-outage and
+// churn-poisson runs (serve's setup, registry bf-ob, TickWorkers 1) over
+// 40 round periods after a three-round warm-up, the outage tick and every
+// admission, departure and slot reuse included; testing.AllocsPerRun's
+// integer mean would hide up to one fewer malloc than its run count. A
+// tick that mallocs in two runs of the same script fails: about one run
+// in forty shows a malloc on some tick that the next run does not repeat
+// (its source is not pinned down), while a buffer outgrown by the script
+// mallocs on the same tick every time.
+func TestScriptedTicksNoMallocs(t *testing.T) {
+	for _, preset := range []string{scenario.FailAZOutage, scenario.ChurnPoisson} {
+		t.Run(preset, func(t *testing.T) {
+			first := scriptedMallocTicks(t, preset)
+			if len(first) == 0 {
+				return
+			}
+			for tick, n := range scriptedMallocTicks(t, preset) {
+				if first[tick] > 0 {
+					t.Errorf("tick %d: Manager.Step made %d and %d mallocs in two runs, want 0", tick, first[tick], n)
+				}
+			}
+		})
+	}
+}
+
+// scriptedMallocTicks runs one scripted preset as TestScriptedTicksNoMallocs
+// describes and returns the mallocs of each plain tick that made any.
+func scriptedMallocTicks(t *testing.T, preset string) map[int]uint64 {
+	t.Helper()
+	spec := scenario.MustPreset(preset, benchSeed)
+	spec.TickWorkers = 1
+	sc, err := scenario.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := sweep.PolicyByName("bf-ob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sweep.NewManagedRun(sc, pol, nil, sweep.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := run.Manager
+	for i := 0; i < 3*sweep.DefaultRoundTicks; i++ {
+		if _, err := mgr.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mallocs := map[int]uint64{}
+	var before, after runtime.MemStats
+	for i := 0; i < 40*sweep.DefaultRoundTicks; i++ {
+		tick := sc.World.Tick()
+		runtime.ReadMemStats(&before)
+		_, err := mgr.Step()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := after.Mallocs - before.Mallocs; n != 0 && tick%sweep.DefaultRoundTicks != 0 {
+			mallocs[tick] = n
+		}
+	}
+	events := 0
+	if run.Faults != nil {
+		events += run.Faults.Stats().Interruptions
+	}
+	if run.Lifecycle != nil {
+		st := run.Lifecycle.Stats()
+		events += st.Admitted + st.Departed
+	}
+	if events == 0 {
+		t.Fatal("no scripted event fell inside the measured ticks")
+	}
+	return mallocs
 }

@@ -117,7 +117,8 @@ func fleetCommitmentOf(w *sim.World) fleetCommitment {
 // earlier this tick (or in previous ticks) to VMs that have not reached
 // a host yet, so a storm of simultaneous offers cannot all slip through
 // on one fleet reading. It returns the decision and the arrival's
-// estimated requirement (for the caller's pending-commitment ledger).
+// estimated requirement, which AdmitVM reserves in the VM's homeless
+// record.
 func (p *AdmissionPolicy) decide(w *sim.World, tick int, o *lifecycle.Offer, fleet fleetCommitment, pending model.Resources) (lifecycle.Decision, model.Resources) {
 	// Token bucket first — it shapes the intake rate regardless of what
 	// the gates behind it would say, so a storm cannot even burn fleet

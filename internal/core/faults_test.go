@@ -7,6 +7,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/sim"
 )
 
 // faultedManager wires a static scenario under a managed Best-Fit with a
@@ -66,8 +67,8 @@ func TestFaultScriptRehomesWithinRound(t *testing.T) {
 	if st.DowntimeTicks == 0 || st.Availability() >= 1 {
 		t.Fatalf("eviction left no downtime trace: %+v", st)
 	}
-	if len(mgr.rehomes) != 0 {
-		t.Fatalf("re-home ledger not drained: %+v", mgr.rehomes)
+	if n := mgr.PendingRehomes(); n != 0 {
+		t.Fatalf("%d evicted VMs still homeless", n)
 	}
 }
 
@@ -167,9 +168,14 @@ func TestDegradedDefersArrivalsAndSheds(t *testing.T) {
 	if cst.Departed != 0 {
 		t.Fatalf("shed VM departed a second time: %+v", cst)
 	}
+	// Retiring closed its record: it was placed once (the tick-10 round)
+	// and is neither placed nor re-homed again.
+	if cst.Placed != 1 || fst.Rehomed != 0 {
+		t.Fatalf("placed %d, re-homed %d after the shed, want 1 and 0", cst.Placed, fst.Rehomed)
+	}
 	// Static inventory is never shed — both VMs survive homeless.
-	if got := sc.World.NumActiveVMs(); got != 2 {
-		t.Fatalf("live VMs %d, want the 2 static survivors", got)
+	if got := sc.World.NumActiveVMs(); got != 2 || mgr.PendingRehomes() != 2 {
+		t.Fatalf("live VMs %d, %d awaiting re-home, want the 2 static survivors", got, mgr.PendingRehomes())
 	}
 	if fst.DegradedTicks == 0 {
 		t.Fatal("degraded window left no tick trace")
@@ -209,5 +215,68 @@ func TestRehomeReservationGatesArrivals(t *testing.T) {
 	}
 	if fr.Stats().Rehomed == 0 {
 		t.Fatal("evicted VMs never re-homed")
+	}
+}
+
+// TestHomelessLedgerFlow follows one VM through the World's homeless
+// record: evicted by a crash, re-homed by the next round (counted with its
+// wait), then evicted again one tick later. The second eviction must
+// reserve the VM once and age it from the new eviction, not from the
+// first.
+func TestHomelessLedgerFlow(t *testing.T) {
+	spec := scenario.Spec{VMs: 3, PMsPerDC: 1, DCs: 3, Seed: 13}
+	victim := testScenario(t, spec).HomePlacement()[0]
+	script := &lifecycle.FaultScript{Events: []lifecycle.FaultEvent{
+		{Tick: 12, Kind: lifecycle.FaultCrash, PM: victim},
+	}}
+	sc, fr, mgr := faultedManager(t, spec, script, nil)
+	w := sc.World
+	if err := mgr.Run(13, nil); err != nil { // ticks 0..12
+		t.Fatal(err)
+	}
+	rec, ok := w.HomelessAt(0)
+	if !ok || rec.Cause != sim.Evicted || rec.Since != 12 || rec.ID != 0 {
+		t.Fatalf("vm0's record after the crash: %+v (open %v)", rec, ok)
+	}
+	if rec.Req == (model.Resources{}) {
+		t.Fatal("the eviction reserved nothing for vm0")
+	}
+	if err := mgr.Run(8, nil); err != nil { // ticks 13..20: the tick-20 round
+		t.Fatal(err)
+	}
+	host := w.HostOf(0)
+	if host == model.NoPM {
+		t.Fatal("vm0 not re-homed by the tick-20 round")
+	}
+	if _, ok := w.HomelessAt(0); ok || mgr.PendingRehomes() != 0 {
+		t.Fatalf("re-homed vm0 still holds a record (%d pending)", mgr.PendingRehomes())
+	}
+	if st := fr.Stats(); st.Rehomed != 1 || st.RehomeTicksSum != 8 {
+		t.Fatalf("re-home stats %+v, want one re-home after 8 ticks", st)
+	}
+	fr.Push(lifecycle.FaultEvent{Tick: 21, Kind: lifecycle.FaultCrash, PM: host})
+	if _, err := mgr.Step(); err != nil { // tick 21
+		t.Fatal(err)
+	}
+	homeless := 0
+	var want model.Resources
+	for i := 0; i < w.NumVMs(); i++ {
+		if w.HostIndexOf(i) < 0 {
+			homeless++
+			r, ok := w.HomelessAt(i)
+			if !ok {
+				t.Fatalf("homeless vm%d has no record", i)
+			}
+			want = want.Add(r.Req)
+		}
+	}
+	if got := mgr.PendingRehomes(); got != homeless {
+		t.Fatalf("%d evicted VMs reserved, %d homeless", got, homeless)
+	}
+	if rec, _ := w.HomelessAt(0); rec.Since != 21 {
+		t.Fatalf("re-evicted vm0 ages from tick %d, want 21", rec.Since)
+	}
+	if _, got := mgr.reserved(); got != want {
+		t.Fatalf("evicted reservation %+v, want %+v", got, want)
 	}
 }

@@ -36,12 +36,12 @@ type ManagerConfig struct {
 }
 
 // DegradedPolicy is the graceful-degradation contract: when the fleet's
-// committed requirements (live VMs + admitted-but-unplaced + evicted VMs
-// awaiting re-home) no longer fit in the surviving non-failed, non-
-// draining capacity, the manager enters degraded mode — new arrivals are
-// deferred without admission (re-homes keep priority for the remaining
-// headroom) and, optionally, long-homeless dynamic VMs are shed instead
-// of thrashing the deferral queue forever.
+// committed requirements (live VMs + the reservations of admitted and
+// evicted VMs still without a host) no longer fit in the surviving
+// non-failed, non-draining capacity, the manager enters degraded mode —
+// new arrivals are deferred without admission (re-homes keep priority for
+// the remaining headroom) and, optionally, long-homeless dynamic VMs are
+// shed instead of thrashing the deferral queue forever.
 type DegradedPolicy struct {
 	// ShedAfterTicks retires a dynamic VM that has been homeless that long
 	// while the fleet is degraded (0 = never shed; keep deferring).
@@ -62,42 +62,13 @@ type Manager struct {
 	problem   sched.Problem
 	loadBufs  []model.LoadVector
 	placement model.Placement
-	// hostedFn is the reusable placement probe handed to the lifecycle
-	// runner after each round (built once, no per-round closure).
-	hostedFn func(model.VMID) bool
-	// pendingCommits ledgers the estimated requirements of admitted VMs
-	// that have not reached a host yet: their needs are invisible to the
-	// fleet's committed-requirement sum (an unplaced VM requires nothing
-	// in truth), but the admission gate must count them or a storm of
-	// simultaneous offers would all pass on the same fleet reading. The
-	// slice is append-ordered so the sum is bit-deterministic.
-	pendingCommits []pendingCommit
-	// rehomes ledgers fault-evicted VMs awaiting re-placement: like
-	// pendingCommits, their requirements vanish from the fleet's committed
-	// sum while unplaced (truth zeroes an unhosted VM), but they were
-	// already accepted — admission must reserve their capacity so churn
-	// arrivals cannot take it (re-home priority), and they bypass the SLA
-	// gate entirely by never re-entering the admission path.
-	rehomes []rehomeCommit
-	// evicted is failHost's reused list of a failing host's guests.
-	evicted []model.VMID
+	// unsettledAdmits is the admitted-VM count the serve drain waits on:
+	// the open Admitted records of the last ledger reading plus the VMs
+	// admitted since (see UnsettledAdmits).
+	unsettledAdmits int
 	// degraded mirrors the last stepFaults verdict: committed requirements
 	// exceed surviving capacity.
 	degraded bool
-}
-
-// pendingCommit is one admitted-but-unplaced VM's reserved requirement.
-type pendingCommit struct {
-	id  model.VMID
-	req model.Resources
-}
-
-// rehomeCommit is one fault-evicted VM's reserved requirement (captured
-// from its last pre-eviction truth) and its eviction tick.
-type rehomeCommit struct {
-	id        model.VMID
-	req       model.Resources
-	evictTick int
 }
 
 // intoScheduler is the optional allocation-free scheduling contract: the
@@ -118,16 +89,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.RoundTicks <= 0 {
 		cfg.RoundTicks = 10
 	}
-	m := &Manager{cfg: cfg}
-	if cfg.Faults != nil {
-		// An outage can evict a whole DC at once; sizing the fault
-		// buffers for the static population keeps fault ticks from
-		// growing them.
-		n := cfg.World.Inventory().NumVMs()
-		m.rehomes = make([]rehomeCommit, 0, n)
-		m.evicted = make([]model.VMID, 0, n)
-	}
-	return m, nil
+	return &Manager{cfg: cfg}, nil
 }
 
 // Rounds returns how many scheduling rounds have executed.
@@ -141,13 +103,22 @@ func (m *Manager) RoundWall() time.Duration { return m.roundWall }
 // exceed the surviving capacity (always false without a fault runner).
 func (m *Manager) Degraded() bool { return m.degraded }
 
-// PendingAdmits is the number of admitted-but-unplaced VMs whose
-// requirements the admission ledger currently reserves.
-func (m *Manager) PendingAdmits() int { return len(m.pendingCommits) }
+// PendingAdmits is the number of admitted VMs that have no host yet: the
+// World's open Admitted homeless records, whose requirements admission
+// reserves.
+func (m *Manager) PendingAdmits() int { return m.cfg.World.NumHomeless(sim.Admitted) }
 
-// PendingRehomes is the number of fault-evicted VMs awaiting re-placement
-// whose requirements the re-home ledger currently reserves.
-func (m *Manager) PendingRehomes() int { return len(m.rehomes) }
+// PendingRehomes is the number of fault-evicted VMs that have no host
+// yet: the World's open Evicted homeless records.
+func (m *Manager) PendingRehomes() int { return m.cfg.World.NumHomeless(sim.Evicted) }
+
+// UnsettledAdmits is the number of admitted VMs the last ledger reading
+// found without a host, plus those admitted since. The ledger is read
+// where the reserved sums are taken — at each fault step and before each
+// admission step that has offers — so a VM placed by a round still counts
+// until the next reading: a drain that waits for zero runs one tick past
+// the round that placed the last admitted VM.
+func (m *Manager) UnsettledAdmits() int { return m.unsettledAdmits }
 
 // BuildProblem assembles the scheduler's view of the world from monitored
 // data: gateway load characteristics (with per-source split), queue
@@ -234,8 +205,9 @@ func (m *Manager) BuildProblem() *sched.Problem {
 // events land first (crashes and drains must be visible to this tick's
 // admission and round), then lifecycle events (departures, then
 // admission-gated arrivals), then degraded-mode shedding, then a
-// scheduling round whenever the tick index is a round boundary, then the
-// fault runner observes re-home outcomes, then the world ticks.
+// scheduling round whenever the tick index is a round boundary (whose
+// newly housed VMs feed the placement and re-home statistics), then the
+// fault runner counts the tick's downtime, then the world ticks.
 func (m *Manager) Step() (sim.TickSummary, error) {
 	w := m.cfg.World
 	t := w.Tick()
@@ -289,12 +261,10 @@ func (m *Manager) Step() (sim.TickSummary, error) {
 			return sim.TickSummary{}, fmt.Errorf("core: applying schedule: %w", err)
 		}
 		m.rounds++
-		if m.cfg.Lifecycle != nil {
-			m.cfg.Lifecycle.ObservePlacements(t, m.hosted())
-		}
+		m.recordHoused(t)
 	}
 	if m.cfg.Faults != nil {
-		m.cfg.Faults.ObserveTick(t, w.NumActiveVMs(), m.degraded, m.hosted())
+		m.cfg.Faults.ObserveTick(w.NumActiveVMs(), m.degraded, w.NumHomeless(sim.Evicted))
 	}
 	return w.Step(), nil
 }
@@ -307,14 +277,39 @@ func (m *Manager) numCandidates() int {
 	return w.Inventory().NumPMs() - w.NumFailedPMs() - w.NumDrainingPMs()
 }
 
-// hosted returns the reusable placement probe (built once).
-func (m *Manager) hosted() func(model.VMID) bool {
-	if m.hostedFn == nil {
-		m.hostedFn = func(id model.VMID) bool {
-			return m.cfg.World.HostOf(id) != model.NoPM
+// recordHoused folds the homeless records a round closed with a host into
+// the time-to-placement and re-home statistics, then prunes the closed
+// records.
+func (m *Manager) recordHoused(tick int) {
+	w := m.cfg.World
+	for _, h := range w.Homeless() {
+		if !h.Housed {
+			continue
+		}
+		switch {
+		case h.Cause == sim.Admitted && m.cfg.Lifecycle != nil:
+			m.cfg.Lifecycle.RecordPlaced(tick - h.Since)
+		case h.Cause == sim.Evicted && m.cfg.Faults != nil:
+			m.cfg.Faults.RecordRehome(tick - h.Since)
 		}
 	}
-	return m.hostedFn
+	w.PruneHomeless()
+}
+
+// reserved sums the requirements reserved for homeless VMs, admitted and
+// evicted in two accumulators, each in record order.
+func (m *Manager) reserved() (admitted, evicted model.Resources) {
+	for _, h := range m.cfg.World.Homeless() {
+		if !h.Open {
+			continue
+		}
+		if h.Cause == sim.Admitted {
+			admitted = admitted.Add(h.Req)
+		} else {
+			evicted = evicted.Add(h.Req)
+		}
+	}
+	return admitted, evicted
 }
 
 // sanitizePlacement rewrites placement entries that target failed hosts
@@ -339,8 +334,9 @@ func (m *Manager) sanitizePlacement(p model.Placement) {
 }
 
 // stepFaults executes the tick's due fault events and refreshes the
-// degraded verdict. Crashes and takedowns evict guests into the re-home
-// ledger; outages expand to every host of the DC in inventory order.
+// degraded verdict. Crashes and takedowns evict guests, each with an
+// Evicted homeless record; outages expand to every host of the DC in
+// inventory order.
 func (m *Manager) stepFaults(tick int) error {
 	fr := m.cfg.Faults
 	w := m.cfg.World
@@ -348,16 +344,16 @@ func (m *Manager) stepFaults(tick int) error {
 		var err error
 		switch ev.Kind {
 		case lifecycle.FaultCrash:
-			err = m.failHost(tick, ev.PM, false)
+			err = m.failHost(ev.PM, false)
 		case lifecycle.FaultTakedown:
-			err = m.failHost(tick, ev.PM, true)
+			err = m.failHost(ev.PM, true)
 		case lifecycle.FaultRepair:
 			err = w.RecoverPM(ev.PM)
 		case lifecycle.FaultDrainStart:
 			err = w.DrainPM(ev.PM)
 		case lifecycle.FaultOutageStart:
 			for _, pm := range w.Inventory().PMsOfDC(ev.DC) {
-				if err = m.failHost(tick, pm, false); err != nil {
+				if err = m.failHost(pm, false); err != nil {
 					break
 				}
 			}
@@ -373,102 +369,61 @@ func (m *Manager) stepFaults(tick int) error {
 		}
 	}
 
-	// Degraded verdict: live requirements plus both unplaced ledgers
-	// against the surviving capacity. At the eviction tick itself the
-	// victims' last truth still counts them in the committed sum, so the
-	// ledger double-counts them for one tick — deliberately conservative;
+	// Degraded verdict: live requirements plus every homeless VM's
+	// reservation against the surviving capacity. At the eviction tick
+	// itself the victims' last truth still counts them in the committed
+	// sum, so they count twice for one tick — deliberately conservative;
 	// the next world tick zeroes an unhosted VM's requirement.
 	fleet := fleetCommitmentOf(w)
-	need := fleet.committed.Add(m.prunePendingCommits()).Add(m.pruneRehomes())
+	m.unsettledAdmits = w.NumHomeless(sim.Admitted)
+	admitted, evicted := m.reserved()
+	need := fleet.committed.Add(admitted).Add(evicted)
 	m.degraded = !need.FitsIn(fleet.total)
 	return nil
 }
 
-// failHost captures a host's guests into the re-home ledger (with their
-// last-truth requirements) and fails it. forced marks drain-deadline
-// takedowns.
-func (m *Manager) failHost(tick int, pm model.PMID, forced bool) error {
+// failHost fails a host, evicting its guests into homeless records, and
+// counts the evictions. forced marks drain-deadline takedowns.
+func (m *Manager) failHost(pm model.PMID, forced bool) error {
 	w := m.cfg.World
-	m.evicted = w.AppendGuests(m.evicted[:0], pm)
-	guests := m.evicted
-	for _, id := range guests {
-		var req model.Resources
-		if truth, ok := w.VMTruthAt(id); ok {
-			req = truth.Required
-		}
-		m.rehomes = append(m.rehomes, rehomeCommit{id: id, req: req, evictTick: tick})
-		// The victim moves from the admission ledger (if it was still
-		// there) to the re-home ledger; never count it twice.
-		m.dropPendingCommit(id)
-	}
+	before := w.NumHomeless(sim.Evicted)
 	if err := w.FailPM(pm); err != nil {
 		return err
 	}
-	if len(guests) > 0 {
-		m.cfg.Faults.RecordEvictions(tick, guests, forced)
+	if n := w.NumHomeless(sim.Evicted) - before; n > 0 {
+		m.cfg.Faults.RecordEvictions(n, forced)
 	}
 	return nil
 }
 
-// dropPendingCommit removes one VM's admission-ledger entry, if any.
-func (m *Manager) dropPendingCommit(id model.VMID) {
-	for i := range m.pendingCommits {
-		if m.pendingCommits[i].id == id {
-			m.pendingCommits = append(m.pendingCommits[:i], m.pendingCommits[i+1:]...)
-			return
-		}
-	}
-}
-
-// pruneRehomes drops re-home ledger entries whose VM has a host again or
-// has left the world, and returns the remaining reserved total.
-func (m *Manager) pruneRehomes() model.Resources {
-	w := m.cfg.World
-	kept := m.rehomes[:0]
-	var sum model.Resources
-	for _, rc := range m.rehomes {
-		if _, live := w.LookupVM(rc.id); !live {
-			continue
-		}
-		if w.HostOf(rc.id) != model.NoPM {
-			continue
-		}
-		kept = append(kept, rc)
-		sum = sum.Add(rc.req)
-	}
-	m.rehomes = kept
-	return sum
-}
-
 // stepShedding retires dynamic VMs that have been homeless past the
 // shedding deadline while the fleet is degraded: capacity is not coming
-// back soon, and holding them in the re-home queue forever just thrashes
+// back soon, and keeping them homeless forever just thrashes
 // every future round. Static inventory VMs are never shed.
 func (m *Manager) stepShedding(tick int) error {
 	w := m.cfg.World
 	deadline := m.cfg.Degraded.ShedAfterTicks
-	kept := m.rehomes[:0]
-	for _, rc := range m.rehomes {
-		h, live := w.LookupVM(rc.id)
-		if !live {
+	// Retiring only closes records, so the list can be walked while
+	// shedding; eviction order decides which freed slot the next
+	// admission reuses.
+	for _, rec := range w.Homeless() {
+		if !rec.Open || rec.Cause != sim.Evicted || tick-rec.Since < deadline {
 			continue
 		}
-		if w.IsStatic(h) || w.HostOf(rc.id) != model.NoPM || tick-rc.evictTick < deadline {
-			kept = append(kept, rc)
+		h, _ := w.HandleOf(int(rec.Slot))
+		if w.IsStatic(h) {
 			continue
 		}
 		if err := w.RetireVM(h); err != nil {
-			return fmt.Errorf("core: shedding %v at tick %d: %w", rc.id, tick, err)
+			return fmt.Errorf("core: shedding %v at tick %d: %w", rec.ID, tick, err)
 		}
 		if m.cfg.Lifecycle != nil {
 			// The shed VM must not depart a second time at its scheduled
 			// lifetime end.
-			m.cfg.Lifecycle.CancelDeparture(rc.id)
+			m.cfg.Lifecycle.CancelDeparture(rec.ID)
 		}
-		m.cfg.Faults.Drop(rc.id)
 		m.cfg.Faults.RecordShed()
 	}
-	m.rehomes = kept
 	return nil
 }
 
@@ -480,13 +435,10 @@ func (m *Manager) stepLifecycle(tick int) error {
 	lc := m.cfg.Lifecycle
 	w := m.cfg.World
 	for _, d := range lc.DeparturesDue(tick) {
+		// A homeless VM departing at end of lifetime stops accruing
+		// downtime; retiring closes its record, and it is not a re-home.
 		if err := w.RetireVM(d.Handle); err != nil {
 			return fmt.Errorf("core: retiring %v at tick %d: %w", d.ID, tick, err)
-		}
-		if m.cfg.Faults != nil {
-			// A homeless VM departing at end of lifetime stops accruing
-			// downtime; it is not a re-home.
-			m.cfg.Faults.Drop(d.ID)
 		}
 	}
 	if m.cfg.Admission.Rate != nil {
@@ -499,9 +451,11 @@ func (m *Manager) stepLifecycle(tick int) error {
 		return nil
 	}
 	// Re-home reservations ride in the pending sum: evicted VMs were
-	// already accepted, so arrivals compete only for the headroom the
-	// re-home queue does not need.
-	pending := m.prunePendingCommits().Add(m.pruneRehomes())
+	// already accepted, so arrivals compete only for the headroom their
+	// re-homing does not need.
+	m.unsettledAdmits = w.NumHomeless(sim.Admitted)
+	admitted, evicted := m.reserved()
+	pending := admitted.Add(evicted)
 	var fleet fleetCommitment
 	if !m.cfg.Admission.Disabled {
 		fleet = fleetCommitmentOf(w) // once per tick: truth is frozen between Steps
@@ -520,40 +474,19 @@ func (m *Manager) stepLifecycle(tick int) error {
 		var h sim.VMHandle
 		if dec == lifecycle.Admit {
 			var err error
-			if h, err = w.AdmitVM(o.Arrival.Spec); err != nil {
+			if h, err = w.AdmitVM(o.Arrival.Spec, req); err != nil {
 				// Slot pressure the padded bound did not absorb
 				// (sim.ErrSlotsExhausted): treat it as a capacity shortage
 				// (defer, reject past deadline).
 				dec = m.cfg.Admission.deferOrReject(tick, o)
 			} else {
-				m.pendingCommits = append(m.pendingCommits, pendingCommit{id: o.Arrival.Spec.ID, req: req})
+				m.unsettledAdmits++
 				pending = pending.Add(req)
 			}
 		}
 		lc.Resolve(tick, o, dec, h)
 	}
 	return nil
-}
-
-// prunePendingCommits drops ledger entries whose VM has reached a host
-// (its requirement now shows up in the fleet's committed sum) or has
-// already departed, and returns the remaining reserved total.
-func (m *Manager) prunePendingCommits() model.Resources {
-	w := m.cfg.World
-	kept := m.pendingCommits[:0]
-	var sum model.Resources
-	for _, pc := range m.pendingCommits {
-		if _, live := w.LookupVM(pc.id); !live {
-			continue
-		}
-		if w.HostOf(pc.id) != model.NoPM {
-			continue
-		}
-		kept = append(kept, pc)
-		sum = sum.Add(pc.req)
-	}
-	m.pendingCommits = kept
-	return sum
 }
 
 // Run advances n ticks, invoking cb after each.

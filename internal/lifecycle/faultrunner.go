@@ -1,13 +1,11 @@
 package lifecycle
 
 // FaultRunner replays a FaultScript into a managed run and keeps the
-// availability ledger: which VMs are waiting to be re-homed after an
-// eviction, how long each waited, and the fleet-wide downtime fraction.
-// Like Runner it is deterministic and allocation-light: the due-event and
-// re-home queues are reused slices, and a quiescent tick (no due events,
-// empty queue) does no allocation.
-
-import "repro/internal/model"
+// availability counters: evictions, how long evicted VMs waited for a
+// host, and the fleet-wide downtime fraction. Which VMs wait is the
+// World's homeless-VM record (sim.Homeless); the manager reports what
+// happens to them. Like Runner it is deterministic and allocation-free:
+// the due-event buffer is sized from the script.
 
 // FaultStats aggregates fault-layer outcomes over a run.
 type FaultStats struct {
@@ -60,19 +58,12 @@ func (s FaultStats) MeanRehomeTicks() float64 {
 	return float64(s.RehomeTicksSum) / float64(s.Rehomed)
 }
 
-// rehome tracks one evicted VM awaiting re-placement.
-type rehome struct {
-	id        model.VMID
-	evictTick int
-}
-
 // FaultRunner walks a FaultScript and accounts for its consequences.
 type FaultRunner struct {
 	script *FaultScript
 	next   int
 
-	due   []FaultEvent // reused buffer returned by Due
-	queue []rehome     // evicted VMs awaiting re-home, eviction order
+	due []FaultEvent // reused buffer returned by Due
 
 	// pushed holds externally injected fault events (serve mode: faults
 	// reported over the wire instead of scripted), in push order; Due
@@ -84,12 +75,22 @@ type FaultRunner struct {
 }
 
 // NewFaultRunner wraps a generated script. A nil script yields a runner
-// that never fires (useful for uniform wiring).
+// that never fires (useful for uniform wiring). The due buffer holds the
+// script's busiest tick, so only injected events can grow it.
 func NewFaultRunner(script *FaultScript) *FaultRunner {
 	if script == nil {
 		script = &FaultScript{}
 	}
-	return &FaultRunner{script: script}
+	most := 0
+	for i, n := 0, 0; i < len(script.Events); i++ {
+		if i > 0 && script.Events[i].Tick == script.Events[i-1].Tick {
+			n++
+		} else {
+			n = 1
+		}
+		most = max(most, n)
+	}
+	return &FaultRunner{script: script, due: make([]FaultEvent, 0, most)}
 }
 
 // Due returns the events scheduled at or before tick — script events in
@@ -140,75 +141,39 @@ func (r *FaultRunner) Push(ev FaultEvent) {
 	r.pushed = append(r.pushed, ev)
 }
 
-// RecordEvictions enqueues VMs evicted by a fault at tick for re-home
-// accounting. forced marks drain-deadline evictions. VMs already queued
-// (evicted again before ever being re-homed) are not double-enqueued.
-func (r *FaultRunner) RecordEvictions(tick int, ids []model.VMID, forced bool) {
-	for _, id := range ids {
-		bump(&r.stats.Interruptions, r.met.Interruptions)
-		if forced {
-			bump(&r.stats.ForcedEvictions, r.met.ForcedEvictions)
-		}
-		if r.queued(id) {
-			continue
-		}
-		r.queue = append(r.queue, rehome{id: id, evictTick: tick})
+// RecordEvictions counts n VMs evicted by one fault; forced marks
+// drain-deadline evictions.
+func (r *FaultRunner) RecordEvictions(n int, forced bool) {
+	r.stats.Interruptions += n
+	r.met.Interruptions.Add(uint64(n))
+	if forced {
+		r.stats.ForcedEvictions += n
+		r.met.ForcedEvictions.Add(uint64(n))
 	}
 }
 
-func (r *FaultRunner) queued(id model.VMID) bool {
-	for _, q := range r.queue {
-		if q.id == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Drop removes a queued VM without counting a re-home — for VMs that
-// depart or are shed while homeless. Reports whether it was queued.
-func (r *FaultRunner) Drop(id model.VMID) bool {
-	for i, q := range r.queue {
-		if q.id == id {
-			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			return true
-		}
-	}
-	return false
+// RecordRehome counts an evicted VM placed again after waiting ticks
+// since its eviction.
+func (r *FaultRunner) RecordRehome(ticks int) {
+	bump(&r.stats.Rehomed, r.met.Rehomed)
+	r.stats.RehomeTicksSum += ticks
+	r.stats.MaxRehomeTicks = max(r.stats.MaxRehomeTicks, ticks)
 }
 
 // RecordShed counts a homeless VM retired by degraded-mode shedding.
-// Callers pair it with Drop (or a departure) so the queue entry goes away.
 func (r *FaultRunner) RecordShed() { bump(&r.stats.Shed, r.met.Shed) }
 
 // ObserveTick closes out one tick: live is the number of active VMs,
-// degraded whether the manager is in degraded mode, and hosted reports
-// whether a VM currently has a host. Queued VMs found hosted are counted
-// as re-homed with their latency; the rest accrue a downtime tick.
-func (r *FaultRunner) ObserveTick(tick, live int, degraded bool, hosted func(model.VMID) bool) {
+// degraded whether the manager is in degraded mode, and homeless how many
+// evicted VMs still have no host, each of which accrues a downtime tick.
+func (r *FaultRunner) ObserveTick(live int, degraded bool, homeless int) {
 	r.stats.VMTicks += live
 	if degraded {
 		bump(&r.stats.DegradedTicks, r.met.DegradedTicks)
 	}
-	kept := r.queue[:0]
-	for _, q := range r.queue {
-		if hosted(q.id) {
-			lat := tick - q.evictTick
-			bump(&r.stats.Rehomed, r.met.Rehomed)
-			r.stats.RehomeTicksSum += lat
-			if lat > r.stats.MaxRehomeTicks {
-				r.stats.MaxRehomeTicks = lat
-			}
-			continue
-		}
-		bump(&r.stats.DowntimeTicks, r.met.DowntimeTicks)
-		kept = append(kept, q)
-	}
-	r.queue = kept
+	r.stats.DowntimeTicks += homeless
+	r.met.DowntimeTicks.Add(uint64(homeless))
 }
-
-// PendingRehomes is the number of evicted VMs still awaiting a host.
-func (r *FaultRunner) PendingRehomes() int { return len(r.queue) }
 
 // Stats returns the accumulated fault/availability counters.
 func (r *FaultRunner) Stats() FaultStats { return r.stats }

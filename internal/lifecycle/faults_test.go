@@ -176,7 +176,9 @@ func TestFaultSpecValidation(t *testing.T) {
 }
 
 // TestFaultRunnerFlow drives the runner by hand through eviction, waiting,
-// re-homing and shedding, checking the availability arithmetic.
+// re-homing and shedding as the manager reports them, checking the
+// availability arithmetic. Which VMs wait lives in the World's homeless
+// records (core's TestHomelessLedgerFlow).
 func TestFaultRunnerFlow(t *testing.T) {
 	script := &FaultScript{Events: []FaultEvent{
 		{Tick: 5, Kind: FaultCrash, PM: 0},
@@ -190,26 +192,17 @@ func TestFaultRunnerFlow(t *testing.T) {
 	if len(due) != 1 || due[0].Kind != FaultCrash {
 		t.Fatalf("due at 5: %v", due)
 	}
-	// Two guests evicted; VM 11 already queued from a previous fault must
-	// not double-enqueue.
-	r.RecordEvictions(5, []model.VMID{10, 11}, false)
-	r.RecordEvictions(5, []model.VMID{11}, true)
-	if r.PendingRehomes() != 2 {
-		t.Fatalf("queue %d, want 2", r.PendingRehomes())
-	}
-	// Ticks 5..9: both homeless among 4 live VMs.
+	// Two guests evicted by the crash, one more by a forced takedown.
+	r.RecordEvictions(2, false)
+	r.RecordEvictions(1, true)
+	// Ticks 5..9: two VMs homeless among 4 live VMs.
 	for tick := 5; tick < 10; tick++ {
-		r.ObserveTick(tick, 4, false, func(model.VMID) bool { return false })
+		r.ObserveTick(4, false, 2)
 	}
-	// Tick 10: VM 10 re-homed (5 ticks after eviction), VM 11 still out.
-	r.ObserveTick(10, 4, true, func(id model.VMID) bool { return id == 10 })
-	if r.PendingRehomes() != 1 {
-		t.Fatalf("queue after re-home %d, want 1", r.PendingRehomes())
-	}
-	// VM 11 is shed.
-	if !r.Drop(11) {
-		t.Fatal("Drop missed the queued VM")
-	}
+	// Tick 10: one re-homed (5 ticks after eviction), one still out.
+	r.RecordRehome(5)
+	r.ObserveTick(4, true, 1)
+	// The other is shed.
 	r.RecordShed()
 	st := r.Stats()
 	if st.Crashes != 1 || st.Interruptions != 3 || st.ForcedEvictions != 1 {
@@ -228,6 +221,10 @@ func TestFaultRunnerFlow(t *testing.T) {
 	if st.MeanRehomeTicks() != 5 {
 		t.Fatalf("mean re-home %v, want 5", st.MeanRehomeTicks())
 	}
+	r.RecordRehome(3)
+	if st := r.Stats(); st.MaxRehomeTicks != 5 || st.RehomeTicksSum != 8 {
+		t.Fatalf("a shorter re-home moved the maximum: %+v", st)
+	}
 	// Nil scripts yield a runner that never fires.
 	if got := NewFaultRunner(nil).Due(1000); len(got) != 0 {
 		t.Fatalf("nil-script runner fired: %v", got)
@@ -235,18 +232,17 @@ func TestFaultRunnerFlow(t *testing.T) {
 }
 
 // TestFaultRunnerQuiescentAllocFree pins the per-tick cost of an enabled
-// but idle fault layer: between events, with an empty re-home queue,
-// Due + ObserveTick allocate nothing.
+// but idle fault layer: between events Due + ObserveTick allocate
+// nothing.
 func TestFaultRunnerQuiescentAllocFree(t *testing.T) {
 	r := NewFaultRunner(&FaultScript{Events: []FaultEvent{
 		{Tick: 1 << 30, Kind: FaultCrash, PM: 0}, // far future: never due
 	}})
-	hosted := func(model.VMID) bool { return true }
 	tick := 0
 	avg := testing.AllocsPerRun(100, func() {
 		tick++
 		r.Due(tick)
-		r.ObserveTick(tick, 8, false, hosted)
+		r.ObserveTick(8, false, 0)
 	})
 	if avg != 0 {
 		t.Fatalf("quiescent fault runner allocates %.1f times per tick, want 0", avg)
@@ -276,14 +272,6 @@ func TestCancelDeparture(t *testing.T) {
 	}
 	if r.CancelDeparture(10) {
 		t.Fatal("second CancelDeparture found a departure to cancel")
-	}
-
-	// The shed VM must not linger in the placement-wait queue either: an
-	// ObservePlacements seeing every VM hosted must count only the
-	// survivor.
-	r.ObservePlacements(16, func(id model.VMID) bool { return true })
-	if st := r.Stats(); st.Placed != 1 {
-		t.Fatalf("Placed %d, want 1 (only the surviving VM)", st.Placed)
 	}
 
 	deps := r.DeparturesDue(30)

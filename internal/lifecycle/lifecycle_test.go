@@ -180,8 +180,9 @@ func TestRunnerFlow(t *testing.T) {
 	}
 	r.Resolve(8, due[0], Reject, sim.VMHandle{})
 
-	// VM 10 reaches a host at the tick-10 round; VM 11 never does.
-	r.ObservePlacements(10, func(id model.VMID) bool { return id == 10 })
+	// VM 10 reaches a host at the tick-10 round, 5 ticks after its
+	// admission; VM 11 never does.
+	r.RecordPlaced(10 - 5)
 	// Departures: VM 10 admitted at 5 + 20 = 25; VM 11 at 6 + 40 = 46.
 	if deps := r.DeparturesDue(24); len(deps) != 0 {
 		t.Fatalf("early departures: %+v", deps)
@@ -213,8 +214,8 @@ func TestRunnerFlow(t *testing.T) {
 // TestRunnerChurnZeroAlloc pins Due and DeparturesDue at 0 allocs per
 // tick on a scripted churn runner with metrics attached: offers come
 // from the runner's per-arrival slab and departures are sorted in a
-// reused scratch. The queues Resolve appends to are sized up front, so
-// only those two calls are measured.
+// reused scratch. NewRunner sizes every queue from the script, so the
+// Resolve calls between them stay inside the measurement.
 func TestRunnerChurnZeroAlloc(t *testing.T) {
 	s, err := Generate(3, ProcessSpec{
 		Kind: Poisson, RatePerHour: 180, MeanLifetimeTicks: 20,
@@ -225,12 +226,6 @@ func TestRunnerChurnZeroAlloc(t *testing.T) {
 	}
 	r := NewRunner(s)
 	r.SetMetrics(NewMetrics(obs.NewRegistry()))
-	n := len(s.Arrivals)
-	r.offers = make([]*Offer, 0, n)
-	r.deps = make([]departure, 0, n)
-	r.due = make([]departure, 0, n)
-	r.depsDue = make([]Departure, 0, n)
-	r.waiting = make([]placeWait, 0, n)
 	tick, departed := 0, 0
 	allocs := testing.AllocsPerRun(400, func() {
 		for _, o := range r.Due(tick) {

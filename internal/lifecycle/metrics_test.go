@@ -30,15 +30,15 @@ func TestRunnersRecordMetrics(t *testing.T) {
 	r.Resolve(0, due[0], Admit, sim.VMHandle{})
 	r.Resolve(0, due[1], Defer, sim.VMHandle{})
 	r.Resolve(0, due[2], Reject, sim.VMHandle{})
-	r.ObservePlacements(1, func(model.VMID) bool { return true })
+	r.RecordPlaced(1)
 	r.DeparturesDue(2)
 
 	fr.Due(0)
-	fr.RecordEvictions(0, []model.VMID{10, 11}, false)
-	fr.RecordEvictions(0, []model.VMID{12}, true)
-	fr.ObserveTick(0, 3, true, func(model.VMID) bool { return false })
-	fr.ObserveTick(1, 3, false, func(id model.VMID) bool { return id == 10 })
-	fr.Drop(11)
+	fr.RecordEvictions(2, false)
+	fr.RecordEvictions(1, true)
+	fr.ObserveTick(3, true, 3)
+	fr.RecordRehome(1)
+	fr.ObserveTick(3, false, 2)
 	fr.RecordShed()
 
 	check := func() {

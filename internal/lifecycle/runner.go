@@ -72,8 +72,9 @@ func (s Stats) MeanPlacementTicks() float64 {
 // Runner is the runtime event queue of one managed run: it walks the
 // script's arrivals, keeps the deferral queue, schedules departures at
 // admission time (lifetimes count from admission, which the script cannot
-// know), and tracks time-to-placement. All queues are ordered slices; a
-// Runner is single-goroutine, like the manager that owns it.
+// know), and counts time-to-placement as the manager reports it. All
+// queues are ordered slices, sized from the script at NewRunner; a Runner
+// is single-goroutine, like the manager that owns it.
 type Runner struct {
 	// OnResolve, when set, observes every admission resolution the moment
 	// it is recorded — the serve layer uses it to expose per-VM decisions
@@ -89,7 +90,6 @@ type Runner struct {
 	deps     []departure
 	due      []departure // reusable DeparturesDue scratch
 	depsDue  []Departure // reusable DeparturesDue result
-	waiting  []placeWait
 	stats    Stats
 	met      Metrics // zero = recording off
 	// pushed holds externally injected arrivals (serve mode: VM offers
@@ -108,15 +108,20 @@ type departure struct {
 	handle sim.VMHandle
 }
 
-type placeWait struct {
-	id        model.VMID
-	admitTick int
-}
-
 // NewRunner builds a runner over a script. The script is read-only and
-// may be shared; every Runner keeps its own cursors and queues.
+// may be shared; every Runner keeps its own cursors and queues, each sized
+// for every scripted arrival at once so a scripted run never grows them.
 func NewRunner(script *Script) *Runner {
-	return &Runner{script: script, slab: make([]Offer, len(script.Arrivals))}
+	n := len(script.Arrivals)
+	return &Runner{
+		script:   script,
+		slab:     make([]Offer, n),
+		deferred: make([]*Offer, 0, n),
+		offers:   make([]*Offer, 0, n),
+		deps:     make([]departure, 0, n),
+		due:      make([]departure, 0, n),
+		depsDue:  make([]Departure, 0, n),
+	}
 }
 
 // Script returns the script the runner walks.
@@ -182,8 +187,7 @@ func (r *Runner) Due(tick int) []*Offer {
 
 // Resolve records the admission decision for an offer returned by Due.
 // On Admit, h must be the engine handle of the admitted VM: the runner
-// schedules the departure (admission tick + lifetime) and starts the
-// time-to-placement clock.
+// schedules the departure (admission tick + lifetime).
 func (r *Runner) Resolve(tick int, o *Offer, d Decision, h sim.VMHandle) {
 	switch d {
 	case Admit:
@@ -194,7 +198,6 @@ func (r *Runner) Resolve(tick int, o *Offer, d Decision, h sim.VMHandle) {
 				tick: tick + a.LifetimeTicks, id: a.Spec.ID, handle: h,
 			})
 		}
-		r.waiting = append(r.waiting, placeWait{id: a.Spec.ID, admitTick: tick})
 	case Defer:
 		o.Deferrals++
 		bump(&r.stats.Deferrals, r.met.Deferrals)
@@ -232,19 +235,16 @@ func (r *Runner) DeparturesDue(tick int) []Departure {
 	for _, d := range r.due {
 		r.depsDue = append(r.depsDue, Departure{ID: d.id, Handle: d.handle})
 		bump(&r.stats.Departed, r.met.Departed)
-		r.dropWaiting(d.id)
 	}
 	return r.depsDue
 }
 
-// CancelDeparture forgets a scheduled departure and any pending placement
-// wait for a VM that left the world outside the normal lifetime path —
-// shed in degraded mode after a fault eviction, for example. The VM is
-// neither resurrected by its departure tick nor counted in Departed;
-// admission counters are untouched (it really was admitted). Reports
-// whether a departure was scheduled.
+// CancelDeparture forgets a scheduled departure for a VM that left the
+// world outside the normal lifetime path — shed in degraded mode after a
+// fault eviction, for example. The VM is neither resurrected by its
+// departure tick nor counted in Departed; admission counters are untouched
+// (it really was admitted). Reports whether a departure was scheduled.
 func (r *Runner) CancelDeparture(id model.VMID) bool {
-	r.dropWaiting(id)
 	for i := range r.deps {
 		if r.deps[i].id == id {
 			r.deps = append(r.deps[:i], r.deps[i+1:]...)
@@ -254,28 +254,9 @@ func (r *Runner) CancelDeparture(id model.VMID) bool {
 	return false
 }
 
-// dropWaiting forgets a placement wait (the VM departed unplaced).
-func (r *Runner) dropWaiting(id model.VMID) {
-	for i := range r.waiting {
-		if r.waiting[i].id == id {
-			r.waiting = append(r.waiting[:i], r.waiting[i+1:]...)
-			return
-		}
-	}
-}
-
-// ObservePlacements folds the outcome of a scheduling round into the
-// time-to-placement statistics: hosted reports whether a VM currently has
-// a host. Call it after a round's placement has been applied.
-func (r *Runner) ObservePlacements(tick int, hosted func(model.VMID) bool) {
-	kept := r.waiting[:0]
-	for _, w := range r.waiting {
-		if hosted(w.id) {
-			bump(&r.stats.Placed, r.met.Placed)
-			r.stats.PlacementTicks += tick - w.admitTick
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	r.waiting = kept
+// RecordPlaced counts an admitted VM that reached its first host after
+// waiting ticks since admission.
+func (r *Runner) RecordPlaced(ticks int) {
+	bump(&r.stats.Placed, r.met.Placed)
+	r.stats.PlacementTicks += ticks
 }

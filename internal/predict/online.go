@@ -189,14 +189,18 @@ func (h *Harvest) datasets() []*ml.Dataset {
 	return []*ml.Dataset{h.VMCPU, h.VMMem, h.VMIn, h.VMOut, h.PMCPU, h.VMRT, h.VMSLA}
 }
 
-// tail truncates a dataset to its most recent n rows.
+// tail truncates a dataset to its most recent n rows by re-slicing past
+// the oldest ones. Nothing is copied here: the next append that outgrows
+// the backing array moves only the live rows into a new one, so the dead
+// prefix is dropped then and memory stays within a constant factor of n.
+// Views taken before the cut never see their elements overwritten.
 func tail(d *ml.Dataset, n int) {
 	if d.Len() <= n {
 		return
 	}
 	cut := d.Len() - n
-	d.X = append([][]float64(nil), d.X[cut:]...)
-	d.Y = append([]float64(nil), d.Y[cut:]...)
+	d.X = d.X[cut:]
+	d.Y = d.Y[cut:]
 }
 
 // CloneBundle deep-copies a bundle through its serialized form, so the

@@ -24,6 +24,35 @@ func TestTailTruncation(t *testing.T) {
 	if d.Len() != 4 {
 		t.Fatal("no-op tail changed dataset")
 	}
+
+	// A full window slides without copying its spine every tick: a view
+	// taken before a cut keeps its rows, and the backing array stays
+	// within a constant factor of the window.
+	const n = 1000
+	d = ml.NewDataset([]string{"x"})
+	for i := 0; i < 20*n; i++ {
+		if i == 5*n {
+			view := d.Y
+			defer func() {
+				if view[0] != float64(4*n) || view[n-1] != float64(5*n-1) {
+					t.Errorf("an earlier view changed: %v .. %v", view[0], view[n-1])
+				}
+			}()
+		}
+		d.Add([]float64{float64(i)}, float64(i))
+		tail(d, n)
+		if d.Len() != min(i+1, n) || d.Y[d.Len()-1] != float64(i) || cap(d.X) > 2*n {
+			t.Fatalf("row %d: len %d, last %v, cap %d", i, d.Len(), d.Y[d.Len()-1], cap(d.X))
+		}
+	}
+	row := []float64{1}
+	allocs := testing.AllocsPerRun(10*n, func() {
+		d.Add(row, 1) // one allocation: Add copies the row
+		tail(d, n)
+	})
+	if allocs > 1 {
+		t.Fatalf("Add + tail allocate %v times per row, want the row alone", allocs)
+	}
 }
 
 func TestCloneBundleIsIndependent(t *testing.T) {

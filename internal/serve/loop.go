@@ -871,10 +871,11 @@ func (l *loop) checkpointNow() error {
 }
 
 // drainAndStop is graceful shutdown: refuse new offers (the draining
-// flag), then keep ticking until the intake queue, the pushed/deferred
-// offer queues and the admitted-but-unplaced ledger are all empty — every
-// accepted offer gets its admission ruling and placed VMs their final
-// round — bounded by the deferral deadline plus two round periods, so a
+// flag), then keep ticking until the intake queue and the pushed/deferred
+// offer queues are empty and no admitted VM is unsettled (UnsettledAdmits:
+// the tick after the round that placed the last one) — every accepted
+// offer gets its admission ruling and placed VMs their final round —
+// bounded by the deferral deadline plus two round periods, so a
 // wedged fleet cannot hold shutdown hostage. Ends with a final checkpoint
 // and journal close.
 func (l *loop) drainAndStop() error {
@@ -886,7 +887,7 @@ func (l *loop) drainAndStop() error {
 			break
 		}
 		if len(l.events) == 0 && l.runner.PendingPushed() == 0 &&
-			l.runner.PendingDeferred() == 0 && l.mgr.PendingAdmits() == 0 {
+			l.runner.PendingDeferred() == 0 && l.mgr.UnsettledAdmits() == 0 {
 			break
 		}
 		if err := l.tickOnce(); err != nil {

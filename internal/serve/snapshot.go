@@ -43,8 +43,9 @@ type Snapshot struct {
 	Degraded    bool `json:"degraded"`
 	Draining    bool `json:"draining"`
 
-	// Admission backlog: the ledgered admitted-but-unplaced VMs, the
-	// fault-evicted VMs awaiting re-home, and the deferral queue.
+	// Admission backlog, as of the snapshot's tick: admitted VMs with no
+	// host yet and fault-evicted VMs with no host yet (the World's open
+	// homeless records by cause), and the deferral queue.
 	PendingAdmits   int `json:"pending_admits"`
 	PendingRehomes  int `json:"pending_rehomes"`
 	PendingDeferred int `json:"pending_deferred"`

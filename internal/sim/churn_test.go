@@ -70,16 +70,16 @@ func TestAdmitVMSlotsExhausted(t *testing.T) {
 	stub := &stubLoad{rps: map[model.VMID]float64{}, cpuTime: 0.01}
 	eng := churnEngine(t, stub)
 	for _, id := range []model.VMID{100, 101} {
-		if _, err := eng.AdmitVM(dynSpec(id)); err != nil {
+		if _, err := eng.AdmitVM(dynSpec(id), model.Resources{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	spec := dynSpec(102)
-	if _, err := eng.AdmitVM(spec); !errors.Is(err, sim.ErrSlotsExhausted) {
+	if _, err := eng.AdmitVM(spec, model.Resources{}); !errors.Is(err, sim.ErrSlotsExhausted) {
 		t.Fatalf("admission into a full world: %v, want ErrSlotsExhausted", err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eng.AdmitVM(spec); err != sim.ErrSlotsExhausted {
+		if _, err := eng.AdmitVM(spec, model.Resources{}); err != sim.ErrSlotsExhausted {
 			t.Fatal(err)
 		}
 	})
@@ -114,22 +114,22 @@ func TestAdmitRetireHandles(t *testing.T) {
 	if eng.HostIndexOf(0) != 0 || eng.HostOf(0) != 0 {
 		t.Fatal("failed static retire mutated placement state")
 	}
-	h1, err := eng.AdmitVM(dynSpec(100))
+	h1, err := eng.AdmitVM(dynSpec(100), model.Resources{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !eng.Valid(h1) || eng.NumActiveVMs() != 2 {
 		t.Fatalf("admit failed: valid=%v active=%d", eng.Valid(h1), eng.NumActiveVMs())
 	}
-	if _, dup := eng.AdmitVM(dynSpec(100)); dup == nil {
+	if _, dup := eng.AdmitVM(dynSpec(100), model.Resources{}); dup == nil {
 		t.Fatal("duplicate ID admitted")
 	}
-	h2, err := eng.AdmitVM(dynSpec(101))
+	h2, err := eng.AdmitVM(dynSpec(101), model.Resources{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Capacity is 1 static + 2 extra: a third dynamic VM must be refused.
-	if _, err := eng.AdmitVM(dynSpec(102)); err == nil {
+	if _, err := eng.AdmitVM(dynSpec(102), model.Resources{}); err == nil {
 		t.Fatal("admission beyond slot capacity succeeded")
 	}
 	if err := eng.RetireVM(h1); err != nil {
@@ -142,7 +142,7 @@ func TestAdmitRetireHandles(t *testing.T) {
 		t.Fatal("double retire succeeded")
 	}
 	// The freed slot is reused — same slot, new generation.
-	h3, err := eng.AdmitVM(dynSpec(102))
+	h3, err := eng.AdmitVM(dynSpec(102), model.Resources{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestChurnBacklogBoundaries(t *testing.T) {
 
 	// Churn boundary: a dynamic VM builds a backlog, retires, and the
 	// slot's next tenant starts clean.
-	h, err := eng.AdmitVM(dynSpec(200))
+	h, err := eng.AdmitVM(dynSpec(200), model.Resources{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestChurnBacklogBoundaries(t *testing.T) {
 	if err := eng.RetireVM(h); err != nil {
 		t.Fatal(err)
 	}
-	h2, err := eng.AdmitVM(dynSpec(201))
+	h2, err := eng.AdmitVM(dynSpec(201), model.Resources{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestEngineStepZeroAllocWithChurn(t *testing.T) {
 	}
 	var handles []sim.VMHandle
 	for i := 0; i < 3; i++ {
-		h, err := eng.AdmitVM(sc.Script.Arrivals[i].Spec)
+		h, err := eng.AdmitVM(sc.Script.Arrivals[i].Spec, model.Resources{})
 		if err != nil {
 			t.Fatal(err)
 		}

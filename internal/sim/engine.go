@@ -28,8 +28,9 @@ import (
 // The World is also the only record of the placement: hostOf and the
 // per-PM guest lists are what the tick resolves, what schedulers read and
 // what ApplySchedule, PlaceInitial, FailPM, AdmitVM and RetireVM change.
-// Truth and placement are exposed by dense index (HostIndexOf,
-// VMTruthByIndex, PerDCWatts) and by ID (HostOf, AppendGuests, DCOfVM,
+// Next to them it keeps one homeless-VM record per live slot without a
+// host (homeless.go). Truth and placement are exposed by dense index
+// (HostIndexOf, VMTruthByIndex, PerDCWatts) and by ID (HostOf, DCOfVM,
 // VMTruthAt, PMTruthAt). Truth accessors return views into the World's
 // reusable buffers: they are valid until the next Step and must not be
 // mutated.
@@ -77,11 +78,17 @@ type World struct {
 	// Placement. hostOf and guests always agree: VM slot i is in
 	// guests[j] exactly when hostOf[i] == j. Guest lists are kept sorted by
 	// VMID, the order the tick draws RT noise in.
-	hostOf   []int32   // VM index -> PM index, -1 when unplaced
-	guests   [][]int32 // PM index -> guest VM indices, sorted by VMID
-	failed   []bool    // PM index -> crashed
-	draining []bool    // PM index -> draining (no new placements)
-	moves    []move    // planMoves' scratch list of movers
+	hostOf []int32   // VM index -> PM index, -1 when unplaced
+	guests [][]int32 // PM index -> guest VM indices, sorted by VMID
+	// Homeless-VM records (homeless.go): home lists them in the order
+	// they were opened, homeAt[i] is slot i's open record in home (-1 when
+	// none), and nHome counts open records by cause.
+	home     []Homeless
+	homeAt   []int32
+	nHome    [Evicted + 1]int
+	failed   []bool // PM index -> crashed
+	draining []bool // PM index -> draining (no new placements)
+	moves    []move // planMoves' scratch list of movers
 	// nFailed/nDraining mirror the bool slices so the tick summary reports
 	// them without a scan.
 	nFailed   int
@@ -193,6 +200,8 @@ func NewWorld(cfg Config) (*World, error) {
 		fillRows:  make([]model.LoadVector, 0, capVM),
 
 		hostOf:   make([]int32, capVM),
+		home:     make([]Homeless, 0, capVM),
+		homeAt:   make([]int32, capVM),
 		guests:   make([][]int32, nPM),
 		moves:    make([]move, 0, capVM),
 		failed:   make([]bool, nPM),
@@ -231,6 +240,7 @@ func NewWorld(cfg Config) (*World, error) {
 	rows := make(model.LoadVector, capVM*nLoc) // one backing array for all rows
 	for i := 0; i < capVM; i++ {
 		e.hostOf[i] = -1
+		e.homeAt[i] = -1
 		e.loadRows[i] = rows[i*nLoc : (i+1)*nLoc : (i+1)*nLoc]
 	}
 	for i := 0; i < nVM; i++ {
@@ -333,20 +343,6 @@ func (e *World) DCOfVM(id model.VMID) model.DCID {
 		return e.pmSpecs[e.hostOf[i]].DC
 	}
 	return -1
-}
-
-// AppendGuests appends the VMs on a PM to dst in VMID order and returns
-// the extended slice (dst unchanged for an empty or unknown host), so a
-// caller that reuses dst lists guests without allocating.
-func (e *World) AppendGuests(dst []model.VMID, pm model.PMID) []model.VMID {
-	j, ok := e.PMIndex(pm)
-	if !ok {
-		return dst
-	}
-	for _, vi := range e.guests[j] {
-		dst = append(dst, e.vmIDs[vi])
-	}
-	return dst
 }
 
 // IsStatic reports whether a handle names a VM of the static inventory
@@ -482,7 +478,8 @@ func (e *World) planMoves(p model.Placement, schedule bool) error {
 }
 
 // setHost moves VM slot i from its current guest list to PM index to's
-// (-1 leaves it unplaced), keeping both lists in VMID order.
+// (-1 leaves it unplaced), keeping both lists in VMID order. A host ends
+// the slot's homeless record.
 func (e *World) setHost(i, to int32) {
 	if from := e.hostOf[i]; from >= 0 {
 		k := e.guestPos(e.guests[from], i)
@@ -491,6 +488,7 @@ func (e *World) setHost(i, to int32) {
 	if to >= 0 {
 		k := e.guestPos(e.guests[to], i)
 		e.guests[to] = slices.Insert(e.guests[to], k, i)
+		e.closeHomeless(i, true)
 	}
 	e.hostOf[i] = to
 }
@@ -559,7 +557,9 @@ func (e *World) ApplySchedule(p model.Placement) error {
 // --- failure injection ------------------------------------------------------
 
 // FailPM marks a host as failed, evicting its guests. Evicted VMs stay
-// unplaced (and earn nothing) until a scheduler reassigns them.
+// unplaced (and earn nothing) until a scheduler reassigns them. Each gets
+// an Evicted homeless record, in VMID order, reserving the resources its
+// last tick required.
 func (e *World) FailPM(pm model.PMID) error {
 	j, ok := e.PMIndex(pm)
 	if !ok {
@@ -580,6 +580,7 @@ func (e *World) FailPM(pm model.PMID) error {
 		// In-flight migrations to a dead target are moot; the blackout
 		// continues implicitly because the VM is unplaced.
 		e.downtime[vi] = 0
+		e.openHomeless(vi, Evicted, e.required[vi])
 	}
 	e.guests[j] = e.guests[j][:0]
 	return nil

@@ -66,10 +66,11 @@ func (e *World) Valid(h VMHandle) bool {
 // AdmitVM brings a new VM into the running world: it claims a slot (from
 // the free-list when one exists, extending the high-water mark otherwise),
 // resets the slot's truth and monitor window, and returns its handle. The
-// VM starts unplaced and produces load from the workload generator on the
-// next Step. Every per-slot buffer was sized at construction, so only the
-// ID index (a map insert) can allocate.
-func (e *World) AdmitVM(spec model.VMSpec) (VMHandle, error) {
+// VM starts unplaced, with an Admitted homeless record reserving req (the
+// admission controller's estimate), and produces load from the workload
+// generator on the next Step. Every per-slot buffer was sized at
+// construction, so only the ID index (a map insert) can allocate.
+func (e *World) AdmitVM(spec model.VMSpec, req model.Resources) (VMHandle, error) {
 	if _, dup := e.vmByID[spec.ID]; dup {
 		return VMHandle{}, fmt.Errorf("sim: VM %v already admitted", spec.ID)
 	}
@@ -93,6 +94,7 @@ func (e *World) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 	e.clearVMSlot(slot)
 	e.obs.ResetVM(slot)
 	e.rebuildFill()
+	e.openHomeless(int32(slot), Admitted, req)
 	return VMHandle{Slot: int32(slot), Gen: e.gens[slot]}, nil
 }
 
@@ -100,7 +102,8 @@ func (e *World) AdmitVM(spec model.VMSpec) (VMHandle, error) {
 // migration cost — the service is shutting down, not moving) and its slot
 // returns to the free-list with a bumped generation so the handle — and
 // any copy of it — dies with the VM. Only dynamically admitted VMs can
-// retire; the static inventory population is permanent.
+// retire; the static inventory population is permanent. A homeless VM's
+// record closes unhoused.
 func (e *World) RetireVM(h VMHandle) error {
 	i := int(h.Slot)
 	if !e.Valid(h) {
@@ -111,6 +114,7 @@ func (e *World) RetireVM(h VMHandle) error {
 		return fmt.Errorf("sim: %v is part of the static inventory population and cannot retire", id)
 	}
 	e.setHost(int32(i), -1)
+	e.closeHomeless(int32(i), false)
 	delete(e.vmByID, id)
 	e.gens[i]++
 	e.activeVM[i] = false

@@ -199,14 +199,14 @@ func TestWorldActivePMs(t *testing.T) {
 func TestWorldDynamicVMs(t *testing.T) {
 	stub := &stubLoad{rps: map[model.VMID]float64{}, cpuTime: 0.01}
 	w := churnEngine(t, stub)
-	h, err := w.AdmitVM(dynSpec(900))
+	h, err := w.AdmitVM(dynSpec(900), model.Resources{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AdmitVM(dynSpec(900)); err == nil {
+	if _, err := w.AdmitVM(dynSpec(900), model.Resources{}); err == nil {
 		t.Fatal("duplicate dynamic VM accepted")
 	}
-	if _, err := w.AdmitVM(dynSpec(0)); err == nil {
+	if _, err := w.AdmitVM(dynSpec(0), model.Resources{}); err == nil {
 		t.Fatal("inventory VM re-admitted dynamically")
 	}
 	if w.IsStatic(h) {
@@ -373,7 +373,7 @@ func fuzzWorld(t testing.TB) *sim.World {
 	}
 	var hs []sim.VMHandle
 	for _, id := range []model.VMID{100, 101, 102} {
-		h, err := w.AdmitVM(dynSpec(id))
+		h, err := w.AdmitVM(dynSpec(id), model.Resources{})
 		if err != nil {
 			t.Fatal(err)
 		}
